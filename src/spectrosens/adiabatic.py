@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BranchAmbiguous
+from .liouvillian import block_hamiltonian, commutator, decay_dissipator
 from .params import ModelParams
 
 ADIABATIC_GATE = 0.1   # warn when (r_A + r_B) / gamma exceeds this
@@ -106,31 +107,14 @@ def _curvature_weak_field(params, state, J):
     return out
 
 
-# exact conditioned generator: single 2-level system, vectorized to 4x4
-_I2 = np.eye(2)
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])
-_OFFSETS = (np.pi / 4.0, -np.pi / 4.0)
-
-
 def _conditioned_lambda(rabi, eps, gamma, s1, s2):
-    """Dominant eigenvalue of the conditioned (single-state) tilted generator."""
-    def ham(p1, p2):
-        h = np.zeros((2, 2), dtype=complex)
-        h[1, 1] = eps
-        amp = rabi / (2.0 * np.sqrt(2.0))
-        h[1, 0] = amp * (np.exp(1j * (p1 + _OFFSETS[0]))
-                         + np.exp(1j * (p2 + _OFFSETS[1])))
-        h[0, 1] = amp * (np.exp(-1j * (p1 + _OFFSETS[0]))
-                         + np.exp(-1j * (p2 + _OFFSETS[1])))
-        return h
-
+    """Dominant eigenvalue of the conditioned (single-state) tilted generator:
+    one driven two-level block, vectorized to 4x4."""
     chi = (-1j * s1, -1j * s2)
-    h_left = ham(chi[0] / 2.0, chi[1] / 2.0)
-    h_right = ham(-chi[0] / 2.0, -chi[1] / 2.0)
-    matrix = -1j * (np.kron(h_left, _I2) - np.kron(_I2, h_right.T))
-    jdj = _LOWER.conj().T @ _LOWER
-    matrix += gamma * (np.kron(_LOWER, _LOWER.conj())
-                       - 0.5 * (np.kron(jdj, _I2) + np.kron(_I2, jdj.T)))
+    blocks = ((eps, rabi),)
+    h_left = block_hamiltonian(blocks, (chi[0] / 2.0, chi[1] / 2.0))
+    h_right = block_hamiltonian(blocks, (-chi[0] / 2.0, -chi[1] / 2.0))
+    matrix = commutator(h_left, h_right) + decay_dissipator(gamma)
     values = np.linalg.eigvals(matrix)
     return values[np.argmax(values.real)].real
 

@@ -217,14 +217,14 @@ def _write_rows(path, rows):
         write_csv(rows, handle)
 
 
-def emit_figure_pack(figure_id: str, config: dict, out_dir: str,
+def emit_figure_pack(figure_id: str, config: dict, out_dir: str, route: str,
                      workers: int | None = None):
     """Write preset sweep CSVs plus a gnuplot script for one figure."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     if figure_id == "fig1c":
-        rows = run_sweep(config, ["rate,log,1e-6,1e2,25"], "full", workers)
+        rows = run_sweep(config, ["rate,log,1e-6,1e2,25"], route, workers)
         path = os.path.join(out_dir, "fig1c_sensitivity_vs_rate.csv")
         _write_rows(path, rows)
         written.append(path)
@@ -242,7 +242,7 @@ def emit_figure_pack(figure_id: str, config: dict, out_dir: str,
 
     elif figure_id == "fig2":
         rows = run_sweep(config, ["detuning,linear,-100,100,101"],
-                         "full", workers)
+                         route, workers)
         columns = [("cross_section_plus", "s_plus_m2", 5),
                    ("cross_section_minus", "s_minus_m2", 6),
                    ("variance_ratio_plus", "sigma_plus_ratio", 7),
@@ -274,7 +274,7 @@ def emit_figure_pack(figure_id: str, config: dict, out_dir: str,
         plots = []
         for detuning in (20.0, 40.0, 100.0):
             cfg = dict(config, detuning_a_mhz=detuning)
-            rows = run_sweep(cfg, ["rate,log,1e-6,1e2,25"], "full", workers)
+            rows = run_sweep(cfg, ["rate,log,1e-6,1e2,25"], route, workers)
             path = os.path.join(out_dir,
                                 f"fig3_detuning_{int(detuning)}mhz.csv")
             _write_rows(path, rows)
@@ -310,7 +310,6 @@ def _build_parser():
                        default="full")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
 
     point = sub.add_parser("point", help="evaluate a single configuration")
     common(point)
@@ -364,7 +363,8 @@ def main(argv=None) -> int:
 
         if args.command == "figures":
             out_dir = args.out or "."
-            emit_figure_pack(args.figure_id, config, out_dir, args.workers)
+            emit_figure_pack(args.figure_id, config, out_dir, args.route,
+                             args.workers)
             return EXIT_OK
     except ModelError as exc:
         print(_error_json(exc), file=sys.stderr)

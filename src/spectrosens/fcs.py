@@ -220,9 +220,12 @@ def diffusion_rate(params: ModelParams, J: float,
                    min_gap: float | None = None) -> np.ndarray:
     """Per-molecule second-cumulant rate matrix at flux J (detector order)."""
     flux_scale = np.sqrt(J / params.derived.photon_flux_j0)
+    if min_gap is None:
+        min_gap = _default_min_gap(params)
+    h1, h2 = _adaptive_steps(params, flux_scale, min_gap)
     curvature = second_cumulant_matrix(params, flux_scale=flux_scale,
-                                       min_gap=min_gap)
-    c1 = first_cumulants(params, flux_scale=flux_scale, min_gap=min_gap)
+                                       min_gap=min_gap, h=h2)
+    c1 = first_cumulants(params, flux_scale=flux_scale, min_gap=min_gap, h=h1)
     absorbed = c1[0] + c1[1]        # total absorbed flux per molecule, 1/s
     rate = _swap(curvature) + 0.5 * absorbed * np.eye(2)
     return rate

@@ -9,6 +9,7 @@ left vector vec(identity).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,22 @@ def _coupling_down(amp, phi1, phi2):
         + np.exp(-1j * (phi2 + PHASE_OFFSETS[1])))
 
 
+def block_hamiltonian(blocks, phi=(0.0, 0.0)) -> np.ndarray:
+    """Rotating-frame Hamiltonian of independent driven two-level blocks.
+
+    ``blocks`` holds one (detuning, drive amplitude) pair per block; block k
+    occupies ground index 2k and excited index 2k+1.
+    """
+    phi1, phi2 = phi
+    h = np.zeros((2 * len(blocks),) * 2, dtype=complex)
+    for k, (detuning, amp) in enumerate(blocks):
+        ground, excited = 2 * k, 2 * k + 1
+        h[excited, excited] = detuning
+        h[excited, ground] = _coupling_up(amp, phi1, phi2)
+        h[ground, excited] = _coupling_down(amp, phi1, phi2)
+    return h
+
+
 def build_hamiltonian(params: ModelParams, phi=(0.0, 0.0),
                       flux_scale: float = 1.0) -> np.ndarray:
     """4x4 rotating-frame Hamiltonian in angular-frequency units.
@@ -69,41 +86,73 @@ def build_hamiltonian(params: ModelParams, phi=(0.0, 0.0),
     """
     mol = params.molecule
     der = params.derived
-    phi1, phi2 = phi
-    h = np.zeros((DIM, DIM), dtype=complex)
-    h[1, 1] = mol.detuning_a
-    h[3, 3] = mol.detuning_b
-    for ground, excited, rabi in ((0, 1, der.rabi_a), (2, 3, der.rabi_b)):
-        h[excited, ground] = _coupling_up(rabi * flux_scale, phi1, phi2)
-        h[ground, excited] = _coupling_down(rabi * flux_scale, phi1, phi2)
-    return h
+    return block_hamiltonian(((mol.detuning_a, der.rabi_a * flux_scale),
+                              (mol.detuning_b, der.rabi_b * flux_scale)), phi)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a, b) as the broadcast product np.kron itself computes, without
+    its per-call shape handling."""
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+
+
+def commutator(h_left: np.ndarray, h_right: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> -i (h_left rho - rho h_right)."""
+    eye = np.eye(h_left.shape[0])
+    return -1j * (_outer(h_left, eye) - _outer(eye, h_right.T))
 
 
 def _dissipator(jump: np.ndarray, rate: float) -> np.ndarray:
+    eye = np.eye(jump.shape[0])
     jd = jump.conj().T
     jdj = jd @ jump
     return rate * (np.kron(jump, jump.conj())
-                   - 0.5 * (np.kron(jdj, I4) + np.kron(I4, jdj.T)))
+                   - 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T)))
 
 
-def _proj(i, j):
-    op = np.zeros((DIM, DIM))
+def _proj(i, j, dim=DIM):
+    op = np.zeros((dim, dim))
     op[i, j] = 1.0
     return op
 
 
-def dissipator_sum(params: ModelParams) -> np.ndarray:
-    """Spontaneous decay within each state plus chemical transfer between them."""
-    mol = params.molecule
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+# Dissipators depend on rates only; one entry serves every tilt, phase and
+# flux scale of a parameter point.
+DISSIPATOR_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=DISSIPATOR_CACHE_SIZE)
+def decay_dissipator(decay_gamma: float) -> np.ndarray:
+    """Read-only 4x4 superoperator of one two-level block decaying at
+    ``decay_gamma``."""
+    return _read_only(_dissipator(_proj(0, 1, dim=2), decay_gamma))
+
+
+@functools.lru_cache(maxsize=DISSIPATOR_CACHE_SIZE)
+def _dissipator_sum(decay_gamma: float, rate_a: float,
+                    rate_b: float) -> np.ndarray:
     total = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-    total += _dissipator(_proj(0, 1), mol.decay_gamma)   # |g_A><e_A|
-    total += _dissipator(_proj(2, 3), mol.decay_gamma)   # |g_B><e_B|
+    total += _dissipator(_proj(0, 1), decay_gamma)   # |g_A><e_A|
+    total += _dissipator(_proj(2, 3), decay_gamma)   # |g_B><e_B|
     # transfer into A at rate_a, into B at rate_b, for ground and excited levels
-    total += _dissipator(_proj(0, 2), mol.rate_a)
-    total += _dissipator(_proj(1, 3), mol.rate_a)
-    total += _dissipator(_proj(2, 0), mol.rate_b)
-    total += _dissipator(_proj(3, 1), mol.rate_b)
-    return total
+    total += _dissipator(_proj(0, 2), rate_a)
+    total += _dissipator(_proj(1, 3), rate_a)
+    total += _dissipator(_proj(2, 0), rate_b)
+    total += _dissipator(_proj(3, 1), rate_b)
+    return _read_only(total)
+
+
+def dissipator_sum(params: ModelParams) -> np.ndarray:
+    """Spontaneous decay within each state plus chemical transfer between
+    them; read-only and shared by all points with the same rates."""
+    mol = params.molecule
+    return _dissipator_sum(mol.decay_gamma, mol.rate_a, mol.rate_b)
 
 
 def build_two_sided(params: ModelParams, chi: CountingField,
@@ -115,8 +164,7 @@ def build_two_sided(params: ModelParams, chi: CountingField,
                                         phi2 + chi.chi2 / 2.0), flux_scale)
     h_right = build_hamiltonian(params, (phi1 - chi.chi1 / 2.0,
                                          phi2 - chi.chi2 / 2.0), flux_scale)
-    matrix = -1j * (np.kron(h_left, I4) - np.kron(I4, h_right.T))
-    matrix = matrix + dissipator_sum(params)
+    matrix = commutator(h_left, h_right) + dissipator_sum(params)
     return CountingLiouvillian(matrix=matrix, chi=chi, phase_phi=tuple(phi))
 
 

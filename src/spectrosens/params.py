@@ -173,6 +173,14 @@ _NUMERIC_KEYS = [k for k in DEFAULT_CONFIG
                  if k not in ("thickness_policy", "thickness_m")]
 
 
+def _is_finite(value) -> bool:
+    """False for NaN, +-inf and integers beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def default_config() -> dict:
     return dict(DEFAULT_CONFIG)
 
@@ -187,6 +195,8 @@ def from_config(config: dict) -> ModelParams:
         value = merged[key]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParseError(f"key {key!r} must be a number, got {value!r}")
+        if not _is_finite(value):
+            raise InvalidParam(key)
     constants = PhysicalConstants()
     laser = LaserParams(
         power=merged["power_mw"] * 1e-3,
@@ -208,7 +218,8 @@ def from_config(config: dict) -> ModelParams:
         thickness = None
     elif policy == "fixed":
         thickness = merged["thickness_m"]
-        if not isinstance(thickness, (int, float)) or not thickness > 0:
+        if (not isinstance(thickness, (int, float))
+                or not _is_finite(thickness) or not thickness > 0):
             raise InvalidParam("thickness_m")
     else:
         raise InvalidParam("thickness_policy")

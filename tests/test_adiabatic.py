@@ -146,3 +146,45 @@ def test_nonadiabatic_warning():
     with pytest.warns(UserWarning, match="adiabatic"):
         adiabatic.adiabatic_diffusion_matrix(
             params, params.derived.photon_flux_j0)
+
+
+def _kron_conditioned_cgf(params, state, s1, s2, J):
+    """Dominant eigenvalue of the conditioned generator assembled with
+    np.kron from an explicit two-level Hamiltonian."""
+    rabi, eps = {"A": (params.derived.rabi_a, params.molecule.detuning_a),
+                 "B": (params.derived.rabi_b, params.molecule.detuning_b)}[state]
+    amp = rabi * np.sqrt(J / params.derived.photon_flux_j0) / (2.0 * np.sqrt(2.0))
+    offsets = (np.pi / 4.0, -np.pi / 4.0)
+
+    def ham(p1, p2):
+        h = np.zeros((2, 2), dtype=complex)
+        h[1, 1] = eps
+        h[1, 0] = amp * (np.exp(1j * (p1 + offsets[0]))
+                         + np.exp(1j * (p2 + offsets[1])))
+        h[0, 1] = amp * (np.exp(-1j * (p1 + offsets[0]))
+                         + np.exp(-1j * (p2 + offsets[1])))
+        return h
+
+    chi = (-1j * s1, -1j * s2)
+    eye, lower = np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])
+    h_left = ham(chi[0] / 2.0, chi[1] / 2.0)
+    h_right = ham(-chi[0] / 2.0, -chi[1] / 2.0)
+    matrix = -1j * (np.kron(h_left, eye) - np.kron(eye, h_right.T))
+    jdj = lower.T @ lower
+    matrix += params.molecule.decay_gamma * (
+        np.kron(lower, lower) - 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T)))
+    values = np.linalg.eigvals(matrix)
+    return values[np.argmax(values.real)].real
+
+
+@pytest.mark.parametrize("state,s1,s2,flux", [
+    ("A", 0.0, 0.0, 1.0),
+    ("A", 1e-4, -2e-4, 1e-3),
+    ("A", -3e-3, 3e-3, 0.5),
+    ("B", 2e-3, 1e-3, 2.0),
+])
+def test_conditioned_cgf_matches_kron_assembly(state, s1, s2, flux):
+    params = from_config({"dipole_b_debye": 0.6, "detuning_b_mhz": -15.0})
+    J = flux * params.derived.photon_flux_j0
+    assert adiabatic.conditioned_cgf(params, state, s1, s2, J) \
+        == _kron_conditioned_cgf(params, state, s1, s2, J)

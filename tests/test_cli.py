@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from spectrosens import cli
 
 
@@ -114,4 +116,41 @@ def test_figures_unknown_id(capsys):
     import pytest
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["figures", "fig9"])
+    assert excinfo.value.code == 2
+
+
+def test_point_non_finite_is_invalid_param(capsys):
+    for setting in ("detuning_a_mhz=NaN", "gamma_mhz=Infinity"):
+        code, _, err = run(["point", "--set", setting], capsys)
+        assert code == 1
+        assert json.loads(err)["error"] == "InvalidParam"
+
+
+def test_sweep_non_finite_axis_rows(capsys):
+    """Non-finite grid values fail their own rows, not the whole sweep."""
+    code, out, _ = run(["sweep", "--axis1", "detuning,linear,-10,inf,3",
+                        "--workers", "1"], capsys)
+    assert code == 1
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.endswith(",error:InvalidParam") for row in rows)
+
+
+@pytest.mark.parametrize("figure_id", cli.FIGURE_IDS)
+def test_figures_pass_route(figure_id, tmp_path, monkeypatch, capsys):
+    routes = []
+
+    def fake_sweep(config, axes, route, workers=None):
+        routes.append(route)
+        return []
+    monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+    code, _, _ = run(["figures", figure_id, "--route", "adiabatic",
+                      "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert routes and set(routes) == {"adiabatic"}
+
+
+def test_seed_option_removed(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["point", "--seed", "1"])
     assert excinfo.value.code == 2

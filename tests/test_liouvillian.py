@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from spectrosens.errors import TrustRadiusExceeded
 from spectrosens.liouvillian import (CountingField, build_hamiltonian,
-                                     build_two_sided, stationary_state,
-                                     trace_vector)
+                                     build_two_sided, dissipator_sum,
+                                     stationary_state, trace_vector)
 from spectrosens.params import from_config
 
 small_angle = st.floats(min_value=-0.09, max_value=0.09,
@@ -101,3 +101,48 @@ def test_gauge_invariance_of_spectrum(shift, chi1, chi2):
     dist = np.abs(ev_base[:, None] - ev_shift[None, :])
     assert np.max(np.min(dist, axis=1)) < 1e-8 * scale
     assert np.max(np.min(dist, axis=0)) < 1e-8 * scale
+
+
+def _kron_generator(params, chi, phi, flux_scale):
+    """The tilted generator assembled term by term with np.kron."""
+    eye = np.eye(4)
+    h_left = build_hamiltonian(params, (phi[0] + chi.chi1 / 2.0,
+                                        phi[1] + chi.chi2 / 2.0), flux_scale)
+    h_right = build_hamiltonian(params, (phi[0] - chi.chi1 / 2.0,
+                                         phi[1] - chi.chi2 / 2.0), flux_scale)
+    matrix = -1j * (np.kron(h_left, eye) - np.kron(eye, h_right.T))
+    mol = params.molecule
+    total = np.zeros((16, 16), dtype=complex)
+    for (i, j), rate in (((0, 1), mol.decay_gamma), ((2, 3), mol.decay_gamma),
+                         ((0, 2), mol.rate_a), ((1, 3), mol.rate_a),
+                         ((2, 0), mol.rate_b), ((3, 1), mol.rate_b)):
+        jump = np.zeros((4, 4))
+        jump[i, j] = 1.0
+        jdj = jump.conj().T @ jump
+        total += rate * (np.kron(jump, jump.conj())
+                         - 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T)))
+    return matrix + total
+
+
+@pytest.mark.parametrize("chi,phi,flux_scale", [
+    ((0.0, 0.0), (0.0, 0.0), 1.0),
+    ((-0.03j, 0.01j), (0.0, 0.0), np.sqrt(1e-3)),
+    ((0.02 - 0.05j, -0.07 + 0.01j), (0.4, -1.3), 0.7),
+    ((-0.09j, -0.09j), (2.5, 2.5), 3.0),
+])
+def test_generator_matches_kron_assembly(chi, phi, flux_scale):
+    params = from_config({"rate_a_mhz": 3e-3, "rate_b_mhz": 1e-3,
+                          "dipole_b_debye": 0.6, "detuning_b_mhz": -15.0})
+    field = CountingField(*chi)
+    built = build_two_sided(params, field, phi=phi, flux_scale=flux_scale)
+    assert np.array_equal(built.matrix,
+                          _kron_generator(params, field, phi, flux_scale))
+
+
+def test_dissipator_cached_read_only(default_params):
+    cached = dissipator_sum(default_params)
+    with pytest.raises(ValueError):
+        cached[0, 0] = 1.0
+    detuned = default_params.with_molecule(
+        detuning_a=2 * default_params.molecule.detuning_a)
+    assert dissipator_sum(detuned) is cached

@@ -98,3 +98,19 @@ def test_default_config_is_copy():
     config = default_config()
     config["power_mw"] = 99.0
     assert default_config()["power_mw"] == 1.0
+
+
+@pytest.mark.parametrize("key,value", [
+    ("detuning_a_mhz", math.nan),
+    ("gamma_mhz", math.inf),
+    ("rate_b_mhz", -math.inf),
+    ("power_mw", 10**400),
+    ("thickness_m", math.inf),
+])
+def test_non_finite_rejected(key, value):
+    config = {key: value}
+    if key == "thickness_m":
+        config["thickness_policy"] = "fixed"
+    with pytest.raises(InvalidParam) as excinfo:
+        from_config(config)
+    assert excinfo.value.field == key
