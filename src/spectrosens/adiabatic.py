@@ -12,25 +12,15 @@ stationary variance of a time-integrated telegraph signal).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BranchAmbiguous
+from .fcs import gradient, hessian, richardson
 from .liouvillian import block_hamiltonian, commutator, decay_dissipator
 from .params import ModelParams
 
 ADIABATIC_GATE = 0.1   # warn when (r_A + r_B) / gamma exceeds this
-
-
-@dataclass(frozen=True)
-class AdiabaticQuantities:
-    p_a: float
-    p_b: float
-    t_r: float
-    s_cond: dict                    # state -> (S_plus|state, S_minus|state)
-    s_eff: tuple                    # (S_plus, S_minus)
-    d_eff: np.ndarray = field(repr=False)   # 2x2 diffusion matrix at J
 
 
 def stationary_probabilities(params: ModelParams):
@@ -53,7 +43,7 @@ def _state_constants(params: ModelParams, state: str):
     raise ValueError(f"unknown chemical state {state!r}")
 
 
-def _warn_if_nonadiabatic(params):
+def warn_if_nonadiabatic(params):
     mol = params.molecule
     if mol.rate_a + mol.rate_b > ADIABATIC_GATE * mol.decay_gamma:
         warnings.warn("adiabatic factorization unreliable: "
@@ -128,50 +118,16 @@ def conditioned_cgf(params: ModelParams, state: str, s1: float, s2: float,
                                params.molecule.decay_gamma, s1, s2)
 
 
-def _fd_vector(fun, h):
-    g1 = (fun(h, 0.0) - fun(-h, 0.0)) / (2 * h)
-    g2 = (fun(0.0, h) - fun(0.0, -h)) / (2 * h)
-    return np.array([g1, g2])
-
-
-def _fd_matrix(fun, h):
-    f00 = fun(0.0, 0.0)
-    d11 = (fun(h, 0) - 2 * f00 + fun(-h, 0)) / h**2
-    d22 = (fun(0, h) - 2 * f00 + fun(0, -h)) / h**2
-    d12 = (fun(h, h) - fun(h, -h) - fun(-h, h) + fun(-h, -h)) / (4 * h**2)
-    return np.array([[d11, d12], [d12, d22]])
-
-
-def _richardson(evaluate, h):
-    coarse = evaluate(h)
-    fine = evaluate(h / 2)
-    return (4 * fine - coarse) / 3
-
-
-def _conditioned_first(params, state, J, h=1e-4):
-    fun = lambda a, b: conditioned_cgf(params, state, a, b, J)
-    return _richardson(lambda step: _fd_vector(fun, step), h)
-
-
 def conditioned_first_cumulants(params: ModelParams, state: str,
                                 J: float) -> np.ndarray:
     """Conditioned mean detector fluxes (counting-index order, 1/s)."""
-    return _conditioned_first(params, state, J)
-
-
-def _curvature_exact(params, state, J, h=1e-3):
     fun = lambda a, b: conditioned_cgf(params, state, a, b, J)
-    return _richardson(lambda step: _fd_matrix(fun, step), h)
+    return richardson(gradient, fun, 1e-4)[0]
 
 
-def conditioned_diffusion(params: ModelParams, state: str, J: float,
-                          method: str = "exact") -> np.ndarray:
-    """Conditioned diffusion matrix at flux J, detector order, normalized by
-    rho_M * A * tau like the full-statistics diffusion matrix.  Includes the
-    per-detector partition shot term on the diagonal."""
-    rate = conditioned_rate(params, state, J, method=method)
-    sample, laser, der = params.sample, params.laser, params.derived
-    return sample.density_rho_m * der.beam_area * laser.measurement_time * rate
+def _curvature_exact(params, state, J):
+    fun = lambda a, b: conditioned_cgf(params, state, a, b, J)
+    return richardson(hessian, fun, 1e-3)[0]
 
 
 def conditioned_rate(params: ModelParams, state: str, J: float,
@@ -183,7 +139,7 @@ def conditioned_rate(params: ModelParams, state: str, J: float,
         absorbed = s_plus * J
     elif method == "exact":
         curvature = _curvature_exact(params, state, J)
-        c1 = _conditioned_first(params, state, J)
+        c1 = conditioned_first_cumulants(params, state, J)
         absorbed = c1[0] + c1[1]
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -244,8 +200,8 @@ def chemical_rate_term(params: ModelParams, J: float,
     p_a, p_b = stationary_probabilities(params)
     t_r = reaction_time(params)
     if method == "exact":
-        delta = (_conditioned_first(params, "A", J)[::-1]
-                 - _conditioned_first(params, "B", J)[::-1])
+        delta = (conditioned_first_cumulants(params, "A", J)[::-1]
+                 - conditioned_first_cumulants(params, "B", J)[::-1])
     else:
         sa = _detector_components(*conditioned_cross_sections(params, "A"))
         sb = _detector_components(*conditioned_cross_sections(params, "B"))
@@ -266,19 +222,8 @@ def adiabatic_rate(params: ModelParams, J: float,
 def adiabatic_diffusion_matrix(params: ModelParams, J: float,
                                method: str = "exact") -> np.ndarray:
     """Adiabatic diffusion matrix with the rho_M * A * tau normalization."""
-    _warn_if_nonadiabatic(params)
+    warn_if_nonadiabatic(params)
     sample, laser, der = params.sample, params.laser, params.derived
     return (sample.density_rho_m * der.beam_area * laser.measurement_time
             * adiabatic_rate(params, J, method=method))
 
-
-def adiabatic_quantities(params: ModelParams, J: float,
-                         method: str = "exact") -> AdiabaticQuantities:
-    p_a, p_b = stationary_probabilities(params)
-    return AdiabaticQuantities(
-        p_a=p_a, p_b=p_b, t_r=reaction_time(params),
-        s_cond={"A": conditioned_cross_sections(params, "A"),
-                "B": conditioned_cross_sections(params, "B")},
-        s_eff=effective_cross_sections(params),
-        d_eff=adiabatic_diffusion_matrix(params, J, method=method),
-    )

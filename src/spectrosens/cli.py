@@ -128,26 +128,16 @@ def _evaluate_row(task):
         "density_per_m3": config["density_per_m3"],
     }
     try:
-        result = evaluate_point(from_config(config), route=route)
+        record = run_point(config, route)
     except ModelError as exc:
         for column in CSV_COLUMNS[4:12]:
             row[column] = float("nan")
         row["regime"] = "Unclassified"
         row["status"] = f"error:{type(exc).__name__}"
         return row
-    report = result.report
-    row.update({
-        "s_plus_m2": result.s_plus,
-        "s_minus_m2": result.s_minus,
-        "sigma_plus_ratio": report.diagnostics["sigma_plus_ratio"],
-        "sigma_minus_ratio": report.diagnostics["sigma_minus_ratio"],
-        "sens_full": report.rel_full,
-        "sens_intensity": report.rel_intensity,
-        "sens_phase": report.rel_phase,
-        "sens_psn": report.rel_psn,
-        "regime": report.regime,
-        "status": "ok",
-    })
+    for column in CSV_COLUMNS[4:13]:
+        row[column] = record[column]
+    row["status"] = "ok"
     return row
 
 

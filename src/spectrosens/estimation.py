@@ -24,6 +24,11 @@ from .propagation import V_MINUS, V_PLUS, propagate_mean, z_optimal
 SIGNAL_FLOOR = 1e-300
 CONDITION_LIMIT = 1e12
 
+# A variance ratio below 1 + REGIME_DELTA counts as shot-noise level, one
+# above REGIME_THETA as excess noise.
+REGIME_DELTA = 0.1
+REGIME_THETA = 2.0
+
 REGIME_PSNL = "PSNL"
 REGIME_CL = "CL"
 REGIME_IR = "IR"
@@ -144,22 +149,21 @@ def psn_estimate(params: ModelParams, s_plus: float, s_minus: float,
     return math.sqrt(2.0 * n_p / slope_sq)
 
 
-def classify_regime(sigma_plus_ratio: float, sigma_minus_ratio: float,
-                    delta: float = 0.1, theta: float = 2.0) -> str:
+def classify_regime(sigma_plus_ratio: float, sigma_minus_ratio: float) -> str:
     """Label the noise regime from the variance-to-shot-noise ratios."""
-    near_shot = 1.0 + delta
+    near_shot = 1.0 + REGIME_DELTA
     if sigma_plus_ratio < near_shot and sigma_minus_ratio < near_shot:
         return REGIME_PSNL
-    if sigma_plus_ratio > theta and sigma_minus_ratio > theta:
+    if sigma_plus_ratio > REGIME_THETA and sigma_minus_ratio > REGIME_THETA:
         return REGIME_CL
-    if sigma_plus_ratio < near_shot and sigma_minus_ratio > theta:
+    if sigma_plus_ratio < near_shot and sigma_minus_ratio > REGIME_THETA:
         return REGIME_IR
     return REGIME_UNCLASSIFIED
 
 
 def sensitivity_report(params: ModelParams, s_plus: float, s_minus: float,
-                       sigma2: np.ndarray, z: float | None = None,
-                       delta: float = 0.1, theta: float = 2.0) -> SensitivityReport:
+                       sigma2: np.ndarray,
+                       z: float | None = None) -> SensitivityReport:
     """Assemble all relative sensitivity bounds and the regime label."""
     rho = params.sample.density_rho_m
     signal = signal_vector(params, s_plus, s_minus, z)
@@ -181,7 +185,7 @@ def sensitivity_report(params: ModelParams, s_plus: float, s_minus: float,
         rel_intensity=rel_intensity,
         rel_phase=rel_phase,
         rel_psn=rel_psn,
-        regime=classify_regime(*ratios, delta=delta, theta=theta),
+        regime=classify_regime(*ratios),
         diagnostics={"sigma_plus_ratio": ratios[0],
                      "sigma_minus_ratio": ratios[1]},
     )

@@ -26,19 +26,16 @@ import scipy.linalg
 
 from .errors import (DifferentiationUnstable, FitResidualExceeded, GapTooSmall,
                      PropagationOverflow)
-from .liouvillian import (CountingField, CountingLiouvillian, build_two_sided,
-                          stationary_state, trace_vector)
+from .liouvillian import (CountingField, build_two_sided, stationary_state,
+                          trace_vector)
 from .params import ModelParams
 
+# Largest Richardson correction of the second cumulants, relative to their
+# size, that still counts as a converged finite difference.
+STABILITY_TOL = 5e-2
 
-@dataclass(frozen=True)
-class CumulantSet:
-    s1: float                       # m^2, detector-1 removal cross section
-    s2: float                       # m^2
-    s_plus: float                   # m^2, absorption
-    s_minus: float                  # m^2, phase shift
-    D: np.ndarray = field(repr=False)   # 2x2 diffusion matrix at flux J
-    J: float = 0.0                  # m^-2 s^-1
+# Largest relative residual of the intensity-expansion fit.
+FIT_RESIDUAL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,7 @@ def _swap(matrix: np.ndarray) -> np.ndarray:
     return matrix[::-1, ::-1]
 
 
-def dominant_eigenvalue(liou: CountingLiouvillian, min_gap: float = 0.0):
+def dominant_eigenvalue(matrix: np.ndarray, min_gap: float = 0.0):
     """Eigenvalue of maximal real part and the spectral gap to the runner-up.
 
     For the real tilts used throughout (|s| well inside the trust radius) the
@@ -61,7 +58,7 @@ def dominant_eigenvalue(liou: CountingLiouvillian, min_gap: float = 0.0):
     lambda(0) = 0; the property tests check this against eigenvector-overlap
     tracking.
     """
-    values = np.linalg.eigvals(liou.matrix)
+    values = np.linalg.eigvals(matrix)
     order = np.argsort(-values.real)
     top, second = values[order[0]], values[order[1]]
     gap = top.real - second.real
@@ -78,9 +75,9 @@ def cgf_finite_time(params: ModelParams, chi: CountingField, tau: float,
     if not tau > 0:
         raise ValueError("tau must be positive")
     l0 = build_two_sided(params, CountingField(0.0, 0.0), flux_scale=flux_scale)
-    rho_ss = stationary_state(l0.matrix)
+    rho_ss = stationary_state(l0)
     l_chi = build_two_sided(params, chi, flux_scale=flux_scale)
-    propagated = scipy.linalg.expm(l_chi.matrix * tau) @ rho_ss
+    propagated = scipy.linalg.expm(l_chi * tau) @ rho_ss
     value = trace_vector() @ propagated
     if not np.isfinite(value):
         raise PropagationOverflow("matrix exponential overflowed")
@@ -88,12 +85,40 @@ def cgf_finite_time(params: ModelParams, chi: CountingField, tau: float,
 
 
 # ---------------------------------------------------------------------------
+# finite-difference stencils in the two counting fields
+# ---------------------------------------------------------------------------
+
+def gradient(fun, h: float) -> np.ndarray:
+    """Central-difference gradient of ``fun(s1, s2)`` at the origin."""
+    g1 = (fun(h, 0.0) - fun(-h, 0.0)) / (2 * h)
+    g2 = (fun(0.0, h) - fun(0.0, -h)) / (2 * h)
+    return np.array([g1, g2])
+
+
+def hessian(fun, h: float) -> np.ndarray:
+    """Central-difference Hessian of ``fun(s1, s2)`` at the origin."""
+    f00 = fun(0.0, 0.0)
+    d11 = (fun(h, 0) - 2 * f00 + fun(-h, 0)) / h**2
+    d22 = (fun(0, h) - 2 * f00 + fun(0, -h)) / h**2
+    d12 = (fun(h, h) - fun(h, -h) - fun(-h, h) + fun(-h, -h)) / (4 * h**2)
+    return np.array([[d11, d12], [d12, d22]])
+
+
+def richardson(stencil, fun, h: float):
+    """One Richardson step on ``stencil(fun, step)`` from steps h and h/2;
+    returns the extrapolated value and the step-h/2 value it corrects."""
+    coarse = stencil(fun, h)
+    fine = stencil(fun, h / 2)
+    return (4 * fine - coarse) / 3, fine
+
+
+# ---------------------------------------------------------------------------
 # eigenvalue derivatives
 # ---------------------------------------------------------------------------
 
-def _lambda_s(params, s1, s2, flux_scale, min_gap, phi=(0.0, 0.0)):
+def _lambda_s(params, s1, s2, flux_scale, min_gap):
     chi = CountingField(-1j * s1, -1j * s2)
-    liou = build_two_sided(params, chi, phi=phi, flux_scale=flux_scale)
+    liou = build_two_sided(params, chi, flux_scale=flux_scale)
     top, _ = dominant_eigenvalue(liou, min_gap=min_gap)
     return top.real
 
@@ -123,54 +148,32 @@ def _adaptive_steps(params, flux_scale, min_gap):
 
 
 def first_cumulants(params: ModelParams, flux_scale: float = 1.0,
-                    min_gap: float | None = None, h: float | None = None,
-                    phi=(0.0, 0.0)):
+                    min_gap: float | None = None, h: float | None = None):
     """(c1_1, c1_2): plain d(lambda)/ds_k in counting-index order, units 1/s."""
     if min_gap is None:
         min_gap = _default_min_gap(params)
     if h is None:
         h, _ = _adaptive_steps(params, flux_scale, min_gap)
-
-    def central(step):
-        g1 = (_lambda_s(params, step, 0.0, flux_scale, min_gap, phi)
-              - _lambda_s(params, -step, 0.0, flux_scale, min_gap, phi)) / (2 * step)
-        g2 = (_lambda_s(params, 0.0, step, flux_scale, min_gap, phi)
-              - _lambda_s(params, 0.0, -step, flux_scale, min_gap, phi)) / (2 * step)
-        return np.array([g1, g2])
-
-    coarse = central(h)
-    fine = central(h / 2)
-    return (4 * fine - coarse) / 3
+    fun = lambda a, b: _lambda_s(params, a, b, flux_scale, min_gap)
+    return richardson(gradient, fun, h)[0]
 
 
 def second_cumulant_matrix(params: ModelParams, flux_scale: float = 1.0,
                            min_gap: float | None = None,
-                           h: float | None = None,
-                           stability_tol: float = 5e-2) -> np.ndarray:
+                           h: float | None = None) -> np.ndarray:
     """2x2 matrix of d2(lambda)/ds_k ds_l (counting-index order), units 1/s."""
     if min_gap is None:
         min_gap = _default_min_gap(params)
     if h is None:
         _, h = _adaptive_steps(params, flux_scale, min_gap)
-
-    def at(step):
-        f = lambda a, b: _lambda_s(params, a, b, flux_scale, min_gap)
-        f00 = f(0.0, 0.0)
-        d11 = (f(step, 0) - 2 * f00 + f(-step, 0)) / step**2
-        d22 = (f(0, step) - 2 * f00 + f(0, -step)) / step**2
-        d12 = (f(step, step) - f(step, -step) - f(-step, step)
-               + f(-step, -step)) / (4 * step**2)
-        return np.array([[d11, d12], [d12, d22]])
-
-    coarse = at(h)
-    fine = at(h / 2)
-    result = (4 * fine - coarse) / 3
+    fun = lambda a, b: _lambda_s(params, a, b, flux_scale, min_gap)
+    result, fine = richardson(hessian, fun, h)
     scale = np.max(np.abs(result))
     if scale > 0:
         drift = np.max(np.abs(result - fine)) / scale
-        if drift > stability_tol:
+        if drift > STABILITY_TOL:
             raise DifferentiationUnstable(
-                f"Richardson correction {drift:.2e} exceeds {stability_tol:.0e}")
+                f"Richardson correction {drift:.2e} exceeds {STABILITY_TOL:.0e}")
     return result
 
 
@@ -185,7 +188,11 @@ CROSS_SECTION_FLUX_FRACTION = 1e-3  # linear-response reference flux J/J0
 
 def _warn_if_strong(params):
     der, mol = params.derived, params.molecule
-    saturation = max(der.rabi_a, der.rabi_b) ** 2 / mol.decay_gamma**2
+    # numpy floats saturate to 0 or inf at extreme but finite rates, where
+    # Python floats would raise ZeroDivisionError or OverflowError
+    with np.errstate(over="ignore", divide="ignore"):
+        saturation = (np.float64(max(der.rabi_a, der.rabi_b)) ** 2
+                      / np.float64(mol.decay_gamma) ** 2)
     if saturation > WEAK_PROBE_LIMIT:
         warnings.warn(f"outside weak-probe regime: Omega^2/gamma^2 = "
                       f"{saturation:.2f}", stacklevel=3)
@@ -231,20 +238,14 @@ def diffusion_rate(params: ModelParams, J: float,
     return rate
 
 
-def cumulant_set(params: ModelParams, J: float,
-                 min_gap: float | None = None) -> CumulantSet:
-    s1, s2 = cross_sections(params, min_gap=min_gap)
-    d = diffusion_matrix(params, J, min_gap=min_gap)
-    return CumulantSet(s1=s1, s2=s2, s_plus=s1 + s2, s_minus=s1 - s2, D=d, J=J)
-
-
-def fit_diffusion_expansion(params: ModelParams, J_grid=None,
-                            residual_tol: float = 1e-3,
+def fit_diffusion_expansion(params: ModelParams,
                             min_gap: float | None = None,
                             rate_fn=None, s_plus: float | None = None,
                             pin_linear: bool = True) -> DiffusionExpansion:
     """Least-squares fit of the per-molecule rate to D1*J + (1/2)*D2*J^2
-    through the origin, on a grid spanning a decade below J0.
+    through the origin, on ten log-spaced fluxes spanning the decade below
+    J0; a relative residual above ``FIT_RESIDUAL_TOL`` raises
+    ``FitResidualExceeded``.
 
     At slow reaction rates the quadratic chemical term exceeds the linear
     coefficient by many orders of magnitude, and higher-order saturation
@@ -263,11 +264,7 @@ def fit_diffusion_expansion(params: ModelParams, J_grid=None,
     rates); it is retained as a consistency check on the pinned structure.
     """
     j0 = params.derived.photon_flux_j0
-    if J_grid is None:
-        J_grid = np.geomspace(j0 / 10.0, j0, 10)
-    J_grid = np.asarray(J_grid, dtype=float)
-    if J_grid.size < 5:
-        raise ValueError("J_grid must contain at least 5 points")
+    J_grid = np.geomspace(j0 / 10.0, j0, 10)
     x = J_grid / j0
     if rate_fn is None:
         rate_fn = lambda p, j: diffusion_rate(p, j, min_gap=min_gap)
@@ -298,8 +295,8 @@ def fit_diffusion_expansion(params: ModelParams, J_grid=None,
     # sweeps that traverse resonance, while noisy or non-polynomial data
     # still trips the threshold.
     residual = np.linalg.norm(model - flat) / norm if norm > 0 else 0.0
-    if residual > residual_tol:
+    if residual > FIT_RESIDUAL_TOL:
         raise FitResidualExceeded(
             f"intensity expansion residual {residual:.2e} "
-            f"exceeds {residual_tol:.0e}")
+            f"exceeds {FIT_RESIDUAL_TOL:.0e}")
     return DiffusionExpansion(D1=d1, D2=d2, fit_residual=float(residual))

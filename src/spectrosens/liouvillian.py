@@ -10,7 +10,7 @@ left vector vec(identity).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,9 @@ I4 = np.eye(DIM)
 # Fixed auxiliary-phase offsets of the two detector channels.
 PHASE_OFFSETS = (np.pi / 4.0, -np.pi / 4.0)
 
+# Largest counting-field magnitude for which the dominant branch is isolated.
+TRUST_RADIUS = 0.1
+
 
 @dataclass(frozen=True)
 class CountingField:
@@ -30,20 +33,12 @@ class CountingField:
 
     chi1: complex = 0.0
     chi2: complex = 0.0
-    trust_radius: float = 0.1
 
     def check(self):
-        if abs(self.chi1) > self.trust_radius or abs(self.chi2) > self.trust_radius:
+        if abs(self.chi1) > TRUST_RADIUS or abs(self.chi2) > TRUST_RADIUS:
             raise TrustRadiusExceeded(
                 f"|chi| = ({abs(self.chi1):.3g}, {abs(self.chi2):.3g}) "
-                f"exceeds trust radius {self.trust_radius}")
-
-
-@dataclass(frozen=True)
-class CountingLiouvillian:
-    matrix: np.ndarray = field(repr=False)   # 16x16 complex
-    chi: CountingField = CountingField()
-    phase_phi: tuple = (0.0, 0.0)
+                f"exceeds trust radius {TRUST_RADIUS}")
 
 
 def _coupling_up(amp, phi1, phi2):
@@ -156,16 +151,16 @@ def dissipator_sum(params: ModelParams) -> np.ndarray:
 
 
 def build_two_sided(params: ModelParams, chi: CountingField,
-                    phi=(0.0, 0.0), flux_scale: float = 1.0) -> CountingLiouvillian:
-    """Two-sided superoperator: left phases phi + chi/2, right phases phi - chi/2."""
+                    phi=(0.0, 0.0), flux_scale: float = 1.0) -> np.ndarray:
+    """Two-sided 16x16 superoperator: left phases phi + chi/2, right phases
+    phi - chi/2."""
     chi.check()
     phi1, phi2 = phi
     h_left = build_hamiltonian(params, (phi1 + chi.chi1 / 2.0,
                                         phi2 + chi.chi2 / 2.0), flux_scale)
     h_right = build_hamiltonian(params, (phi1 - chi.chi1 / 2.0,
                                          phi2 - chi.chi2 / 2.0), flux_scale)
-    matrix = commutator(h_left, h_right) + dissipator_sum(params)
-    return CountingLiouvillian(matrix=matrix, chi=chi, phase_phi=tuple(phi))
+    return commutator(h_left, h_right) + dissipator_sum(params)
 
 
 def trace_vector() -> np.ndarray:

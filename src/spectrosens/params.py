@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 from .errors import InvalidParam, ParseError
 
@@ -44,7 +44,6 @@ class LaserParams:
     wavelength: float           # m
     beam_diameter: float        # m
     measurement_time: float     # s
-    lo_photon_policy: str = "match_probe"   # LO photon number tracks n_p(z)
 
 
 @dataclass(frozen=True)
@@ -101,36 +100,45 @@ class ModelParams:
 
 def derive(constants: PhysicalConstants, laser: LaserParams,
            molecule: MoleculeParams) -> DerivedQuantities:
-    """Compute field amplitude, Rabi frequencies and photon bookkeeping."""
+    """Compute field amplitude, Rabi frequencies and photon bookkeeping.
+
+    Finite inputs so extreme that a derived quantity leaves the float range
+    raise ``InvalidParam``."""
     _check_laser(laser)
     _check_molecule(molecule)
-    area = math.pi * laser.beam_diameter**2 / 4.0
-    field_e = math.sqrt(2.0 * laser.power / (area * constants.eps0 * constants.c))
-    omega_p = 2.0 * math.pi * constants.c / laser.wavelength
-    n_p0 = (laser.power * laser.measurement_time * laser.wavelength
-            / (2.0 * math.pi * constants.hbar * constants.c))
-    j0 = n_p0 / (area * laser.measurement_time)
-    rabi_a = molecule.dipole_a * field_e / constants.hbar
-    rabi_b = molecule.dipole_b * field_e / constants.hbar
-    return DerivedQuantities(
-        omega_p=omega_p,
-        beam_area=area,
-        field_e=field_e,
-        rabi_a=rabi_a,
-        rabi_b=rabi_b,
-        beta_sq_a=2.0 * rabi_a**2 / j0,
-        beta_sq_b=2.0 * rabi_b**2 / j0,
-        photon_flux_j0=j0,
-        n_p0=n_p0,
-    )
+    try:
+        area = math.pi * laser.beam_diameter**2 / 4.0
+        field_e = math.sqrt(2.0 * laser.power
+                            / (area * constants.eps0 * constants.c))
+        omega_p = 2.0 * math.pi * constants.c / laser.wavelength
+        n_p0 = (laser.power * laser.measurement_time * laser.wavelength
+                / (2.0 * math.pi * constants.hbar * constants.c))
+        j0 = n_p0 / (area * laser.measurement_time)
+        rabi_a = molecule.dipole_a * field_e / constants.hbar
+        rabi_b = molecule.dipole_b * field_e / constants.hbar
+        derived = DerivedQuantities(
+            omega_p=omega_p,
+            beam_area=area,
+            field_e=field_e,
+            rabi_a=rabi_a,
+            rabi_b=rabi_b,
+            beta_sq_a=2.0 * rabi_a**2 / j0,
+            beta_sq_b=2.0 * rabi_b**2 / j0,
+            photon_flux_j0=j0,
+            n_p0=n_p0,
+        )
+    except (OverflowError, ZeroDivisionError):
+        derived = None
+    if derived is None or not all(map(math.isfinite, astuple(derived))):
+        raise InvalidParam("derived",
+                           "derived quantities leave the float range")
+    return derived
 
 
 def _check_laser(laser: LaserParams):
     for field in ("power", "wavelength", "beam_diameter", "measurement_time"):
         if not getattr(laser, field) > 0:
             raise InvalidParam(field)
-    if laser.lo_photon_policy != "match_probe":
-        raise InvalidParam("lo_photon_policy")
 
 
 def _check_molecule(molecule: MoleculeParams):

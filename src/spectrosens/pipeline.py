@@ -51,6 +51,7 @@ def _route_quantities(params: ModelParams, route: str, min_gap: float):
         expansion = fcs.fit_diffusion_expansion(params, min_gap=min_gap,
                                                 s_plus=s1 + s2)
     elif route == "adiabatic":
+        adiabatic.warn_if_nonadiabatic(params)
         j_ref = params.derived.photon_flux_j0 * fcs.CROSS_SECTION_FLUX_FRACTION
         p_a, p_b = adiabatic.stationary_probabilities(params)
         c1 = (p_a * adiabatic.conditioned_first_cumulants(params, "A", j_ref)

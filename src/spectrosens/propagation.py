@@ -1,6 +1,6 @@
 """Transport of the probe beam through the sample: mean attenuation and phase
-accumulation, the closed-form photon-count covariance, and the quantities
-evaluated at the signal-optimal thickness.
+accumulation, the closed-form photon-count covariance, and the
+signal-optimal thickness.
 
 The covariance closed form integrates the two-term intensity expansion of the
 per-molecule diffusion rate along the attenuated beam.  Its quadratic term
@@ -9,8 +9,6 @@ numerical quadrature of the variance flow (see oracles) and then frozen.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,14 +24,6 @@ ABSORPTION_THRESHOLD = 1e-40
 
 V_PLUS = np.array([1.0, 1.0])
 V_MINUS = np.array([1.0, -1.0])
-
-
-@dataclass(frozen=True)
-class PropagationState:
-    z: float                    # m
-    n_p: float                  # mean probe photon number over tau
-    phase: float                # rad
-    sigma2: np.ndarray = field(repr=False)   # 2x2 photon-count covariance
 
 
 def z_optimal(params: ModelParams, s_plus: float) -> float:
@@ -75,25 +65,3 @@ def covariance_closed_form(params: ModelParams, s_plus: float,
     sigma2 = sigma2 + att**2 * n_p0 * j0 * rho * D2 * z * KAPPA
     return sigma2
 
-
-def sigma_pm_at_zopt(params: ModelParams, s_plus: float,
-                     D1: np.ndarray, D2: np.ndarray):
-    """(Sigma_plus^2, Sigma_minus^2): sum/difference-channel variances at the
-    optimal thickness, by projecting the closed-form covariance."""
-    z_opt = z_optimal(params, s_plus)
-    sigma2 = covariance_closed_form(params, s_plus, D1, D2, z_opt)
-    return (float(V_PLUS @ sigma2 @ V_PLUS),
-            float(V_MINUS @ sigma2 @ V_MINUS))
-
-
-def propagation_state(params: ModelParams, s_plus: float, s_minus: float,
-                      D1: np.ndarray, D2: np.ndarray,
-                      z: float | None = None) -> PropagationState:
-    """Full transported state at depth z (default: optimal thickness)."""
-    if z is None:
-        z = params.sample.thickness
-    if z is None:
-        z = z_optimal(params, s_plus)
-    n_p, phase = propagate_mean(params, s_plus, s_minus, z)
-    sigma2 = covariance_closed_form(params, s_plus, D1, D2, z)
-    return PropagationState(z=z, n_p=n_p, phase=phase, sigma2=sigma2)

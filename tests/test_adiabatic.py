@@ -4,6 +4,7 @@ import pytest
 from spectrosens import adiabatic, fcs
 from spectrosens.errors import BranchAmbiguous
 from spectrosens.params import from_config
+from spectrosens.pipeline import evaluate_point
 
 
 def test_stationary_probabilities():
@@ -146,6 +147,12 @@ def test_nonadiabatic_warning():
     with pytest.warns(UserWarning, match="adiabatic"):
         adiabatic.adiabatic_diffusion_matrix(
             params, params.derived.photon_flux_j0)
+
+
+def test_pipeline_nonadiabatic_warning():
+    params = from_config({"rate_a_mhz": 5.0, "rate_b_mhz": 5.0})
+    with pytest.warns(UserWarning, match="adiabatic factorization"):
+        evaluate_point(params, "adiabatic")
 
 
 def _kron_conditioned_cgf(params, state, s1, s2, J):

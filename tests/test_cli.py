@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from spectrosens import cli
+from spectrosens import cli, errors
 
 
 def run(argv, capsys):
@@ -120,10 +120,21 @@ def test_figures_unknown_id(capsys):
 
 
 def test_point_non_finite_is_invalid_param(capsys):
-    for setting in ("detuning_a_mhz=NaN", "gamma_mhz=Infinity"):
+    for setting in ("detuning_a_mhz=NaN", "gamma_mhz=Infinity",
+                    "power_mw=1e300"):
         code, _, err = run(["point", "--set", setting], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "InvalidParam"
+
+
+def test_point_extreme_gamma_is_typed_error(capsys):
+    """Decay rates at the edges of the float range end in a model error,
+    not in an arithmetic exception of the weak-probe check."""
+    for setting in ("gamma_mhz=1e-300", "gamma_mhz=1e300"):
+        code, _, err = run(["point", "--set", setting], capsys)
+        assert code == 1
+        error = getattr(errors, json.loads(err)["error"])
+        assert issubclass(error, errors.ModelError)
 
 
 def test_sweep_non_finite_axis_rows(capsys):

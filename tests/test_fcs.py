@@ -103,12 +103,6 @@ def test_fit_residual_guard(default_params):
         fcs.fit_diffusion_expansion(default_params, rate_fn=noisy)
 
 
-def test_fit_requires_enough_points(default_params):
-    j0 = default_params.derived.photon_flux_j0
-    with pytest.raises(ValueError):
-        fcs.fit_diffusion_expansion(default_params, J_grid=[j0, j0 / 2])
-
-
 def test_strong_probe_warning():
     params = from_config({"power_mw": 1e4})
     with pytest.warns(UserWarning, match="weak-probe"):

@@ -14,26 +14,26 @@ small_angle = st.floats(min_value=-0.09, max_value=0.09,
 
 def test_trace_is_left_null_vector(default_params):
     liou = build_two_sided(default_params, CountingField(0.0, 0.0))
-    residual = trace_vector() @ liou.matrix
-    assert np.max(np.abs(residual)) < 1e-6 * np.max(np.abs(liou.matrix))
+    residual = trace_vector() @ liou
+    assert np.max(np.abs(residual)) < 1e-6 * np.max(np.abs(liou))
 
 
 def test_stationary_state_properties(default_params):
     liou = build_two_sided(default_params, CountingField(0.0, 0.0))
-    rho = stationary_state(liou.matrix).reshape(4, 4)
+    rho = stationary_state(liou).reshape(4, 4)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     eigs = np.linalg.eigvalsh(rho)
     assert eigs.min() > -1e-12
     # stationary residual
-    assert np.max(np.abs(liou.matrix @ rho.reshape(-1))) < 1e-6
+    assert np.max(np.abs(liou @ rho.reshape(-1))) < 1e-6
 
 
 def test_symmetric_rates_balance_populations():
     params = from_config({"rate_a_mhz": 1e-3, "rate_b_mhz": 1e-3,
                           "dipole_b_debye": 1.0, "detuning_b_mhz": 40.0})
     liou = build_two_sided(params, CountingField(0.0, 0.0))
-    rho = stationary_state(liou.matrix).reshape(4, 4)
+    rho = stationary_state(liou).reshape(4, 4)
     pop_a = (rho[0, 0] + rho[1, 1]).real
     pop_b = (rho[2, 2] + rho[3, 3]).real
     assert pop_a == pytest.approx(pop_b, rel=1e-9)
@@ -70,8 +70,8 @@ def test_conjugation_symmetry(chi1, chi2):
     params = from_config({})
     plus = build_two_sided(params, CountingField(chi1, chi2))
     minus = build_two_sided(params, CountingField(-chi1, -chi2))
-    scale = np.max(np.abs(plus.matrix))
-    assert np.max(np.abs(minus.matrix.conj() - _swap_sides(plus.matrix))) \
+    scale = np.max(np.abs(plus))
+    assert np.max(np.abs(minus.conj() - _swap_sides(plus))) \
         < 1e-12 * scale
 
 
@@ -93,8 +93,8 @@ def test_gauge_invariance_of_spectrum(shift, chi1, chi2):
     base = build_two_sided(params, CountingField(chi1, chi2))
     shifted = build_two_sided(params, CountingField(chi1, chi2),
                               phi=(shift, shift))
-    ev_base = np.linalg.eigvals(base.matrix)
-    ev_shift = np.linalg.eigvals(shifted.matrix)
+    ev_base = np.linalg.eigvals(base)
+    ev_shift = np.linalg.eigvals(shifted)
     scale = np.max(np.abs(ev_base)) + 1.0
     # sorting complex eigenvalues is unstable for conjugate pairs, so match
     # each eigenvalue to its nearest counterpart instead
@@ -135,7 +135,7 @@ def test_generator_matches_kron_assembly(chi, phi, flux_scale):
                           "dipole_b_debye": 0.6, "detuning_b_mhz": -15.0})
     field = CountingField(*chi)
     built = build_two_sided(params, field, phi=phi, flux_scale=flux_scale)
-    assert np.array_equal(built.matrix,
+    assert np.array_equal(built,
                           _kron_generator(params, field, phi, flux_scale))
 
 

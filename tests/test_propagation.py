@@ -6,6 +6,7 @@ import pytest
 from spectrosens import fcs, oracles, propagation
 from spectrosens.errors import DegenerateAbsorption
 from spectrosens.params import from_config
+from spectrosens.pipeline import evaluate_point
 
 
 def test_z_optimal_scaling(default_params):
@@ -59,21 +60,6 @@ def test_covariance_pure_attenuation(default_params):
     assert np.allclose(at_zero, default_params.derived.n_p0 * np.eye(2))
 
 
-def test_sigma_pm_consistency(default_params):
-    """The +/- projections equal the projected closed-form matrix exactly."""
-    exp = fcs.fit_diffusion_expansion(default_params)
-    s1, s2 = fcs.cross_sections(default_params)
-    s_plus = s1 + s2
-    sp, sm = propagation.sigma_pm_at_zopt(default_params, s_plus,
-                                          exp.D1, exp.D2)
-    z_opt = propagation.z_optimal(default_params, s_plus)
-    sigma2 = propagation.covariance_closed_form(default_params, s_plus,
-                                                exp.D1, exp.D2, z_opt)
-    vp, vm = np.array([1.0, 1.0]), np.array([1.0, -1.0])
-    assert sp == pytest.approx(float(vp @ sigma2 @ vp), rel=1e-12)
-    assert sm == pytest.approx(float(vm @ sigma2 @ vm), rel=1e-12)
-
-
 def test_closed_form_matches_quadrature_grid():
     """Transport closed form vs direct quadrature of the fitted expansion on
     a detuning/rate grid."""
@@ -103,8 +89,10 @@ def test_covariance_psd_along_depth(default_params):
         assert np.min(np.linalg.eigvalsh(sigma2)) > 0
 
 
-def test_propagation_state_uses_fixed_thickness():
+def test_pipeline_uses_fixed_thickness():
     params = from_config({"thickness_policy": "fixed", "thickness_m": 0.02})
-    exp_d = np.zeros((2, 2))
-    state = propagation.propagation_state(params, 5e-17, 0.0, exp_d, exp_d)
-    assert state.z == 0.02
+    result = evaluate_point(params)
+    sigma2 = propagation.covariance_closed_form(
+        params, result.s_plus, result.expansion.D1, result.expansion.D2,
+        z=0.02)
+    assert np.array_equal(result.sigma2, sigma2)
