@@ -16,7 +16,8 @@ import warnings
 import numpy as np
 
 from .errors import BranchAmbiguous
-from .fcs import gradient, hessian, richardson
+from .fcs import (CROSS_SECTION_FLUX_FRACTION, detector_rate, gradient,
+                  hessian, richardson)
 from .liouvillian import block_hamiltonian, commutator, decay_dissipator
 from .params import ModelParams
 
@@ -143,7 +144,7 @@ def conditioned_rate(params: ModelParams, state: str, J: float,
         absorbed = c1[0] + c1[1]
     else:
         raise ValueError(f"unknown method {method!r}")
-    return curvature[::-1, ::-1] + 0.5 * absorbed * np.eye(2)
+    return detector_rate(curvature, absorbed)
 
 
 def reference_expansion_coefficients(params: ModelParams, state: str = "A"):
@@ -176,6 +177,18 @@ def effective_cross_sections(params: ModelParams):
     sa = conditioned_cross_sections(params, "A")
     sb = conditioned_cross_sections(params, "B")
     return (p_a * sa[0] + p_b * sb[0], p_a * sa[1] + p_b * sb[1])
+
+
+def cross_sections(params: ModelParams):
+    """(S1, S2) in m^2 from the stationary-weighted conditioned mean fluxes
+    at the linear-response reference flux (detector order); the adiabatic
+    counterpart of ``fcs.cross_sections``."""
+    warn_if_nonadiabatic(params)
+    j_ref = params.derived.photon_flux_j0 * CROSS_SECTION_FLUX_FRACTION
+    p_a, p_b = stationary_probabilities(params)
+    c1 = (p_a * conditioned_first_cumulants(params, "A", j_ref)
+          + p_b * conditioned_first_cumulants(params, "B", j_ref))
+    return c1[1] / j_ref, c1[0] / j_ref
 
 
 def two_state_lambda(k_a: complex, k_b: complex, r_a: float, r_b: float) -> complex:
@@ -217,13 +230,3 @@ def adiabatic_rate(params: ModelParams, J: float,
     rate = (p_a * conditioned_rate(params, "A", J, method=method)
             + p_b * conditioned_rate(params, "B", J, method=method))
     return rate + chemical_rate_term(params, J, method=method)
-
-
-def adiabatic_diffusion_matrix(params: ModelParams, J: float,
-                               method: str = "exact") -> np.ndarray:
-    """Adiabatic diffusion matrix with the rho_M * A * tau normalization."""
-    warn_if_nonadiabatic(params)
-    sample, laser, der = params.sample, params.laser, params.derived
-    return (sample.density_rho_m * der.beam_area * laser.measurement_time
-            * adiabatic_rate(params, J, method=method))
-

@@ -129,7 +129,9 @@ def _evaluate_row(task):
     }
     try:
         record = run_point(config, route)
-    except ModelError as exc:
+    except (ModelError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        # untyped numerical failures stay in their row too, so one bad point
+        # cannot abort the sweep
         for column in CSV_COLUMNS[4:12]:
             row[column] = float("nan")
         row["regime"] = "Unclassified"
@@ -340,7 +342,7 @@ def main(argv=None) -> int:
             axes = [args.axis1] + ([args.axis2] if args.axis2 else [])
             try:
                 rows = run_sweep(config, axes, args.route, args.workers)
-            except ValueError as exc:
+            except ValueError as exc:  # a bad axis spec; see _evaluate_row
                 print(_error_json(exc), file=sys.stderr)
                 return EXIT_USAGE
             if args.out:

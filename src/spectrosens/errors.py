@@ -46,7 +46,8 @@ class DegenerateAbsorption(ModelError):
 
 
 class DegenerateSignal(ModelError):
-    """Signal derivative is numerically zero; sensitivity bound undefined."""
+    """Signal derivative is numerically zero or beyond the float range;
+    sensitivity bound undefined."""
 
 
 class SingularCovariance(ModelError):

@@ -85,6 +85,8 @@ def signal_vector(params: ModelParams, s_plus: float, s_minus: float,
 def cramer_rao_full(signal: np.ndarray, sigma2: np.ndarray) -> float:
     """Gaussian Cramér-Rao bound using both detector channels jointly."""
     sigma2 = np.asarray(sigma2, dtype=float)
+    if not np.all(np.isfinite(sigma2)):
+        raise SingularCovariance("covariance has non-finite entries")
     if np.linalg.cond(sigma2) > CONDITION_LIMIT:
         raise SingularCovariance(
             f"covariance condition number exceeds {CONDITION_LIMIT:.0e}")
@@ -143,7 +145,11 @@ def psn_estimate(params: ModelParams, s_plus: float, s_minus: float,
     """
     signal = signal_vector(params, s_plus, s_minus, z)
     n_p, _, _ = mean_derivatives(params, s_plus, 0.0, z)
-    slope_sq = (float(V_PLUS @ signal) ** 2 + float(V_MINUS @ signal) ** 2)
+    try:
+        slope_sq = float(V_PLUS @ signal) ** 2 + float(V_MINUS @ signal) ** 2
+    except OverflowError:
+        raise DegenerateSignal(
+            "channel projections leave the float range") from None
     if slope_sq < SIGNAL_FLOOR:
         raise DegenerateSignal("both channel projections are zero")
     return math.sqrt(2.0 * n_p / slope_sq)

@@ -37,17 +37,17 @@ STABILITY_TOL = 5e-2
 # Largest relative residual of the intensity-expansion fit.
 FIT_RESIDUAL_TOL = 1e-3
 
+# Smallest spectral gap, as a fraction of the decay rate, at which the
+# dominant branch is still tracked.  The chemical relaxation mode makes the
+# gap scale with r_A + r_B, far below the electronic scale at slow rates.
+GAP_FRACTION = 1e-10
+
 
 @dataclass(frozen=True)
 class DiffusionExpansion:
     D1: np.ndarray = field(repr=False)  # 2x2, m^2 (order-J coefficient)
     D2: np.ndarray = field(repr=False)  # 2x2, m^4 s (order-J^2 coefficient)
     fit_residual: float = 0.0
-
-
-def _swap(matrix: np.ndarray) -> np.ndarray:
-    """Map counting-index ordering to physical detector ordering."""
-    return matrix[::-1, ::-1]
 
 
 def dominant_eigenvalue(matrix: np.ndarray, min_gap: float = 0.0):
@@ -116,29 +116,27 @@ def richardson(stencil, fun, h: float):
 # eigenvalue derivatives
 # ---------------------------------------------------------------------------
 
-def _lambda_s(params, s1, s2, flux_scale, min_gap):
+def _lambda_s(params, s1, s2, flux_scale):
     chi = CountingField(-1j * s1, -1j * s2)
     liou = build_two_sided(params, chi, flux_scale=flux_scale)
-    top, _ = dominant_eigenvalue(liou, min_gap=min_gap)
+    top, _ = dominant_eigenvalue(
+        liou, min_gap=GAP_FRACTION * params.molecule.decay_gamma)
     return top.real
 
 
-def _default_min_gap(params):
-    return 1e-6 * params.molecule.decay_gamma
-
-
-def _adaptive_steps(params, flux_scale, min_gap):
+def _adaptive_steps(params, flux_scale):
     """Choose finite-difference steps below the chemical curvature scale of
     the CGF, which is of order gap/|c1| at slow reaction rates."""
     liou0 = build_two_sided(params, CountingField(0.0, 0.0),
                             flux_scale=flux_scale)
-    _, gap = dominant_eigenvalue(liou0, min_gap=min_gap)
+    _, gap = dominant_eigenvalue(
+        liou0, min_gap=GAP_FRACTION * params.molecule.decay_gamma)
     # The curvature step is kept as large as the chemical scale allows:
     # eigenvalue noise enters second differences as 1/h^2, and at fast rates
     # it dominates the extracted diffusion rate for small steps.
     h1, h2 = 1e-4, 1e-2
-    probe = max(abs(_lambda_s(params, h1, 0.0, flux_scale, min_gap)),
-                abs(_lambda_s(params, 0.0, h1, flux_scale, min_gap)))
+    probe = max(abs(_lambda_s(params, h1, 0.0, flux_scale)),
+                abs(_lambda_s(params, 0.0, h1, flux_scale)))
     c1_scale = probe / h1
     if c1_scale > 0:
         s_star = gap / c1_scale
@@ -147,26 +145,18 @@ def _adaptive_steps(params, flux_scale, min_gap):
     return h1, h2
 
 
-def first_cumulants(params: ModelParams, flux_scale: float = 1.0,
-                    min_gap: float | None = None, h: float | None = None):
-    """(c1_1, c1_2): plain d(lambda)/ds_k in counting-index order, units 1/s."""
-    if min_gap is None:
-        min_gap = _default_min_gap(params)
-    if h is None:
-        h, _ = _adaptive_steps(params, flux_scale, min_gap)
-    fun = lambda a, b: _lambda_s(params, a, b, flux_scale, min_gap)
+def first_cumulants(params: ModelParams, flux_scale: float, h: float):
+    """(c1_1, c1_2): plain d(lambda)/ds_k in counting-index order, units 1/s,
+    from central differences of step ``h``."""
+    fun = lambda a, b: _lambda_s(params, a, b, flux_scale)
     return richardson(gradient, fun, h)[0]
 
 
-def second_cumulant_matrix(params: ModelParams, flux_scale: float = 1.0,
-                           min_gap: float | None = None,
-                           h: float | None = None) -> np.ndarray:
-    """2x2 matrix of d2(lambda)/ds_k ds_l (counting-index order), units 1/s."""
-    if min_gap is None:
-        min_gap = _default_min_gap(params)
-    if h is None:
-        _, h = _adaptive_steps(params, flux_scale, min_gap)
-    fun = lambda a, b: _lambda_s(params, a, b, flux_scale, min_gap)
+def second_cumulant_matrix(params: ModelParams, flux_scale: float,
+                           h: float) -> np.ndarray:
+    """2x2 matrix of d2(lambda)/ds_k ds_l (counting-index order), units 1/s,
+    from central differences of step ``h``."""
+    fun = lambda a, b: _lambda_s(params, a, b, flux_scale)
     result, fine = richardson(hessian, fun, h)
     scale = np.max(np.abs(result))
     if scale > 0:
@@ -175,6 +165,13 @@ def second_cumulant_matrix(params: ModelParams, flux_scale: float = 1.0,
             raise DifferentiationUnstable(
                 f"Richardson correction {drift:.2e} exceeds {STABILITY_TOL:.0e}")
     return result
+
+
+def detector_rate(curvature: np.ndarray, absorbed: float) -> np.ndarray:
+    """Per-molecule second-cumulant rate in detector order from the eigenvalue
+    curvature (counting-index order) and the absorbed flux (1/s): the
+    curvature plus the partition shot noise of absorption."""
+    return curvature[::-1, ::-1] + 0.5 * absorbed * np.eye(2)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +195,7 @@ def _warn_if_strong(params):
                       f"{saturation:.2f}", stacklevel=3)
 
 
-def cross_sections(params: ModelParams, min_gap: float | None = None):
+def cross_sections(params: ModelParams):
     """(S1, S2) in m^2: photon flux removed from detector channel k per
     molecule and unit intensity, in the linear-response (small-flux) limit."""
     _warn_if_strong(params)
@@ -206,41 +203,24 @@ def cross_sections(params: ModelParams, min_gap: float | None = None):
     j_ref = params.derived.photon_flux_j0 * frac
     if j_ref == 0:
         return 0.0, 0.0
-    c1 = first_cumulants(params, flux_scale=np.sqrt(frac), min_gap=min_gap)
+    flux_scale = np.sqrt(frac)
+    h1, _ = _adaptive_steps(params, flux_scale)
+    c1 = first_cumulants(params, flux_scale, h1)
     # counting index order -> physical detector order is reversed
     return c1[1] / j_ref, c1[0] / j_ref
 
 
-def diffusion_matrix(params: ModelParams, J: float,
-                     min_gap: float | None = None) -> np.ndarray:
-    """Diffusion matrix D_J (detector order) with the line-density
-    normalization rho_M * A * tau applied; see module docstring for the
-    partition-shot completion of the eigenvalue curvature."""
-    if not J > 0:
-        raise ValueError("J must be positive")
-    rate = diffusion_rate(params, J, min_gap=min_gap)
-    sample, laser, der = params.sample, params.laser, params.derived
-    return sample.density_rho_m * der.beam_area * laser.measurement_time * rate
-
-
-def diffusion_rate(params: ModelParams, J: float,
-                   min_gap: float | None = None) -> np.ndarray:
+def diffusion_rate(params: ModelParams, J: float) -> np.ndarray:
     """Per-molecule second-cumulant rate matrix at flux J (detector order)."""
     flux_scale = np.sqrt(J / params.derived.photon_flux_j0)
-    if min_gap is None:
-        min_gap = _default_min_gap(params)
-    h1, h2 = _adaptive_steps(params, flux_scale, min_gap)
-    curvature = second_cumulant_matrix(params, flux_scale=flux_scale,
-                                       min_gap=min_gap, h=h2)
-    c1 = first_cumulants(params, flux_scale=flux_scale, min_gap=min_gap, h=h1)
-    absorbed = c1[0] + c1[1]        # total absorbed flux per molecule, 1/s
-    rate = _swap(curvature) + 0.5 * absorbed * np.eye(2)
-    return rate
+    h1, h2 = _adaptive_steps(params, flux_scale)
+    curvature = second_cumulant_matrix(params, flux_scale, h2)
+    c1 = first_cumulants(params, flux_scale, h1)
+    return detector_rate(curvature, c1[0] + c1[1])
 
 
-def fit_diffusion_expansion(params: ModelParams,
-                            min_gap: float | None = None,
-                            rate_fn=None, s_plus: float | None = None,
+def fit_diffusion_expansion(params: ModelParams, rate_fn=None,
+                            s_plus: float | None = None,
                             pin_linear: bool = True) -> DiffusionExpansion:
     """Least-squares fit of the per-molecule rate to D1*J + (1/2)*D2*J^2
     through the origin, on ten log-spaced fluxes spanning the decade below
@@ -267,14 +247,14 @@ def fit_diffusion_expansion(params: ModelParams,
     J_grid = np.geomspace(j0 / 10.0, j0, 10)
     x = J_grid / j0
     if rate_fn is None:
-        rate_fn = lambda p, j: diffusion_rate(p, j, min_gap=min_gap)
+        rate_fn = diffusion_rate
     rates = np.array([rate_fn(params, j) for j in J_grid])   # (n, 2, 2)
     flat = rates.reshape(len(J_grid), 4)
     norm = np.linalg.norm(flat)
 
     if pin_linear:
         if s_plus is None:
-            s1, s2 = cross_sections(params, min_gap=min_gap)
+            s1, s2 = cross_sections(params)
             s_plus = s1 + s2
         d1 = s_plus * np.eye(2)
         linear = np.outer(x, (s_plus * j0) * np.eye(2).ravel())

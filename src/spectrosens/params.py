@@ -129,7 +129,9 @@ def derive(constants: PhysicalConstants, laser: LaserParams,
         )
     except (OverflowError, ZeroDivisionError):
         derived = None
-    if derived is None or not all(map(math.isfinite, astuple(derived))):
+    # the intensity expansion also divides by J0^2
+    if (derived is None or not all(map(math.isfinite, astuple(derived)))
+            or math.isinf(derived.photon_flux_j0 * derived.photon_flux_j0)):
         raise InvalidParam("derived",
                            "derived quantities leave the float range")
     return derived
@@ -203,7 +205,9 @@ def from_config(config: dict) -> ModelParams:
         value = merged[key]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParseError(f"key {key!r} must be a number, got {value!r}")
-        if not _is_finite(value):
+        # MHz values near the float maximum overflow on conversion to rad/s
+        if not _is_finite(value) or (key.endswith("_mhz") and not
+                                     _is_finite(mhz_to_angular(value))):
             raise InvalidParam(key)
     constants = PhysicalConstants()
     laser = LaserParams(

@@ -21,11 +21,6 @@ from .propagation import covariance_closed_form, z_optimal
 
 ROUTES = ("full", "adiabatic", "both")
 
-# The chemical relaxation mode makes the gap scale with r_A + r_B, far below
-# the electronic scale at slow rates; the pipeline therefore uses a much
-# looser gap threshold than the single-call default.
-PIPELINE_GAP_FACTOR = 1e-10
-
 
 @dataclass(frozen=True)
 class PointResult:
@@ -45,23 +40,18 @@ def _spectral_gap(params: ModelParams) -> float:
     return gap
 
 
-def _route_quantities(params: ModelParams, route: str, min_gap: float):
+def _route_quantities(params: ModelParams, route: str):
+    # looked up per call, so that wrappers installed on the modules apply
     if route == "full":
-        s1, s2 = fcs.cross_sections(params, min_gap=min_gap)
-        expansion = fcs.fit_diffusion_expansion(params, min_gap=min_gap,
-                                                s_plus=s1 + s2)
+        cross_sections, rate_fn = fcs.cross_sections, fcs.diffusion_rate
     elif route == "adiabatic":
-        adiabatic.warn_if_nonadiabatic(params)
-        j_ref = params.derived.photon_flux_j0 * fcs.CROSS_SECTION_FLUX_FRACTION
-        p_a, p_b = adiabatic.stationary_probabilities(params)
-        c1 = (p_a * adiabatic.conditioned_first_cumulants(params, "A", j_ref)
-              + p_b * adiabatic.conditioned_first_cumulants(params, "B", j_ref))
-        s1, s2 = c1[1] / j_ref, c1[0] / j_ref
-        expansion = fcs.fit_diffusion_expansion(
-            params, rate_fn=lambda p, j: adiabatic.adiabatic_rate(p, j),
-            s_plus=s1 + s2)
+        cross_sections = adiabatic.cross_sections
+        rate_fn = adiabatic.adiabatic_rate
     else:
         raise ValueError(f"unknown route {route!r}")
+    s1, s2 = cross_sections(params)
+    expansion = fcs.fit_diffusion_expansion(params, rate_fn=rate_fn,
+                                            s_plus=s1 + s2)
     return s1 + s2, s1 - s2, expansion
 
 
@@ -82,18 +72,17 @@ def evaluate_point(params: ModelParams, route: str = "full") -> PointResult:
     """Run the complete pipeline at one parameter point."""
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}")
-    min_gap = PIPELINE_GAP_FACTOR * params.molecule.decay_gamma
     gap = _spectral_gap(params)
 
     deviation = None
     if route == "both":
-        full_q = _route_quantities(params, "full", min_gap)
-        adia_q = _route_quantities(params, "adiabatic", min_gap)
+        full_q = _route_quantities(params, "full")
+        adia_q = _route_quantities(params, "adiabatic")
         deviation = _relative_deviation(full_q, adia_q)
         s_plus, s_minus, expansion = full_q
         route_used = "both"
     else:
-        s_plus, s_minus, expansion = _route_quantities(params, route, min_gap)
+        s_plus, s_minus, expansion = _route_quantities(params, route)
         route_used = route
 
     z = params.sample.thickness

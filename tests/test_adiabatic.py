@@ -47,6 +47,15 @@ def test_effective_cross_sections_are_weighted(default_params):
     assert s_eff[1] == pytest.approx(p_a * s_cond[1], rel=1e-12)
 
 
+def test_adiabatic_cross_sections_match_weak_field(default_params):
+    """The composed linear-response cross sections reduce to the weighted
+    weak-field Lorentzians."""
+    s1, s2 = adiabatic.cross_sections(default_params)
+    s_plus, s_minus = adiabatic.effective_cross_sections(default_params)
+    assert s1 + s2 == pytest.approx(s_plus, rel=1e-3)
+    assert s1 - s2 == pytest.approx(s_minus, rel=1e-3)
+
+
 def test_two_state_lambda_limits():
     # no transfer out of A: dominant eigenvalue is K_A
     assert adiabatic.two_state_lambda(-3.0, -7.0, 1.0, 0.0) == pytest.approx(-3.0)
@@ -140,13 +149,6 @@ def test_adiabatic_matches_full_statistics(default_params):
     full = fcs.diffusion_rate(default_params, j0)
     adia = adiabatic.adiabatic_rate(default_params, j0)
     assert np.max(np.abs(full - adia)) < 2e-2 * np.max(np.abs(full))
-
-
-def test_nonadiabatic_warning():
-    params = from_config({"rate_a_mhz": 5.0, "rate_b_mhz": 5.0})
-    with pytest.warns(UserWarning, match="adiabatic"):
-        adiabatic.adiabatic_diffusion_matrix(
-            params, params.derived.photon_flux_j0)
 
 
 def test_pipeline_nonadiabatic_warning():

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spectrosens import cli, errors
+from spectrosens.params import default_config
 
 
 def run(argv, capsys):
@@ -145,6 +151,69 @@ def test_sweep_non_finite_axis_rows(capsys):
     rows = out.strip().splitlines()[1:]
     assert len(rows) == 3
     assert all(row.endswith(",error:InvalidParam") for row in rows)
+
+
+def test_sweep_bad_point_is_not_usage_error(capsys):
+    """A point whose numerics fail ends in its own typed row; only a bad
+    axis spec is a usage error."""
+    code, out, _ = run(["sweep", "--axis1", "density,log,1e-300,1e20,3",
+                        "--workers", "1"], capsys)
+    assert code == 1
+    statuses = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
+    assert len(statuses) == 3 and statuses[2] == "ok"
+    for status in statuses[:2]:
+        assert status.startswith("error:")
+        assert issubclass(getattr(errors, status[6:]), errors.ModelError)
+
+
+def test_sweep_keeps_untyped_failure_in_row(monkeypatch, capsys):
+    def failing(params, route):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(cli, "evaluate_point", failing)
+    code, out, _ = run(["sweep", "--axis1", "detuning,linear,-10,10,2",
+                        "--workers", "1"], capsys)
+    assert code == 1
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2
+    assert all(row.endswith(",error:LinAlgError") for row in rows)
+
+
+NUMERIC_KEYS = sorted(k for k, v in default_config().items()
+                      if isinstance(v, float))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(route=st.sampled_from(["full", "adiabatic", "both"]),
+       config=st.dictionaries(st.sampled_from(NUMERIC_KEYS),
+                              st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=1, max_size=3))
+@example(route="full", config={"density_per_m3": 1e-300})
+@example(route="adiabatic", config={"density_per_m3": 1e-300})
+@example(route="both", config={"density_per_m3": 1e-300})
+@example(route="adiabatic", config={"detuning_a_mhz": 1e300})
+@example(route="full", config={"density_per_m3": 1e-140})
+@example(route="adiabatic", config={"density_per_m3": 1e-140})
+@example(route="both", config={"density_per_m3": 1e-140})
+@example(route="full", config={"wavelength_nm": 1e140})
+@example(route="adiabatic", config={"wavelength_nm": 1e140})
+@example(route="both", config={"wavelength_nm": 1e140})
+@example(route="adiabatic", config={"power_mw": 1e140})
+@example(route="adiabatic", config={"beam_diameter_cm": 1e-140})
+def test_point_failure_contract(route, config):
+    """Every numeric configuration ends in a result (exit 0) or in typed
+    error JSON (exit 1), never in a raw exception."""
+    argv = ["point", "--route", route]
+    for key, value in config.items():
+        argv += ["--set", f"{key}={value!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 0:
+        assert "s_plus_m2" in json.loads(out.getvalue())
+    else:
+        assert code == 1
+        error = getattr(errors, json.loads(err.getvalue())["error"])
+        assert issubclass(error, errors.ModelError)
 
 
 @pytest.mark.parametrize("figure_id", cli.FIGURE_IDS)

@@ -5,6 +5,7 @@ from spectrosens import fcs
 from spectrosens.errors import FitResidualExceeded, GapTooSmall
 from spectrosens.liouvillian import CountingField, build_two_sided
 from spectrosens.params import from_config
+from spectrosens.pipeline import evaluate_point
 
 
 def test_dominant_eigenvalue_zero_at_chi_zero(default_params):
@@ -40,6 +41,23 @@ def test_cgf_rejects_bad_tau(default_params):
         fcs.cgf_finite_time(default_params, CountingField(0.0, 0.0), 0.0)
 
 
+def test_cross_sections_use_pipeline_gap_threshold():
+    """Direct calls track the dominant branch down to the same gap as the
+    pipeline: at slow rates they give the pipeline's cross sections."""
+    params = from_config({"rate_a_mhz": 1e-6, "rate_b_mhz": 1e-6})
+    s1, s2 = fcs.cross_sections(params)
+    result = evaluate_point(params, "full")
+    assert (s1 + s2, s1 - s2) == (result.s_plus, result.s_minus)
+
+
+def test_gap_threshold_shared_with_pipeline():
+    params = from_config({"rate_a_mhz": 1e-12, "rate_b_mhz": 1e-12})
+    with pytest.raises(GapTooSmall):
+        fcs.cross_sections(params)
+    with pytest.raises(GapTooSmall):
+        evaluate_point(params, "full")
+
+
 def test_cross_sections_reference_values(default_params):
     """Single absorbing state at 40 MHz detuning: weak-field Lorentzian
     values, halved by the stationary occupation of the dark state."""
@@ -73,15 +91,10 @@ def test_cross_sections_scale_with_dipole_squared(default_params):
 
 
 def test_diffusion_matrix_symmetric_psd(default_params):
-    d = fcs.diffusion_matrix(default_params,
-                             default_params.derived.photon_flux_j0)
+    d = fcs.diffusion_rate(default_params,
+                           default_params.derived.photon_flux_j0)
     assert d[0, 1] == pytest.approx(d[1, 0], rel=1e-9)
     assert np.all(np.linalg.eigvalsh(d) > 0)
-
-
-def test_diffusion_matrix_rejects_bad_flux(default_params):
-    with pytest.raises(ValueError):
-        fcs.diffusion_matrix(default_params, 0.0)
 
 
 def test_fit_diffusion_expansion(default_params):

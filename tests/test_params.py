@@ -105,6 +105,7 @@ def test_default_config_is_copy():
     ("gamma_mhz", math.inf),
     ("rate_b_mhz", -math.inf),
     ("power_mw", 10**400),
+    ("rate_a_mhz", 1e308),
     ("thickness_m", math.inf),
 ])
 def test_non_finite_rejected(key, value):
