@@ -100,19 +100,19 @@ def _curvature_weak_field(params, state, J):
 
 def _conditioned_lambda(rabi, eps, gamma, s1, s2):
     """Dominant eigenvalue of the conditioned (single-state) tilted generator:
-    one driven two-level block, vectorized to 4x4."""
-    chi = (-1j * s1, -1j * s2)
+    one driven two-level block, vectorized to 4x4, for arrays of tilts."""
+    chi = (-1j * np.asarray(s1), -1j * np.asarray(s2))
     blocks = ((eps, rabi),)
     h_left = block_hamiltonian(blocks, (chi[0] / 2.0, chi[1] / 2.0))
     h_right = block_hamiltonian(blocks, (-chi[0] / 2.0, -chi[1] / 2.0))
     matrix = commutator(h_left, h_right) + decay_dissipator(gamma)
     values = np.linalg.eigvals(matrix)
-    return values[np.argmax(values.real)].real
+    top = np.argmax(values.real, axis=-1)[..., None]
+    return np.take_along_axis(values, top, axis=-1)[..., 0].real
 
 
-def conditioned_cgf(params: ModelParams, state: str, s1: float, s2: float,
-                    J: float) -> float:
-    """Conditioned cumulant-generating rate K_state(s)."""
+def conditioned_cgf(params: ModelParams, state: str, s1, s2, J: float):
+    """Conditioned cumulant-generating rate K_state(s), elementwise in s."""
     rabi, eps, _ = _state_constants(params, state)
     scale = np.sqrt(J / params.derived.photon_flux_j0)
     return _conditioned_lambda(rabi * scale, eps,
@@ -131,20 +131,21 @@ def _curvature_exact(params, state, J):
     return richardson(hessian, fun, 1e-3)[0]
 
 
+def _exact_rate(params, state, J, c1):
+    """Exact conditioned rate from the state's first cumulants ``c1``."""
+    return detector_rate(_curvature_exact(params, state, J), c1[0] + c1[1])
+
+
 def conditioned_rate(params: ModelParams, state: str, J: float,
                      method: str = "exact") -> np.ndarray:
     """Per-molecule conditioned second-cumulant rate (detector order, 1/s)."""
-    if method == "weak_field":
-        curvature = _curvature_weak_field(params, state, J)
-        s_plus, _ = conditioned_cross_sections(params, state)
-        absorbed = s_plus * J
-    elif method == "exact":
-        curvature = _curvature_exact(params, state, J)
-        c1 = conditioned_first_cumulants(params, state, J)
-        absorbed = c1[0] + c1[1]
-    else:
+    if method == "exact":
+        return _exact_rate(params, state, J,
+                           conditioned_first_cumulants(params, state, J))
+    if method != "weak_field":
         raise ValueError(f"unknown method {method!r}")
-    return detector_rate(curvature, absorbed)
+    s_plus, _ = conditioned_cross_sections(params, state)
+    return detector_rate(_curvature_weak_field(params, state, J), s_plus * J)
 
 
 def reference_expansion_coefficients(params: ModelParams, state: str = "A"):
@@ -207,11 +208,16 @@ def two_state_lambda(k_a: complex, k_b: complex, r_a: float, r_b: float) -> comp
     return value
 
 
+def _telegraph_term(params, delta):
+    """2 t_R p_A p_B delta delta^T of the conditioned flux difference delta."""
+    p_a, p_b = stationary_probabilities(params)
+    t_r = reaction_time(params)
+    return 2.0 * t_r * p_a * p_b * np.outer(delta, delta)
+
+
 def chemical_rate_term(params: ModelParams, J: float,
                        method: str = "exact") -> np.ndarray:
     """Telegraph contribution to the per-molecule rate: 2 t_R p_A p_B dS dS^T."""
-    p_a, p_b = stationary_probabilities(params)
-    t_r = reaction_time(params)
     if method == "exact":
         delta = (conditioned_first_cumulants(params, "A", J)[::-1]
                  - conditioned_first_cumulants(params, "B", J)[::-1])
@@ -219,7 +225,7 @@ def chemical_rate_term(params: ModelParams, J: float,
         sa = _detector_components(*conditioned_cross_sections(params, "A"))
         sb = _detector_components(*conditioned_cross_sections(params, "B"))
         delta = (sa - sb) * J
-    return 2.0 * t_r * p_a * p_b * np.outer(delta, delta)
+    return _telegraph_term(params, delta)
 
 
 def adiabatic_rate(params: ModelParams, J: float,
@@ -227,6 +233,11 @@ def adiabatic_rate(params: ModelParams, J: float,
     """Per-molecule diffusion rate composed from conditioned statistics plus
     the telegraph term (detector order, 1/s)."""
     p_a, p_b = stationary_probabilities(params)
-    rate = (p_a * conditioned_rate(params, "A", J, method=method)
-            + p_b * conditioned_rate(params, "B", J, method=method))
-    return rate + chemical_rate_term(params, J, method=method)
+    if method == "exact":
+        c1 = [conditioned_first_cumulants(params, state, J) for state in "AB"]
+        rates = [_exact_rate(params, s, J, c) for s, c in zip("AB", c1)]
+        chemical = _telegraph_term(params, c1[0][::-1] - c1[1][::-1])
+    else:
+        rates = [conditioned_rate(params, s, J, method=method) for s in "AB"]
+        chemical = chemical_rate_term(params, J, method=method)
+    return p_a * rates[0] + p_b * rates[1] + chemical

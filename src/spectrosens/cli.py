@@ -183,7 +183,8 @@ def run_sweep(config: dict, axes, route: str, workers: int | None = None):
     tasks = [(point, route) for point in points]
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers <= 1 or len(tasks) < 2:
+    workers = min(workers, len(tasks))  # fork starts every worker up front
+    if workers <= 1:
         return [_evaluate_row(task) for task in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_evaluate_row, tasks, chunksize=1))

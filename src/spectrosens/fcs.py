@@ -53,18 +53,19 @@ class DiffusionExpansion:
 def dominant_eigenvalue(matrix: np.ndarray, min_gap: float = 0.0):
     """Eigenvalue of maximal real part and the spectral gap to the runner-up.
 
-    For the real tilts used throughout (|s| well inside the trust radius) the
-    max-real-part branch coincides with the branch continuously connected to
-    lambda(0) = 0; the property tests check this against eigenvector-overlap
-    tracking.
+    An (n, d, d) stack gives arrays of n of each from one solve, and raises
+    ``GapTooSmall`` if any gap is below ``min_gap``.  For the real tilts used
+    throughout (|s| well inside the trust radius) the max-real-part branch
+    coincides with the branch continuously connected to lambda(0) = 0; the
+    property tests check this against eigenvector-overlap tracking.
     """
     values = np.linalg.eigvals(matrix)
-    order = np.argsort(-values.real)
-    top, second = values[order[0]], values[order[1]]
+    order = np.argsort(-values.real, axis=-1)[..., :2]
+    top, second = np.moveaxis(np.take_along_axis(values, order, -1), -1, 0)
     gap = top.real - second.real
-    if gap < min_gap:
-        raise GapTooSmall(
-            f"spectral gap {gap:.3e} below threshold {min_gap:.3e}")
+    if np.any(gap < min_gap):
+        raise GapTooSmall(f"spectral gap {np.min(gap):.3e} below threshold "
+                          f"{min_gap:.3e}")
     return top, gap
 
 
@@ -88,27 +89,35 @@ def cgf_finite_time(params: ModelParams, chi: CountingField, tau: float,
 # finite-difference stencils in the two counting fields
 # ---------------------------------------------------------------------------
 
-def gradient(fun, h: float) -> np.ndarray:
+# Each stencil evaluates ``fun(s1, s2)`` once, on arrays of all its tilts.
+# ``h`` is a step or an array of steps, over which the result's last axis runs.
+
+def gradient(fun, h) -> np.ndarray:
     """Central-difference gradient of ``fun(s1, s2)`` at the origin."""
-    g1 = (fun(h, 0.0) - fun(-h, 0.0)) / (2 * h)
-    g2 = (fun(0.0, h) - fun(0.0, -h)) / (2 * h)
-    return np.array([g1, g2])
+    zero = np.zeros_like(h)
+    f = fun(np.concatenate([h, -h, zero, zero], axis=None),
+            np.concatenate([zero, zero, h, -h], axis=None))
+    f = f.reshape((4,) + np.shape(h))
+    return np.array([(f[0] - f[1]) / (2 * h), (f[2] - f[3]) / (2 * h)])
 
 
-def hessian(fun, h: float) -> np.ndarray:
+def hessian(fun, h) -> np.ndarray:
     """Central-difference Hessian of ``fun(s1, s2)`` at the origin."""
-    f00 = fun(0.0, 0.0)
-    d11 = (fun(h, 0) - 2 * f00 + fun(-h, 0)) / h**2
-    d22 = (fun(0, h) - 2 * f00 + fun(0, -h)) / h**2
-    d12 = (fun(h, h) - fun(h, -h) - fun(-h, h) + fun(-h, -h)) / (4 * h**2)
+    zero = np.zeros_like(h)
+    f = fun(np.concatenate([0.0, h, -h, zero, zero, h, h, -h, -h], axis=None),
+            np.concatenate([0.0, zero, zero, h, -h, h, -h, h, -h], axis=None))
+    f00, f = f[0], f[1:].reshape((8,) + np.shape(h))
+    d11 = (f[0] - 2 * f00 + f[1]) / h**2
+    d22 = (f[2] - 2 * f00 + f[3]) / h**2
+    d12 = (f[4] - f[5] - f[6] + f[7]) / (4 * h**2)
     return np.array([[d11, d12], [d12, d22]])
 
 
 def richardson(stencil, fun, h: float):
-    """One Richardson step on ``stencil(fun, step)`` from steps h and h/2;
-    returns the extrapolated value and the step-h/2 value it corrects."""
-    coarse = stencil(fun, h)
-    fine = stencil(fun, h / 2)
+    """One Richardson step on ``stencil(fun, step)`` from steps h and h/2 in
+    one call; returns the extrapolated value and the step-h/2 value."""
+    both = stencil(fun, np.array([h, h / 2]))
+    coarse, fine = both[..., 0], both[..., 1]
     return (4 * fine - coarse) / 3, fine
 
 
@@ -117,29 +126,26 @@ def richardson(stencil, fun, h: float):
 # ---------------------------------------------------------------------------
 
 def _lambda_s(params, s1, s2, flux_scale):
-    chi = CountingField(-1j * s1, -1j * s2)
+    """Dominant eigenvalues and gaps at arrays of real tilts, in one solve."""
+    chi = CountingField(-1j * np.asarray(s1), -1j * np.asarray(s2))
     liou = build_two_sided(params, chi, flux_scale=flux_scale)
-    top, _ = dominant_eigenvalue(
+    top, gap = dominant_eigenvalue(
         liou, min_gap=GAP_FRACTION * params.molecule.decay_gamma)
-    return top.real
+    return top.real, gap
 
 
 def _adaptive_steps(params, flux_scale):
     """Choose finite-difference steps below the chemical curvature scale of
     the CGF, which is of order gap/|c1| at slow reaction rates."""
-    liou0 = build_two_sided(params, CountingField(0.0, 0.0),
-                            flux_scale=flux_scale)
-    _, gap = dominant_eigenvalue(
-        liou0, min_gap=GAP_FRACTION * params.molecule.decay_gamma)
     # The curvature step is kept as large as the chemical scale allows:
     # eigenvalue noise enters second differences as 1/h^2, and at fast rates
     # it dominates the extracted diffusion rate for small steps.
     h1, h2 = 1e-4, 1e-2
-    probe = max(abs(_lambda_s(params, h1, 0.0, flux_scale)),
-                abs(_lambda_s(params, 0.0, h1, flux_scale)))
-    c1_scale = probe / h1
+    values, gaps = _lambda_s(params, [0.0, h1, 0.0], [0.0, 0.0, h1],
+                             flux_scale)
+    c1_scale = max(abs(values[1]), abs(values[2])) / h1
     if c1_scale > 0:
-        s_star = gap / c1_scale
+        s_star = gaps[0] / c1_scale
         h1 = min(h1, 0.2 * s_star)
         h2 = min(h2, 0.2 * s_star)
     return h1, h2
@@ -148,7 +154,7 @@ def _adaptive_steps(params, flux_scale):
 def first_cumulants(params: ModelParams, flux_scale: float, h: float):
     """(c1_1, c1_2): plain d(lambda)/ds_k in counting-index order, units 1/s,
     from central differences of step ``h``."""
-    fun = lambda a, b: _lambda_s(params, a, b, flux_scale)
+    fun = lambda a, b: _lambda_s(params, a, b, flux_scale)[0]
     return richardson(gradient, fun, h)[0]
 
 
@@ -156,7 +162,7 @@ def second_cumulant_matrix(params: ModelParams, flux_scale: float,
                            h: float) -> np.ndarray:
     """2x2 matrix of d2(lambda)/ds_k ds_l (counting-index order), units 1/s,
     from central differences of step ``h``."""
-    fun = lambda a, b: _lambda_s(params, a, b, flux_scale)
+    fun = lambda a, b: _lambda_s(params, a, b, flux_scale)[0]
     result, fine = richardson(hessian, fun, h)
     scale = np.max(np.abs(result))
     if scale > 0:

@@ -29,15 +29,17 @@ TRUST_RADIUS = 0.1
 
 @dataclass(frozen=True)
 class CountingField:
-    """Pair of counting fields; complex values occur during differentiation."""
+    """Pair of counting fields, scalars or equal-shape arrays of n tilts;
+    complex values occur during differentiation."""
 
-    chi1: complex = 0.0
-    chi2: complex = 0.0
+    chi1: complex | np.ndarray = 0.0
+    chi2: complex | np.ndarray = 0.0
 
     def check(self):
-        if abs(self.chi1) > TRUST_RADIUS or abs(self.chi2) > TRUST_RADIUS:
+        size1, size2 = np.max(np.abs(self.chi1)), np.max(np.abs(self.chi2))
+        if size1 > TRUST_RADIUS or size2 > TRUST_RADIUS:
             raise TrustRadiusExceeded(
-                f"|chi| = ({abs(self.chi1):.3g}, {abs(self.chi2):.3g}) "
+                f"|chi| = ({size1:.3g}, {size2:.3g}) "
                 f"exceeds trust radius {TRUST_RADIUS}")
 
 
@@ -60,15 +62,16 @@ def block_hamiltonian(blocks, phi=(0.0, 0.0)) -> np.ndarray:
     """Rotating-frame Hamiltonian of independent driven two-level blocks.
 
     ``blocks`` holds one (detuning, drive amplitude) pair per block; block k
-    occupies ground index 2k and excited index 2k+1.
+    occupies ground index 2k and excited index 2k+1.  Phase arrays of shape
+    (n,) give an (n, d, d) stack.
     """
     phi1, phi2 = phi
-    h = np.zeros((2 * len(blocks),) * 2, dtype=complex)
+    h = np.zeros(np.shape(phi1) + (2 * len(blocks),) * 2, dtype=complex)
     for k, (detuning, amp) in enumerate(blocks):
         ground, excited = 2 * k, 2 * k + 1
-        h[excited, excited] = detuning
-        h[excited, ground] = _coupling_up(amp, phi1, phi2)
-        h[ground, excited] = _coupling_down(amp, phi1, phi2)
+        h[..., excited, excited] = detuning
+        h[..., excited, ground] = _coupling_up(amp, phi1, phi2)
+        h[..., ground, excited] = _coupling_down(amp, phi1, phi2)
     return h
 
 
@@ -86,16 +89,17 @@ def build_hamiltonian(params: ModelParams, phi=(0.0, 0.0),
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kron(a, b) as the broadcast product np.kron itself computes, without
-    its per-call shape handling."""
-    n = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+    """kron(a, b) over the last two axes of stacks, as the broadcast product
+    np.kron itself computes, without its per-call shape handling."""
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    n = a.shape[-1] * b.shape[-1]
+    return product.reshape(product.shape[:-4] + (n, n))
 
 
 def commutator(h_left: np.ndarray, h_right: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> -i (h_left rho - rho h_right)."""
-    eye = np.eye(h_left.shape[0])
-    return -1j * (_outer(h_left, eye) - _outer(eye, h_right.T))
+    """Superoperator (stack) of rho -> -i (h_left rho - rho h_right)."""
+    eye = np.eye(h_left.shape[-1])
+    return -1j * (_outer(h_left, eye) - _outer(eye, h_right.swapaxes(-1, -2)))
 
 
 def _dissipator(jump: np.ndarray, rate: float) -> np.ndarray:
@@ -153,7 +157,7 @@ def dissipator_sum(params: ModelParams) -> np.ndarray:
 def build_two_sided(params: ModelParams, chi: CountingField,
                     phi=(0.0, 0.0), flux_scale: float = 1.0) -> np.ndarray:
     """Two-sided 16x16 superoperator: left phases phi + chi/2, right phases
-    phi - chi/2."""
+    phi - chi/2; counting fields of shape (n,) give an (n, 16, 16) stack."""
     chi.check()
     phi1, phi2 = phi
     h_left = build_hamiltonian(params, (phi1 + chi.chi1 / 2.0,

@@ -135,12 +135,10 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig,
     # jackknife over trajectories
     sum_x = samples.sum(axis=0)
     sum_xx = np.einsum("ni,nj->ij", samples, samples)
-    loo = np.empty((n, 2, 2))
-    for i in range(n):
-        s1 = sum_x - samples[i]
-        s2 = sum_xx - np.outer(samples[i], samples[i])
-        m = s1 / (n - 1)
-        loo[i] = (s2 - (n - 1) * np.outer(m, m)) / (n - 2)
+    s1 = sum_x - samples
+    s2 = sum_xx - samples[:, :, None] * samples[:, None, :]
+    m = s1 / (n - 1)
+    loo = (s2 - (n - 1) * (m[:, :, None] * m[:, None, :])) / (n - 2)
     loo /= horizon
     stderr = np.sqrt((n - 1) / n * np.sum((loo - loo.mean(axis=0)) ** 2,
                                           axis=0))

@@ -197,3 +197,35 @@ def test_conditioned_cgf_matches_kron_assembly(state, s1, s2, flux):
     J = flux * params.derived.photon_flux_j0
     assert adiabatic.conditioned_cgf(params, state, s1, s2, J) \
         == _kron_conditioned_cgf(params, state, s1, s2, J)
+
+
+def test_conditioned_cgf_arrays_equal_scalar_calls():
+    params = from_config({"dipole_b_debye": 0.6, "detuning_b_mhz": -15.0})
+    s1 = np.array([0.0, 1e-4, -3e-3, 2e-3])
+    s2 = np.array([0.0, -2e-4, 3e-3, 1e-3])
+    for state in "AB":
+        J = 0.5 * params.derived.photon_flux_j0
+        values = adiabatic.conditioned_cgf(params, state, s1, s2, J)
+        assert np.array_equal(values, [
+            adiabatic.conditioned_cgf(params, state, a, b, J)
+            for a, b in zip(s1, s2)])
+
+
+def test_exact_rate_computes_first_cumulants_once_per_state(default_params,
+                                                            monkeypatch):
+    j0 = default_params.derived.photon_flux_j0
+    p_a, p_b = adiabatic.stationary_probabilities(default_params)
+    expected = (p_a * adiabatic.conditioned_rate(default_params, "A", j0)
+                + p_b * adiabatic.conditioned_rate(default_params, "B", j0)
+                + adiabatic.chemical_rate_term(default_params, j0))
+    states = []
+    first = adiabatic.conditioned_first_cumulants
+
+    def counted(params, state, J):
+        states.append(state)
+        return first(params, state, J)
+
+    monkeypatch.setattr(adiabatic, "conditioned_first_cumulants", counted)
+    rate = adiabatic.adiabatic_rate(default_params, j0)
+    assert sorted(states) == ["A", "B"]
+    assert np.array_equal(rate, expected)

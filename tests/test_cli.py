@@ -87,6 +87,34 @@ def test_sweep_determinism(capsys):
     assert out3 == out1
 
 
+def test_sweep_forks_no_more_workers_than_points(monkeypatch, capsys):
+    """Fork starts every pool worker up front, so a large --workers on a
+    small grid must not reach the pool unclipped."""
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    args = ["sweep", "--axis1", "detuning,linear,-20,20,3"]
+    code1, serial, _ = run(args + ["--workers", "1"], capsys)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    code2, pooled, _ = run(args + ["--workers", "64"], capsys)
+    assert requested == [3]
+    assert code1 == code2 == 0
+    assert pooled == serial
+
+
 def test_sweep_partial_failure(capsys):
     """A failing grid point produces a status row, not an aborted sweep."""
     code, out, _ = run(["sweep", "--axis1", "density,log,1e18,1e20,2",

@@ -22,6 +22,24 @@ def test_gap_threshold(default_params):
         fcs.dominant_eigenvalue(liou, min_gap=10 * gap)
 
 
+def test_stacked_dominant_eigenvalue_equals_single_solves(default_params):
+    """A stack gives each member's eigenvalue and gap; one member below the
+    threshold is enough to raise."""
+    slow = from_config({"rate_a_mhz": 1e-6, "rate_b_mhz": 3e-6})
+    stack = np.stack([build_two_sided(default_params, CountingField(0.0, 0.0)),
+                      build_two_sided(default_params, CountingField(-1e-3j, 0)),
+                      build_two_sided(slow, CountingField(0.0, -2e-3j))])
+    tops, gaps = fcs.dominant_eigenvalue(stack)
+    singles = [fcs.dominant_eigenvalue(matrix) for matrix in stack]
+    assert np.array_equal(tops, [top for top, _ in singles])
+    assert np.array_equal(gaps, [gap for _, gap in singles])
+    assert gaps[2] < gaps[0]
+    threshold = 0.5 * (gaps[2] + min(gaps[:2]))
+    fcs.dominant_eigenvalue(stack[:2], min_gap=threshold)
+    with pytest.raises(GapTooSmall):
+        fcs.dominant_eigenvalue(stack, min_gap=threshold)
+
+
 def test_finite_time_cgf_matches_eigenvalue(default_params):
     """At times long against all relaxation scales the finite-time CGF per
     unit time converges to the dominant eigenvalue."""
@@ -120,3 +138,50 @@ def test_strong_probe_warning():
     params = from_config({"power_mw": 1e4})
     with pytest.warns(UserWarning, match="weak-probe"):
         fcs.cross_sections(params)
+
+
+def _counted_quadratic():
+    """A quadratic in (s1, s2) with dyadic coefficients, so that central
+    differences at dyadic steps reproduce its derivatives exactly, and a log
+    of the calls made to it."""
+    calls = []
+
+    def fun(s1, s2):
+        calls.append(np.shape(s1))
+        return 3 + 2 * s1 - 5 * s2 + 4 * s1**2 + 6 * s1 * s2 - 2 * s2**2
+
+    return fun, calls
+
+
+def test_stencils_exact_on_quadratic_in_one_call():
+    gradient = np.array([2.0, -5.0])
+    hessian = np.array([[8.0, 6.0], [6.0, -4.0]])
+    # tilts per call at one step and at the two Richardson steps; the
+    # Hessian evaluates its origin once for both
+    for stencil, expected, points, both in ((fcs.gradient, gradient, 4, 8),
+                                            (fcs.hessian, hessian, 9, 17)):
+        fun, calls = _counted_quadratic()
+        assert np.array_equal(stencil(fun, 0.25), expected)
+        assert calls == [(points,)]
+        fun, calls = _counted_quadratic()
+        value, fine = fcs.richardson(stencil, fun, 0.25)
+        assert np.array_equal(value, expected)
+        assert np.array_equal(fine, expected)
+        assert calls == [(both,)]
+
+
+@pytest.mark.parametrize("route,limit", [("full", 40), ("adiabatic", 50)])
+def test_point_eigensolves_are_stacked(route, limit, default_params,
+                                       monkeypatch):
+    """Each finite-difference stencil is one stacked eigensolve, not one
+    solve per tilt (several hundred per point)."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigvals(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    evaluate_point(default_params, route)
+    assert 0 < len(calls) <= limit

@@ -46,6 +46,9 @@ def test_trust_radius():
     # complex tilts count by magnitude
     with pytest.raises(TrustRadiusExceeded):
         CountingField(-0.15j, 0.0).check()
+    # an array of tilts fails if any member lies outside
+    with pytest.raises(TrustRadiusExceeded):
+        CountingField(np.array([0.05, 0.2]), np.zeros(2)).check()
 
 
 def test_hamiltonian_hermitian_at_real_phases(default_params):
@@ -146,3 +149,20 @@ def test_dissipator_cached_read_only(default_params):
     detuned = default_params.with_molecule(
         detuning_a=2 * default_params.molecule.detuning_a)
     assert dissipator_sum(detuned) is cached
+
+
+@pytest.mark.parametrize("phi,flux_scale", [((0.0, 0.0), 1.0),
+                                             ((0.4, -1.3), 0.7)])
+def test_stacked_generator_equals_scalar_builds(phi, flux_scale):
+    """Counting-field arrays build the stack of the per-tilt generators."""
+    params = from_config({"rate_a_mhz": 3e-3, "rate_b_mhz": 1e-3,
+                          "dipole_b_debye": 0.6, "detuning_b_mhz": -15.0})
+    chi1 = np.array([0.0, -0.03j, 0.02 - 0.05j, -0.09j])
+    chi2 = np.array([0.0, 0.01j, -0.07 + 0.01j, 0.0])
+    stacked = build_two_sided(params, CountingField(chi1, chi2), phi=phi,
+                              flux_scale=flux_scale)
+    assert stacked.shape == (4, 16, 16)
+    singles = [build_two_sided(params, CountingField(a, b), phi=phi,
+                               flux_scale=flux_scale)
+               for a, b in zip(chi1, chi2)]
+    assert np.array_equal(stacked, np.stack(singles))

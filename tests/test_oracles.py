@@ -115,3 +115,41 @@ def test_fd_unstable():
     rng_like = lambda x: math.sin(1e12 * x)  # effectively noise at the scale
     with pytest.raises(StencilUnstable):
         oracles.fd_pipeline_derivative(rng_like, 1.0, rtol=1e-12)
+
+
+def test_jackknife_matches_loop_reference(default_params):
+    """The broadcast leave-one-out covariances equal the per-trajectory
+    loop they replaced, on the same seeded trajectories."""
+    mc = oracles.McConfig(n_trajectories=1000, seed=4)
+    rate, stderr = oracles.telegraph_mc_diffusion(default_params, mc)
+
+    mol, J = default_params.molecule, default_params.derived.photon_flux_j0
+    _, horizon = mc.resolve(adiabatic.reaction_time(default_params))
+    p_a, _ = adiabatic.stationary_probabilities(default_params)
+    fluxes = []
+    for state in "AB":
+        s_plus, s_minus = adiabatic.conditioned_cross_sections(default_params,
+                                                               state)
+        fluxes.append(J * np.array([(s_plus + s_minus) / 2,
+                                    (s_plus - s_minus) / 2]))
+    n = mc.n_trajectories
+    samples = np.empty((n, 2))
+    for i in range(n):
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([mc.seed, i], dtype=np.uint64)))
+        time_a = oracles._occupancy_time(rng, p_a, mol.rate_a, mol.rate_b,
+                                         horizon)
+        samples[i] = fluxes[0] * time_a + fluxes[1] * (horizon - time_a)
+    sum_x = samples.sum(axis=0)
+    sum_xx = np.einsum("ni,nj->ij", samples, samples)
+    loo = np.empty((n, 2, 2))
+    for i in range(n):
+        m = (sum_x - samples[i]) / (n - 1)
+        loo[i] = (sum_xx - np.outer(samples[i], samples[i])
+                  - (n - 1) * np.outer(m, m)) / (n - 2)
+    loo /= horizon
+    expected = np.sqrt((n - 1) / n * np.sum((loo - loo.mean(axis=0)) ** 2,
+                                            axis=0))
+    centered = samples - samples.mean(axis=0)
+    assert np.array_equal(rate, centered.T @ centered / (n - 1) / horizon)
+    assert np.array_equal(stderr, expected)
