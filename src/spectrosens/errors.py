@@ -37,10 +37,6 @@ class FitResidualExceeded(ModelError):
     """Two-term intensity expansion does not describe the diffusion data."""
 
 
-class BranchAmbiguous(ModelError):
-    """Square-root branch of the two-state eigenvalue is ill-defined."""
-
-
 class DegenerateAbsorption(ModelError):
     """Absorption cross section vanishes; no optimal thickness exists."""
 

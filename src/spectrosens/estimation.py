@@ -60,7 +60,6 @@ def homodyne_means(n_plus: float, phase: float, phase_lo: float):
 def mean_derivatives(params: ModelParams, s_plus: float, s_minus: float,
                      z: float | None = None):
     """(n_p, d n_p/d rho, d phase/d rho) at fixed depth z (default z_opt)."""
-    rho = params.sample.density_rho_m
     if z is None:
         z = z_optimal(params, s_plus)
     n_p, _ = propagate_mean(params, s_plus, s_minus, z)

@@ -26,8 +26,7 @@ import scipy.linalg
 
 from .errors import (DifferentiationUnstable, FitResidualExceeded, GapTooSmall,
                      PropagationOverflow)
-from .liouvillian import (CountingField, build_two_sided, stationary_state,
-                          trace_vector)
+from .liouvillian import build_two_sided, stationary_state, trace_vector
 from .params import ModelParams
 
 # Largest Richardson correction of the second cumulants, relative to their
@@ -47,7 +46,7 @@ GAP_FRACTION = 1e-10
 class DiffusionExpansion:
     D1: np.ndarray = field(repr=False)  # 2x2, m^2 (order-J coefficient)
     D2: np.ndarray = field(repr=False)  # 2x2, m^4 s (order-J^2 coefficient)
-    fit_residual: float = 0.0
+    fit_residual: float
 
 
 def dominant_eigenvalue(matrix: np.ndarray, min_gap: float = 0.0):
@@ -69,13 +68,14 @@ def dominant_eigenvalue(matrix: np.ndarray, min_gap: float = 0.0):
     return top, gap
 
 
-def cgf_finite_time(params: ModelParams, chi: CountingField, tau: float,
+def cgf_finite_time(params: ModelParams, chi, tau: float,
                     flux_scale: float = 1.0) -> complex:
-    """Finite-time cumulant-generating function from the tilted propagator,
-    started in the stationary state of the untilted generator."""
+    """Finite-time cumulant-generating function at the counting-field pair
+    ``chi`` from the tilted propagator, started in the stationary state of
+    the untilted generator."""
     if not tau > 0:
         raise ValueError("tau must be positive")
-    l0 = build_two_sided(params, CountingField(0.0, 0.0), flux_scale=flux_scale)
+    l0 = build_two_sided(params, (0.0, 0.0), flux_scale=flux_scale)
     rho_ss = stationary_state(l0)
     l_chi = build_two_sided(params, chi, flux_scale=flux_scale)
     propagated = scipy.linalg.expm(l_chi * tau) @ rho_ss
@@ -127,7 +127,7 @@ def richardson(stencil, fun, h: float):
 
 def _lambda_s(params, s1, s2, flux_scale):
     """Dominant eigenvalues and gaps at arrays of real tilts, in one solve."""
-    chi = CountingField(-1j * np.asarray(s1), -1j * np.asarray(s2))
+    chi = (-1j * np.asarray(s1), -1j * np.asarray(s2))
     liou = build_two_sided(params, chi, flux_scale=flux_scale)
     top, gap = dominant_eigenvalue(
         liou, min_gap=GAP_FRACTION * params.molecule.decay_gamma)

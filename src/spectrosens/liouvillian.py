@@ -10,7 +10,6 @@ left vector vec(identity).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,22 +24,6 @@ PHASE_OFFSETS = (np.pi / 4.0, -np.pi / 4.0)
 
 # Largest counting-field magnitude for which the dominant branch is isolated.
 TRUST_RADIUS = 0.1
-
-
-@dataclass(frozen=True)
-class CountingField:
-    """Pair of counting fields, scalars or equal-shape arrays of n tilts;
-    complex values occur during differentiation."""
-
-    chi1: complex | np.ndarray = 0.0
-    chi2: complex | np.ndarray = 0.0
-
-    def check(self):
-        size1, size2 = np.max(np.abs(self.chi1)), np.max(np.abs(self.chi2))
-        if size1 > TRUST_RADIUS or size2 > TRUST_RADIUS:
-            raise TrustRadiusExceeded(
-                f"|chi| = ({size1:.3g}, {size2:.3g}) "
-                f"exceeds trust radius {TRUST_RADIUS}")
 
 
 def _coupling_up(amp, phi1, phi2):
@@ -154,16 +137,30 @@ def dissipator_sum(params: ModelParams) -> np.ndarray:
     return _dissipator_sum(mol.decay_gamma, mol.rate_a, mol.rate_b)
 
 
-def build_two_sided(params: ModelParams, chi: CountingField,
-                    phi=(0.0, 0.0), flux_scale: float = 1.0) -> np.ndarray:
+def _check_trust_radius(chi):
+    size1, size2 = np.max(np.abs(chi[0])), np.max(np.abs(chi[1]))
+    if size1 > TRUST_RADIUS or size2 > TRUST_RADIUS:
+        raise TrustRadiusExceeded(
+            f"|chi| = ({size1:.3g}, {size2:.3g}) "
+            f"exceeds trust radius {TRUST_RADIUS}")
+
+
+def build_two_sided(params: ModelParams, chi, phi=(0.0, 0.0),
+                    flux_scale: float = 1.0) -> np.ndarray:
     """Two-sided 16x16 superoperator: left phases phi + chi/2, right phases
-    phi - chi/2; counting fields of shape (n,) give an (n, 16, 16) stack."""
-    chi.check()
-    phi1, phi2 = phi
-    h_left = build_hamiltonian(params, (phi1 + chi.chi1 / 2.0,
-                                        phi2 + chi.chi2 / 2.0), flux_scale)
-    h_right = build_hamiltonian(params, (phi1 - chi.chi1 / 2.0,
-                                         phi2 - chi.chi2 / 2.0), flux_scale)
+    phi - chi/2.
+
+    ``chi`` is the pair of counting fields, scalars or equal-shape (n,)
+    arrays giving an (n, 16, 16) stack; complex values occur during
+    differentiation.  A field beyond ``TRUST_RADIUS`` in magnitude raises
+    ``TrustRadiusExceeded``.
+    """
+    _check_trust_radius(chi)
+    (phi1, phi2), (chi1, chi2) = phi, chi
+    h_left = build_hamiltonian(params, (phi1 + chi1 / 2.0,
+                                        phi2 + chi2 / 2.0), flux_scale)
+    h_right = build_hamiltonian(params, (phi1 - chi1 / 2.0,
+                                         phi2 - chi2 / 2.0), flux_scale)
     return commutator(h_left, h_right) + dissipator_sum(params)
 
 

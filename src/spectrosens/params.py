@@ -231,6 +231,7 @@ def from_config(config: dict) -> ModelParams:
     elif policy == "fixed":
         thickness = merged["thickness_m"]
         if (not isinstance(thickness, (int, float))
+                or isinstance(thickness, bool)
                 or not _is_finite(thickness) or not thickness > 0):
             raise InvalidParam("thickness_m")
     else:

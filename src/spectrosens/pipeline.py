@@ -15,7 +15,7 @@ import numpy as np
 
 from . import adiabatic, fcs
 from .estimation import SensitivityReport, sensitivity_report
-from .liouvillian import CountingField, build_two_sided
+from .liouvillian import build_two_sided
 from .params import ModelParams
 from .propagation import covariance_closed_form, z_optimal
 
@@ -28,14 +28,14 @@ class PointResult:
     s_minus: float
     expansion: fcs.DiffusionExpansion
     sigma2: np.ndarray = field(repr=False)
-    report: SensitivityReport = None
-    route: str = "full"
-    spectral_gap: float = 0.0
-    route_deviation: float | None = None
+    report: SensitivityReport
+    route: str
+    spectral_gap: float
+    route_deviation: float | None
 
 
 def _spectral_gap(params: ModelParams) -> float:
-    liou = build_two_sided(params, CountingField(0.0, 0.0))
+    liou = build_two_sided(params, (0.0, 0.0))
     _, gap = fcs.dominant_eigenvalue(liou)
     return gap
 

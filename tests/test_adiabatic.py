@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spectrosens import adiabatic, fcs
-from spectrosens.errors import BranchAmbiguous
 from spectrosens.params import from_config
 from spectrosens.pipeline import evaluate_point
 
@@ -56,42 +55,8 @@ def test_adiabatic_cross_sections_match_weak_field(default_params):
     assert s1 - s2 == pytest.approx(s_minus, rel=1e-3)
 
 
-def test_two_state_lambda_limits():
-    # no transfer out of A: dominant eigenvalue is K_A
-    assert adiabatic.two_state_lambda(-3.0, -7.0, 1.0, 0.0) == pytest.approx(-3.0)
-    # K_A = K_B: eigenvalue equals the common value
-    assert adiabatic.two_state_lambda(-2.0, -2.0, 0.7, 0.3) == pytest.approx(-2.0)
-    # zero statistics: lambda = 0
-    assert adiabatic.two_state_lambda(0.0, 0.0, 0.5, 0.5) == pytest.approx(0.0)
-
-
-def test_two_state_lambda_derivative_is_weighted_mean():
-    """d(lambda)/dK along K_A = K_B = K equals 1 (probability-weighted slope
-    p_A K_A' + p_B K_B' with both slopes equal)."""
-    r_a, r_b, h = 0.3, 0.7, 1e-6
-    up = adiabatic.two_state_lambda(h, h, r_a, r_b)
-    down = adiabatic.two_state_lambda(-h, -h, r_a, r_b)
-    assert (up - down) / (2 * h) == pytest.approx(1.0, rel=1e-6)
-
-
-def test_two_state_lambda_curvature_is_telegraph_variance():
-    """Second derivative along K_A = s, K_B = -s gives 2 t_R p_A p_B * 4
-    (telegraph noise of the difference)."""
-    r_a, r_b, h = 0.4, 0.6, 1e-5
-    f = lambda s: adiabatic.two_state_lambda(s, -s, r_a, r_b).real
-    curv = (f(h) - 2 * f(0.0) + f(-h)) / h**2
-    t_r = 1.0 / (r_a + r_b)
-    p_a, p_b = r_a * t_r, r_b * t_r
-    assert curv == pytest.approx(2 * t_r * p_a * p_b * 4, rel=1e-4)
-
-
-def test_two_state_lambda_branch_cut():
-    with pytest.raises(BranchAmbiguous):
-        adiabatic.two_state_lambda(1j * 5.0, -1j * 5.0, 0.0, 0.0)
-
-
 def test_weak_field_curvature_matches_exact(default_params):
-    """The characteristic-polynomial coefficient table reproduces the exact
+    """The weak-field closed-form curvature reproduces the exact
     conditioned eigenvalue curvature at weak drive.  At very small flux the
     finite-difference curvature loses relative accuracy (the eigenvalue's
     counting-field dependence scales with the flux while the generator norm
@@ -99,7 +64,8 @@ def test_weak_field_curvature_matches_exact(default_params):
     saturation corrections are still below 1%."""
     J = default_params.derived.photon_flux_j0 * 1e-2
     weak = adiabatic._curvature_weak_field(default_params, "A", J)
-    exact = adiabatic._curvature_exact(default_params, "A", J)
+    fun = lambda a, b: adiabatic.conditioned_cgf(default_params, "A", a, b, J)
+    exact = fcs.richardson(fcs.hessian, fun, 1e-3)[0]
     assert np.max(np.abs(weak - exact)) < 1e-2 * np.max(np.abs(exact))
 
 
@@ -118,30 +84,77 @@ def test_conditioned_rate_linear_coefficient_is_2s_plus(default_params):
     assert vm @ d1 @ vm == pytest.approx(2 * s_plus, rel=1e-12)
 
 
-def test_reference_expansion_coefficients(default_params):
-    """The compact closed forms: D1 exact, quadratic forms approximate with
-    the documented fixed factor 2 in the sum channel."""
-    d1, d2_plus, d2_minus = adiabatic.reference_expansion_coefficients(
-        default_params, "A")
-    s_plus, _ = adiabatic.conditioned_cross_sections(default_params, "A")
-    assert d1 == pytest.approx(2 * s_plus, rel=1e-12)
-    j0 = default_params.derived.photon_flux_j0
-    grid = np.geomspace(j0 / 100, j0 / 10, 5)
-    vp, vm = np.array([1.0, 1.0]), np.array([1.0, -1.0])
-    rates_p = [float(vp @ adiabatic.conditioned_rate(
-        default_params, "A", j, method="weak_field") @ vp) for j in grid]
-    rates_m = [float(vm @ adiabatic.conditioned_rate(
-        default_params, "A", j, method="weak_field") @ vm) for j in grid]
-    x = grid / j0
-    design = np.vstack([x, x**2]).T
-    cp, *_ = np.linalg.lstsq(design, np.array(rates_p), rcond=None)
-    cm, *_ = np.linalg.lstsq(design, np.array(rates_m), rcond=None)
-    # exact quadratic coefficients of the weak-field table
-    fitted_plus = 2 * cp[1] / j0**2
-    fitted_minus = 2 * cm[1] / j0**2
-    assert d2_plus == pytest.approx(2 * fitted_plus, rel=1e-6)
-    # the difference-channel closed form only tracks sign and rough size
-    assert np.sign(d2_minus) == np.sign(fitted_minus)
+def _table_curvature(params, state, J):
+    """The weak-field curvature from the table of characteristic-polynomial
+    coefficients of the conditioned tilted generator (counting order)."""
+    rabi, eps = {"A": (params.derived.rabi_a, params.molecule.detuning_a),
+                 "B": (params.derived.rabi_b, params.molecule.detuning_b)}[state]
+    gamma = params.molecule.decay_gamma
+    om_sq = rabi**2 * (J / params.derived.photon_flux_j0)
+    a0_k = {1: -1j * (gamma / 8.0 - eps / 4.0) * om_sq,
+            2: -1j * (gamma / 8.0 + eps / 4.0) * om_sq}
+    a0_kl = {(1, 1): gamma * om_sq / 8.0, (2, 2): gamma * om_sq / 8.0,
+             (1, 2): 0.0, (2, 1): 0.0}
+    a1 = eps**2 + gamma**2 / 4.0
+    a1_k = {1: -1j * om_sq / 4.0, 2: -1j * om_sq / 4.0}
+    a2 = eps**2 / gamma + 1.25 * gamma
+    out = np.zeros((2, 2))
+    for k in (1, 2):
+        for l in (1, 2):
+            value = (a0_kl[(k, l)] / a1
+                     + 2.0 * a2 * a0_k[k] * a0_k[l] / a1**3
+                     - (a0_k[k] * a1_k[l] + a0_k[l] * a1_k[k]) / a1**2)
+            out[k - 1, l - 1] = value.real
+    return out
+
+
+@pytest.mark.parametrize("state", "AB")
+@pytest.mark.parametrize("eps_mhz", [-40.0, 0.0, 40.0])
+@pytest.mark.parametrize("flux", [1e-3, 1.0])
+def test_weak_field_closed_form_matches_table(state, eps_mhz, flux):
+    params = from_config({"dipole_b_debye": 0.6, "detuning_a_mhz": eps_mhz,
+                          "detuning_b_mhz": eps_mhz})
+    J = flux * params.derived.photon_flux_j0
+    closed = adiabatic._curvature_weak_field(params, state, J)
+    table = _table_curvature(params, state, J)
+    assert np.max(np.abs(closed - table)) <= 1e-14 * np.max(np.abs(table))
+
+
+def test_chemical_term_is_two_state_curvature():
+    """The weak-field telegraph term 2 t_R p_A p_B dS dS^T is the curvature
+    of the top eigenvalue of the two-state generator whose state-resolved
+    generating rates are K_state(s) = s . c1_state."""
+    params = from_config({"rate_a_mhz": 3e-4, "rate_b_mhz": 1e-4,
+                          "dipole_b_debye": 0.6, "detuning_b_mhz": -15.0})
+    r_a, r_b = params.molecule.rate_a, params.molecule.rate_b
+    J = params.derived.photon_flux_j0
+    c1 = [adiabatic._first_cumulants(params, state, J, "weak_field")
+          for state in "AB"]
+
+    def top(s1, s2):
+        s = np.stack([s1, s2], axis=-1)
+        k_a, k_b = s @ c1[0], s @ c1[1]
+        generator = np.empty(k_a.shape + (2, 2))
+        generator[..., 0, 0], generator[..., 0, 1] = k_a - r_b, r_a
+        generator[..., 1, 0], generator[..., 1, 1] = r_b, k_b - r_a
+        return np.max(np.linalg.eigvals(generator).real, axis=-1)
+
+    h = 1e-2 * (r_a + r_b) / np.max(np.abs(c1[0] - c1[1]))
+    curvature = fcs.richardson(fcs.hessian, top, h)[0]
+    chemical = adiabatic.chemical_rate_term(params, J, method="weak_field")
+    assert np.max(np.abs(curvature[::-1, ::-1] - chemical)) \
+        <= 1e-4 * np.max(np.abs(chemical))
+
+
+@pytest.mark.parametrize("function", [
+    lambda p, J, method: adiabatic.conditioned_rate(p, "A", J, method=method),
+    adiabatic.chemical_rate_term,
+    adiabatic.adiabatic_rate,
+], ids=["conditioned_rate", "chemical_rate_term", "adiabatic_rate"])
+def test_unknown_method_rejected(default_params, function):
+    J = default_params.derived.photon_flux_j0
+    with pytest.raises(ValueError, match="unknown method"):
+        function(default_params, J, method="weakfield")
 
 
 def test_adiabatic_matches_full_statistics(default_params):

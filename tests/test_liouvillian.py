@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectrosens.errors import TrustRadiusExceeded
-from spectrosens.liouvillian import (CountingField, build_hamiltonian,
-                                     build_two_sided, dissipator_sum,
-                                     stationary_state, trace_vector)
+from spectrosens.liouvillian import (build_hamiltonian, build_two_sided,
+                                     dissipator_sum, stationary_state,
+                                     trace_vector)
 from spectrosens.params import from_config
 
 small_angle = st.floats(min_value=-0.09, max_value=0.09,
@@ -13,13 +13,13 @@ small_angle = st.floats(min_value=-0.09, max_value=0.09,
 
 
 def test_trace_is_left_null_vector(default_params):
-    liou = build_two_sided(default_params, CountingField(0.0, 0.0))
+    liou = build_two_sided(default_params, (0.0, 0.0))
     residual = trace_vector() @ liou
     assert np.max(np.abs(residual)) < 1e-6 * np.max(np.abs(liou))
 
 
 def test_stationary_state_properties(default_params):
-    liou = build_two_sided(default_params, CountingField(0.0, 0.0))
+    liou = build_two_sided(default_params, (0.0, 0.0))
     rho = stationary_state(liou).reshape(4, 4)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
@@ -32,23 +32,23 @@ def test_stationary_state_properties(default_params):
 def test_symmetric_rates_balance_populations():
     params = from_config({"rate_a_mhz": 1e-3, "rate_b_mhz": 1e-3,
                           "dipole_b_debye": 1.0, "detuning_b_mhz": 40.0})
-    liou = build_two_sided(params, CountingField(0.0, 0.0))
+    liou = build_two_sided(params, (0.0, 0.0))
     rho = stationary_state(liou).reshape(4, 4)
     pop_a = (rho[0, 0] + rho[1, 1]).real
     pop_b = (rho[2, 2] + rho[3, 3]).real
     assert pop_a == pytest.approx(pop_b, rel=1e-9)
 
 
-def test_trust_radius():
-    CountingField(0.05, -0.05).check()
+def test_trust_radius(default_params):
+    build_two_sided(default_params, (0.05, -0.05))
     with pytest.raises(TrustRadiusExceeded):
-        CountingField(0.2, 0.0).check()
+        build_two_sided(default_params, (0.2, 0.0))
     # complex tilts count by magnitude
     with pytest.raises(TrustRadiusExceeded):
-        CountingField(-0.15j, 0.0).check()
+        build_two_sided(default_params, (-0.15j, 0.0))
     # an array of tilts fails if any member lies outside
     with pytest.raises(TrustRadiusExceeded):
-        CountingField(np.array([0.05, 0.2]), np.zeros(2)).check()
+        build_two_sided(default_params, (np.array([0.05, 0.2]), np.zeros(2)))
 
 
 def test_hamiltonian_hermitian_at_real_phases(default_params):
@@ -71,8 +71,8 @@ def test_conjugation_symmetry(chi1, chi2):
     """L at negated counting fields is the complex conjugate of L (real
     counting statistics: the CGF satisfies K(-chi) = K(chi)*)."""
     params = from_config({})
-    plus = build_two_sided(params, CountingField(chi1, chi2))
-    minus = build_two_sided(params, CountingField(-chi1, -chi2))
+    plus = build_two_sided(params, (chi1, chi2))
+    minus = build_two_sided(params, (-chi1, -chi2))
     scale = np.max(np.abs(plus))
     assert np.max(np.abs(minus.conj() - _swap_sides(plus))) \
         < 1e-12 * scale
@@ -93,9 +93,8 @@ def test_gauge_invariance_of_spectrum(shift, chi1, chi2):
     """A common shift of both auxiliary phases is a gauge transformation:
     the spectrum of the tilted generator is unchanged."""
     params = from_config({})
-    base = build_two_sided(params, CountingField(chi1, chi2))
-    shifted = build_two_sided(params, CountingField(chi1, chi2),
-                              phi=(shift, shift))
+    base = build_two_sided(params, (chi1, chi2))
+    shifted = build_two_sided(params, (chi1, chi2), phi=(shift, shift))
     ev_base = np.linalg.eigvals(base)
     ev_shift = np.linalg.eigvals(shifted)
     scale = np.max(np.abs(ev_base)) + 1.0
@@ -109,10 +108,10 @@ def test_gauge_invariance_of_spectrum(shift, chi1, chi2):
 def _kron_generator(params, chi, phi, flux_scale):
     """The tilted generator assembled term by term with np.kron."""
     eye = np.eye(4)
-    h_left = build_hamiltonian(params, (phi[0] + chi.chi1 / 2.0,
-                                        phi[1] + chi.chi2 / 2.0), flux_scale)
-    h_right = build_hamiltonian(params, (phi[0] - chi.chi1 / 2.0,
-                                         phi[1] - chi.chi2 / 2.0), flux_scale)
+    h_left = build_hamiltonian(params, (phi[0] + chi[0] / 2.0,
+                                        phi[1] + chi[1] / 2.0), flux_scale)
+    h_right = build_hamiltonian(params, (phi[0] - chi[0] / 2.0,
+                                         phi[1] - chi[1] / 2.0), flux_scale)
     matrix = -1j * (np.kron(h_left, eye) - np.kron(eye, h_right.T))
     mol = params.molecule
     total = np.zeros((16, 16), dtype=complex)
@@ -136,10 +135,9 @@ def _kron_generator(params, chi, phi, flux_scale):
 def test_generator_matches_kron_assembly(chi, phi, flux_scale):
     params = from_config({"rate_a_mhz": 3e-3, "rate_b_mhz": 1e-3,
                           "dipole_b_debye": 0.6, "detuning_b_mhz": -15.0})
-    field = CountingField(*chi)
-    built = build_two_sided(params, field, phi=phi, flux_scale=flux_scale)
+    built = build_two_sided(params, chi, phi=phi, flux_scale=flux_scale)
     assert np.array_equal(built,
-                          _kron_generator(params, field, phi, flux_scale))
+                          _kron_generator(params, chi, phi, flux_scale))
 
 
 def test_dissipator_cached_read_only(default_params):
@@ -159,10 +157,10 @@ def test_stacked_generator_equals_scalar_builds(phi, flux_scale):
                           "dipole_b_debye": 0.6, "detuning_b_mhz": -15.0})
     chi1 = np.array([0.0, -0.03j, 0.02 - 0.05j, -0.09j])
     chi2 = np.array([0.0, 0.01j, -0.07 + 0.01j, 0.0])
-    stacked = build_two_sided(params, CountingField(chi1, chi2), phi=phi,
+    stacked = build_two_sided(params, (chi1, chi2), phi=phi,
                               flux_scale=flux_scale)
     assert stacked.shape == (4, 16, 16)
-    singles = [build_two_sided(params, CountingField(a, b), phi=phi,
+    singles = [build_two_sided(params, (a, b), phi=phi,
                                flux_scale=flux_scale)
                for a, b in zip(chi1, chi2)]
     assert np.array_equal(stacked, np.stack(singles))

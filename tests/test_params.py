@@ -73,6 +73,8 @@ def test_fixed_thickness_policy():
     with pytest.raises(InvalidParam):
         from_config({"thickness_policy": "fixed"})
     with pytest.raises(InvalidParam):
+        from_config({"thickness_policy": "fixed", "thickness_m": True})
+    with pytest.raises(InvalidParam):
         from_config({"thickness_policy": "bogus"})
 
 
