@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ModelError
 from .params import default_config, from_config
-from .pipeline import evaluate_point
+from .pipeline import ROUTES, evaluate_point
 
 CSV_COLUMNS = [
     "detuning_mhz", "rate_a_mhz", "rate_b_mhz", "density_per_m3",
@@ -28,12 +30,13 @@ CSV_COLUMNS = [
     "regime", "status",
 ]
 
+# sweep parameter -> the configuration keys it sets
 SWEEP_PARAMS = {
-    "detuning": "detuning_a_mhz",
-    "rate": None,                 # sets rate_a_mhz and rate_b_mhz together
-    "rate_A": "rate_a_mhz",
-    "rate_B": "rate_b_mhz",
-    "density": "density_per_m3",
+    "detuning": ("detuning_a_mhz",),
+    "rate": ("rate_a_mhz", "rate_b_mhz"),
+    "rate_A": ("rate_a_mhz",),
+    "rate_B": ("rate_b_mhz",),
+    "density": ("density_per_m3",),
 }
 
 EXIT_OK, EXIT_COMPUTE, EXIT_USAGE = 0, 1, 2
@@ -77,18 +80,8 @@ def _load_config(args) -> dict:
     return config
 
 
-def _apply_axis(config: dict, param: str, value: float) -> dict:
-    out = dict(config)
-    if param == "rate":
-        out["rate_a_mhz"] = value
-        out["rate_b_mhz"] = value
-    else:
-        out[SWEEP_PARAMS[param]] = value
-    return out
-
-
 def _grid(spec: str):
-    """Parse an axis spec 'param,scale,min,max,count' into (param, values)."""
+    """Parse an axis spec 'param,scale,min,max,count' into (keys, values)."""
     parts = spec.split(",")
     if len(parts) != 5:
         raise ValueError(
@@ -111,7 +104,7 @@ def _grid(spec: str):
         values = np.geomspace(low, high, count)
     else:
         raise ValueError(f"axis scale must be linear or log, got {scale!r}")
-    return param, values
+    return SWEEP_PARAMS[param], values
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +161,13 @@ def run_point(config: dict, route: str) -> dict:
 
 def run_sweep(config: dict, axes, route: str, workers: int | None = None):
     """Evaluate a 1D or 2D grid; yields rows in deterministic grid order."""
-    grids = [_grid(axis) for axis in axes]
-    points = []
-    if len(grids) == 1:
-        param, values = grids[0]
-        for value in values:
-            points.append(_apply_axis(config, param, float(value)))
-    else:
-        (p1, v1), (p2, v2) = grids
-        for a in v1:
-            for b in v2:
-                points.append(
-                    _apply_axis(_apply_axis(config, p1, float(a)), p2, float(b)))
-    tasks = [(point, route) for point in points]
+    keys, values = zip(*(_grid(axis) for axis in axes))
+    tasks = []
+    for combo in itertools.product(*values):  # the last axis varies fastest
+        point = dict(config)
+        for names, value in zip(keys, combo):  # a later axis overrides
+            point.update(dict.fromkeys(names, float(value)))
+        tasks.append((point, route))
     if workers is None:
         workers = os.cpu_count() or 1
     workers = min(workers, len(tasks))  # fork starts every worker up front
@@ -190,10 +177,14 @@ def run_sweep(config: dict, axes, route: str, workers: int | None = None):
         return list(pool.map(_evaluate_row, tasks, chunksize=1))
 
 
-def write_csv(rows, stream):
-    stream.write(",".join(CSV_COLUMNS) + "\n")
+def _write_table(rows, stream, columns):
+    stream.write(",".join(columns) + "\n")
     for row in rows:
-        stream.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
+        stream.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+
+
+def write_csv(rows, stream):
+    _write_table(rows, stream, CSV_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +193,20 @@ def write_csv(rows, stream):
 
 FIGURE_IDS = ("fig1c", "fig2", "fig3")
 
+_RATE_AXIS = "rate,log,1e-6,1e2,25"
+
 _GNUPLOT_HEADER = "set datafile separator ','\nset key autotitle columnhead\n"
 
+_RATE_LABELS = ("set logscale xy\n"
+                "set xlabel 'reaction rate (MHz)'\n"
+                "set ylabel 'relative sensitivity'\n")
 
-def _write_rows(path, rows):
-    with open(path, "w") as handle:
-        write_csv(rows, handle)
+# fig2 file name -> the CSV column it plots against detuning
+_FIG2_COLUMNS = (("cross_section_plus", "s_plus_m2"),
+                 ("cross_section_minus", "s_minus_m2"),
+                 ("variance_ratio_plus", "sigma_plus_ratio"),
+                 ("variance_ratio_minus", "sigma_minus_ratio"),
+                 ("sensitivity", "sens_full"))
 
 
 def emit_figure_pack(figure_id: str, config: dict, out_dir: str, route: str,
@@ -216,71 +215,43 @@ def emit_figure_pack(figure_id: str, config: dict, out_dir: str, route: str,
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    if figure_id == "fig1c":
-        rows = run_sweep(config, ["rate,log,1e-6,1e2,25"], route, workers)
-        path = os.path.join(out_dir, "fig1c_sensitivity_vs_rate.csv")
-        _write_rows(path, rows)
+    def save(name, rows, columns):
+        path = os.path.join(out_dir, name)
+        with open(path, "w") as handle:
+            _write_table(rows, handle, columns)
         written.append(path)
-        script = os.path.join(out_dir, "fig1c.gp")
-        with open(script, "w") as handle:
-            handle.write(_GNUPLOT_HEADER)
-            handle.write("set logscale xy\n"
-                         "set xlabel 'reaction rate (MHz)'\n"
-                         "set ylabel 'relative sensitivity'\n")
-            handle.write(
-                f"plot '{path}' using 2:9 with lines, "
-                f"'' using 2:10 with lines, '' using 2:11 with lines, "
-                f"'' using 2:12 with points\n")
-        written.append(script)
+        return path
 
+    if figure_id == "fig1c":
+        rows = run_sweep(config, [_RATE_AXIS], route, workers)
+        path = save("fig1c_sensitivity_vs_rate.csv", rows, CSV_COLUMNS)
+        script = (_RATE_LABELS
+                  + f"plot '{path}' using 2:9 with lines, "
+                  f"'' using 2:10 with lines, '' using 2:11 with lines, "
+                  f"'' using 2:12 with points\n")
     elif figure_id == "fig2":
         rows = run_sweep(config, ["detuning,linear,-100,100,101"],
                          route, workers)
-        columns = [("cross_section_plus", "s_plus_m2", 5),
-                   ("cross_section_minus", "s_minus_m2", 6),
-                   ("variance_ratio_plus", "sigma_plus_ratio", 7),
-                   ("variance_ratio_minus", "sigma_minus_ratio", 8),
-                   ("sensitivity", "sens_full", 9)]
-        paths = {}
-        for name, column, _ in columns:
-            path = os.path.join(out_dir, f"fig2_{name}.csv")
-            with open(path, "w") as handle:
-                handle.write(f"detuning_mhz,{column}\n")
-                for row in rows:
-                    handle.write(f"{_fmt(row['detuning_mhz'])},"
-                                 f"{_fmt(row[column])}\n")
-            paths[name] = path
-            written.append(path)
-        script = os.path.join(out_dir, "fig2.gp")
-        with open(script, "w") as handle:
-            handle.write(_GNUPLOT_HEADER)
-            handle.write("set xlabel 'detuning (MHz)'\n")
-            for name, path in paths.items():
-                handle.write(f"plot '{path}' using 1:2 with lines\npause -1\n")
-        written.append(script)
-
+        script = "set xlabel 'detuning (MHz)'\n"
+        for name, column in _FIG2_COLUMNS:
+            path = save(f"fig2_{name}.csv", rows, ["detuning_mhz", column])
+            script += f"plot '{path}' using 1:2 with lines\npause -1\n"
     elif figure_id == "fig3":
-        script_lines = [_GNUPLOT_HEADER,
-                        "set logscale xy\n"
-                        "set xlabel 'reaction rate (MHz)'\n"
-                        "set ylabel 'relative sensitivity'\n"]
         plots = []
         for detuning in (20.0, 40.0, 100.0):
-            cfg = dict(config, detuning_a_mhz=detuning)
-            rows = run_sweep(cfg, ["rate,log,1e-6,1e2,25"], route, workers)
-            path = os.path.join(out_dir,
-                                f"fig3_detuning_{int(detuning)}mhz.csv")
-            _write_rows(path, rows)
-            written.append(path)
+            rows = run_sweep(dict(config, detuning_a_mhz=detuning),
+                             [_RATE_AXIS], route, workers)
+            path = save(f"fig3_detuning_{int(detuning)}mhz.csv", rows,
+                        CSV_COLUMNS)
             plots.append(f"'{path}' using 2:9 with lines")
-        script = os.path.join(out_dir, "fig3.gp")
-        with open(script, "w") as handle:
-            handle.writelines(script_lines)
-            handle.write("plot " + ", ".join(plots) + "\n")
-        written.append(script)
-
+        script = _RATE_LABELS + "plot " + ", ".join(plots) + "\n"
     else:
         raise ValueError(f"unknown figure id {figure_id!r}")
+
+    path = os.path.join(out_dir, f"{figure_id}.gp")
+    with open(path, "w") as handle:
+        handle.write(_GNUPLOT_HEADER + script)
+    written.append(path)
     return written
 
 
@@ -299,8 +270,7 @@ def _build_parser():
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a configuration key")
-        p.add_argument("--route", choices=["full", "adiabatic", "both"],
-                       default="full")
+        p.add_argument("--route", choices=ROUTES, default="full")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--workers", type=int, default=None)
 
@@ -319,6 +289,11 @@ def _build_parser():
     return parser
 
 
+def _output(path):
+    """Context manager for the ``--out`` file, or for stdout without one."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -331,12 +306,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "point":
             record = run_point(config, args.route)
-            text = json.dumps(record, indent=2, default=float) + "\n"
-            if args.out:
-                with open(args.out, "w") as handle:
-                    handle.write(text)
-            else:
-                sys.stdout.write(text)
+            with _output(args.out) as stream:
+                stream.write(json.dumps(record, indent=2, default=float) + "\n")
             return EXIT_OK
 
         if args.command == "sweep":
@@ -346,26 +317,17 @@ def main(argv=None) -> int:
             except ValueError as exc:  # a bad axis spec; see _evaluate_row
                 print(_error_json(exc), file=sys.stderr)
                 return EXIT_USAGE
-            if args.out:
-                with open(args.out, "w") as handle:
-                    write_csv(rows, handle)
-            else:
-                write_csv(rows, sys.stdout)
+            with _output(args.out) as stream:
+                write_csv(rows, stream)
             failed = any(row["status"] != "ok" for row in rows)
             return EXIT_COMPUTE if failed else EXIT_OK
 
-        if args.command == "figures":
-            out_dir = args.out or "."
-            emit_figure_pack(args.figure_id, config, out_dir, args.route,
-                             args.workers)
-            return EXIT_OK
-    except ModelError as exc:
+        emit_figure_pack(args.figure_id, config, args.out or ".", args.route,
+                         args.workers)
+        return EXIT_OK
+    except (ModelError, OSError) as exc:
         print(_error_json(exc), file=sys.stderr)
         return EXIT_COMPUTE
-    except OSError as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return EXIT_COMPUTE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

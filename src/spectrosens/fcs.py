@@ -22,11 +22,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (DifferentiationUnstable, FitResidualExceeded, GapTooSmall,
-                     PropagationOverflow)
-from .liouvillian import build_two_sided, stationary_state, trace_vector
+from .errors import DifferentiationUnstable, FitResidualExceeded, GapTooSmall
+from .liouvillian import build_two_sided
 from .params import ModelParams
 
 # Largest Richardson correction of the second cumulants, relative to their
@@ -66,23 +64,6 @@ def dominant_eigenvalue(matrix: np.ndarray, min_gap: float = 0.0):
         raise GapTooSmall(f"spectral gap {np.min(gap):.3e} below threshold "
                           f"{min_gap:.3e}")
     return top, gap
-
-
-def cgf_finite_time(params: ModelParams, chi, tau: float,
-                    flux_scale: float = 1.0) -> complex:
-    """Finite-time cumulant-generating function at the counting-field pair
-    ``chi`` from the tilted propagator, started in the stationary state of
-    the untilted generator."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    l0 = build_two_sided(params, (0.0, 0.0), flux_scale=flux_scale)
-    rho_ss = stationary_state(l0)
-    l_chi = build_two_sided(params, chi, flux_scale=flux_scale)
-    propagated = scipy.linalg.expm(l_chi * tau) @ rho_ss
-    value = trace_vector() @ propagated
-    if not np.isfinite(value):
-        raise PropagationOverflow("matrix exponential overflowed")
-    return complex(np.log(value))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Independent verification engines: direct quadrature of the covariance
 transport integral, Monte-Carlo simulation of the chemical telegraph noise,
-and a finite-difference derivative baseline.
+a finite-difference derivative baseline, and the finite-time
+cumulant-generating function from the tilted propagator.
 
 These deliberately avoid the code paths they check: the quadrature does not
 use the closed-form covariance, the telegraph sampler does not use eigenvalue
-derivatives, and the stencil differentiates the pipeline as a black box.
+derivatives, the stencil differentiates the pipeline as a black box, and the
+finite-time CGF takes a matrix exponential instead of the dominant
+eigenvalue.  They are the only users of scipy in the package.
 """
 
 from __future__ import annotations
@@ -13,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 
 from .adiabatic import (chemical_rate_term, conditioned_cross_sections,
                         reaction_time, stationary_probabilities)
-from .errors import (InsufficientStatistics, QuadratureNotConverged,
-                     StencilUnstable)
+from .errors import (InsufficientStatistics, PropagationOverflow,
+                     QuadratureNotConverged, StencilUnstable)
+from .liouvillian import build_two_sided, stationary_state, trace_vector
 from .params import ModelParams
 
 
@@ -187,3 +192,21 @@ def fd_pipeline_derivative(f, rho: float, initial_step: float | None = None,
     raise StencilUnstable(
         f"stencil did not stabilize to rtol={rtol:g} after "
         f"{max_halvings} halvings (last error {error:.3e})")
+
+
+# ---------------------------------------------------------------------------
+# finite-time cumulant-generating function
+# ---------------------------------------------------------------------------
+
+def cgf_finite_time(params: ModelParams, chi, tau: float) -> complex:
+    """Finite-time cumulant-generating function at the counting-field pair
+    ``chi`` from the tilted propagator, started in the stationary state of
+    the untilted generator."""
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    rho_ss = stationary_state(build_two_sided(params, (0.0, 0.0)))
+    propagated = scipy.linalg.expm(build_two_sided(params, chi) * tau) @ rho_ss
+    value = trace_vector() @ propagated
+    if not np.isfinite(value):
+        raise PropagationOverflow("matrix exponential overflowed")
+    return complex(np.log(value))

@@ -19,6 +19,12 @@ from .errors import InvalidParam, ParseError
 
 MHZ = 2.0 * math.pi * 1.0e6  # angular rad/s per user-facing MHz
 
+# CODATA SI constants
+HBAR = 1.054571817e-34      # J s
+EPS0 = 8.8541878128e-12     # C^2 J^-1 m^-1
+C = 2.99792458e8            # m s^-1
+DEBYE = 3.33564e-30         # C m
+
 
 def mhz_to_angular(value_mhz: float) -> float:
     return value_mhz * MHZ
@@ -26,16 +32,6 @@ def mhz_to_angular(value_mhz: float) -> float:
 
 def angular_to_mhz(value_rad_s: float) -> float:
     return value_rad_s / MHZ
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA SI constants; not user-editable."""
-
-    hbar: float = 1.054571817e-34      # J s
-    eps0: float = 8.8541878128e-12     # C^2 J^-1 m^-1
-    c: float = 2.99792458e8            # m s^-1
-    debye: float = 3.33564e-30         # C m
 
 
 @dataclass(frozen=True)
@@ -78,28 +74,20 @@ class DerivedQuantities:
 
 @dataclass(frozen=True)
 class ModelParams:
-    constants: PhysicalConstants
     laser: LaserParams
     molecule: MoleculeParams
     sample: SampleParams
     derived: DerivedQuantities
 
-    def with_molecule(self, **changes) -> "ModelParams":
-        """Return a copy with molecule fields replaced and derived refreshed."""
-        mol = replace(self.molecule, **changes)
-        return ModelParams(self.constants, self.laser, mol, self.sample,
-                           derive(self.constants, self.laser, mol))
-
     def with_density(self, density: float) -> "ModelParams":
         if density <= 0:
             raise InvalidParam("density_per_m3")
-        return ModelParams(self.constants, self.laser, self.molecule,
+        return ModelParams(self.laser, self.molecule,
                            replace(self.sample, density_rho_m=density),
                            self.derived)
 
 
-def derive(constants: PhysicalConstants, laser: LaserParams,
-           molecule: MoleculeParams) -> DerivedQuantities:
+def derive(laser: LaserParams, molecule: MoleculeParams) -> DerivedQuantities:
     """Compute field amplitude, Rabi frequencies and photon bookkeeping.
 
     Finite inputs so extreme that a derived quantity leaves the float range
@@ -108,14 +96,13 @@ def derive(constants: PhysicalConstants, laser: LaserParams,
     _check_molecule(molecule)
     try:
         area = math.pi * laser.beam_diameter**2 / 4.0
-        field_e = math.sqrt(2.0 * laser.power
-                            / (area * constants.eps0 * constants.c))
-        omega_p = 2.0 * math.pi * constants.c / laser.wavelength
+        field_e = math.sqrt(2.0 * laser.power / (area * EPS0 * C))
+        omega_p = 2.0 * math.pi * C / laser.wavelength
         n_p0 = (laser.power * laser.measurement_time * laser.wavelength
-                / (2.0 * math.pi * constants.hbar * constants.c))
+                / (2.0 * math.pi * HBAR * C))
         j0 = n_p0 / (area * laser.measurement_time)
-        rabi_a = molecule.dipole_a * field_e / constants.hbar
-        rabi_b = molecule.dipole_b * field_e / constants.hbar
+        rabi_a = molecule.dipole_a * field_e / HBAR
+        rabi_b = molecule.dipole_b * field_e / HBAR
         derived = DerivedQuantities(
             omega_p=omega_p,
             beam_area=area,
@@ -209,7 +196,6 @@ def from_config(config: dict) -> ModelParams:
         if not _is_finite(value) or (key.endswith("_mhz") and not
                                      _is_finite(mhz_to_angular(value))):
             raise InvalidParam(key)
-    constants = PhysicalConstants()
     laser = LaserParams(
         power=merged["power_mw"] * 1e-3,
         wavelength=merged["wavelength_nm"] * 1e-9,
@@ -217,8 +203,8 @@ def from_config(config: dict) -> ModelParams:
         measurement_time=merged["measurement_time_s"],
     )
     molecule = MoleculeParams(
-        dipole_a=merged["dipole_a_debye"] * constants.debye,
-        dipole_b=merged["dipole_b_debye"] * constants.debye,
+        dipole_a=merged["dipole_a_debye"] * DEBYE,
+        dipole_b=merged["dipole_b_debye"] * DEBYE,
         detuning_a=mhz_to_angular(merged["detuning_a_mhz"]),
         detuning_b=mhz_to_angular(merged["detuning_b_mhz"]),
         decay_gamma=mhz_to_angular(merged["gamma_mhz"]),
@@ -240,8 +226,7 @@ def from_config(config: dict) -> ModelParams:
         raise InvalidParam("density_per_m3")
     sample = SampleParams(density_rho_m=merged["density_per_m3"],
                           thickness=thickness)
-    return ModelParams(constants, laser, molecule, sample,
-                       derive(constants, laser, molecule))
+    return ModelParams(laser, molecule, sample, derive(laser, molecule))
 
 
 def validate(config_text: str) -> ModelParams:

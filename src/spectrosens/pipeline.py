@@ -56,11 +56,12 @@ def _route_quantities(params: ModelParams, route: str):
 
 
 def _relative_deviation(full, adia):
-    """Largest relative mismatch over S+/- and the expansion coefficients."""
-    devs = []
-    for a, b in ((full[0], adia[0]), (full[1], adia[1])):
-        scale = max(abs(a), abs(b), 1e-300)
-        devs.append(abs(a - b) / scale)
+    """Largest relative mismatch over the complex cross section S+ + iS- and
+    the expansion coefficients.  S+/- are compared together because on
+    resonance S- is zero up to finite-difference noise, which a scale of its
+    own would turn into a mismatch of 1."""
+    a, b = complex(full[0], full[1]), complex(adia[0], adia[1])
+    devs = [abs(a - b) / max(abs(a), abs(b), 1e-300)]
     for attr in ("D1", "D2"):
         ma, mb = getattr(full[2], attr), getattr(adia[2], attr)
         scale = max(np.max(np.abs(ma)), np.max(np.abs(mb)), 1e-300)

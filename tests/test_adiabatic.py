@@ -242,3 +242,10 @@ def test_exact_rate_computes_first_cumulants_once_per_state(default_params,
     rate = adiabatic.adiabatic_rate(default_params, j0)
     assert sorted(states) == ["A", "B"]
     assert np.array_equal(rate, expected)
+
+
+def test_route_deviation_on_resonance(resonant_params):
+    """On resonance S- is zero on the adiabatic route and finite-difference
+    noise on the full route; the routes still agree on the cross section."""
+    result = evaluate_point(resonant_params, "both")
+    assert result.route_deviation < 0.02

@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spectrosens
 from spectrosens import cli, errors
 from spectrosens.params import default_config
 
@@ -262,3 +266,119 @@ def test_seed_option_removed(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["point", "--seed", "1"])
     assert excinfo.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy serves only the oracles; the pipeline and the CLI need numpy."""
+    src = os.path.dirname(os.path.dirname(spectrosens.__file__))
+    code = ("import sys, spectrosens.cli; print(sorted(name for name in "
+            "sys.modules if name.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_sweep_grid_order_and_override(monkeypatch):
+    """Axis 1 is the outer loop of a 2-D grid, and a later axis overrides
+    the keys an earlier one set."""
+    monkeypatch.setattr(cli, "_evaluate_row", lambda task: task)
+    config = default_config()
+    tasks = cli.run_sweep(config, ["rate,log,1e-4,1e-2,3",
+                                   "rate_A,linear,1,2,2"], "adiabatic", 1)
+    expected = [dict(config, rate_a_mhz=float(b), rate_b_mhz=float(a))
+                for a in np.geomspace(1e-4, 1e-2, 3)
+                for b in np.linspace(1.0, 2.0, 2)]
+    assert [list(point.items()) for point, _ in tasks] == [
+        list(point.items()) for point in expected]
+    assert all(type(point[key]) is float for point, _ in tasks
+               for key in ("rate_a_mhz", "rate_b_mhz"))
+    assert {route for _, route in tasks} == {"adiabatic"}
+
+
+def _stub_rows(config):
+    base = {"detuning_mhz": config["detuning_a_mhz"], "rate_a_mhz": 1e-4,
+            "rate_b_mhz": 3e-6, "density_per_m3": 1e20}
+    ok = dict(base, s_plus_m2=1.2345678901234e-17, s_minus_m2=-2.5e-18,
+              sigma_plus_ratio=1.5, sigma_minus_ratio=0.75, sens_full=3e-5,
+              sens_intensity=4e-5, sens_phase=float("inf"), sens_psn=2e-5,
+              regime="CL", status="ok")
+    return [ok,
+            dict(ok, rate_a_mhz=100.0, s_minus_m2=float("nan"),
+                 sigma_minus_ratio=float("nan"), regime="PSNL"),
+            dict(base, **{c: float("nan") for c in cli.CSV_COLUMNS[4:12]},
+                 regime="Unclassified", status="error:GapTooSmall")]
+
+
+_FULL_CSV = (
+    "detuning_mhz,rate_a_mhz,rate_b_mhz,density_per_m3,s_plus_m2,s_minus_m2,"
+    "sigma_plus_ratio,sigma_minus_ratio,sens_full,sens_intensity,sens_phase,"
+    "sens_psn,regime,status\n"
+    "{d},0.0001,3e-06,1e+20,1.23456789012e-17,-2.5e-18,1.5,0.75,3e-05,"
+    "4e-05,inf,2e-05,CL,ok\n"
+    "{d},100,3e-06,1e+20,1.23456789012e-17,nan,1.5,nan,3e-05,"
+    "4e-05,inf,2e-05,PSNL,ok\n"
+    "{d},0.0001,3e-06,1e+20,nan,nan,nan,nan,nan,nan,nan,nan,"
+    "Unclassified,error:GapTooSmall\n")
+
+_RATE_GP = ("set datafile separator ','\nset key autotitle columnhead\n"
+            "set logscale xy\nset xlabel 'reaction rate (MHz)'\n"
+            "set ylabel 'relative sensitivity'\n")
+
+_FIG2_NAMES = (("cross_section_plus", "s_plus_m2", "1.23456789012e-17",
+                "1.23456789012e-17"),
+               ("cross_section_minus", "s_minus_m2", "-2.5e-18", "nan"),
+               ("variance_ratio_plus", "sigma_plus_ratio", "1.5", "1.5"),
+               ("variance_ratio_minus", "sigma_minus_ratio", "0.75", "nan"),
+               ("sensitivity", "sens_full", "3e-05", "3e-05"))
+
+_RATE_AXIS = "rate,log,1e-6,1e2,25"
+
+FIGURE_PACKS = {
+    "fig1c": ([(40.0, [_RATE_AXIS])], {
+        "fig1c_sensitivity_vs_rate.csv": _FULL_CSV.format(d=40),
+        "fig1c.gp": _RATE_GP + (
+            "plot 'pack/fig1c_sensitivity_vs_rate.csv' using 2:9 with lines, "
+            "'' using 2:10 with lines, '' using 2:11 with lines, "
+            "'' using 2:12 with points\n"),
+    }),
+    "fig2": ([(40.0, ["detuning,linear,-100,100,101"])], {
+        **{f"fig2_{name}.csv":
+           f"detuning_mhz,{column}\n40,{first}\n40,{second}\n40,nan\n"
+           for name, column, first, second in _FIG2_NAMES},
+        "fig2.gp": ("set datafile separator ','\nset key autotitle "
+                    "columnhead\nset xlabel 'detuning (MHz)'\n" + "".join(
+                        f"plot 'pack/fig2_{name}.csv' using 1:2 with lines\n"
+                        "pause -1\n" for name, *_ in _FIG2_NAMES)),
+    }),
+    "fig3": ([(20.0, [_RATE_AXIS]), (40.0, [_RATE_AXIS]),
+              (100.0, [_RATE_AXIS])], {
+        **{f"fig3_detuning_{d}mhz.csv": _FULL_CSV.format(d=d)
+           for d in (20, 40, 100)},
+        "fig3.gp": _RATE_GP + (
+            "plot 'pack/fig3_detuning_20mhz.csv' using 2:9 with lines, "
+            "'pack/fig3_detuning_40mhz.csv' using 2:9 with lines, "
+            "'pack/fig3_detuning_100mhz.csv' using 2:9 with lines\n"),
+    }),
+}
+
+
+@pytest.mark.parametrize("figure_id", cli.FIGURE_IDS)
+def test_figure_pack_bytes(figure_id, tmp_path, monkeypatch, capsys):
+    """Every CSV and gnuplot file of a pack, byte for byte, including NaN
+    values and an error row."""
+    sweeps = []
+
+    def fake_sweep(config, axes, route, workers=None):
+        sweeps.append((config["detuning_a_mhz"], axes))
+        return _stub_rows(config)
+    monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(["figures", figure_id, "--out", "pack"], capsys)
+    assert code == 0
+    expected_sweeps, expected_files = FIGURE_PACKS[figure_id]
+    assert sweeps == expected_sweeps
+    written = {path.name: path.read_bytes()
+               for path in (tmp_path / "pack").iterdir()}
+    assert written == {name: text.encode()
+                       for name, text in expected_files.items()}

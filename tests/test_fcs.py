@@ -40,25 +40,6 @@ def test_stacked_dominant_eigenvalue_equals_single_solves(default_params):
         fcs.dominant_eigenvalue(stack, min_gap=threshold)
 
 
-def test_finite_time_cgf_matches_eigenvalue(default_params):
-    """At times long against all relaxation scales the finite-time CGF per
-    unit time converges to the dominant eigenvalue."""
-    gamma = default_params.molecule.decay_gamma
-    tau = 1e3 / gamma
-    s = 1e-3
-    chi = (-1j * s, 0.0)
-    cgf = fcs.cgf_finite_time(default_params, chi, tau).real / tau
-    liou = build_two_sided(default_params, chi)
-    top, _ = fcs.dominant_eigenvalue(liou)
-    # the chemical mode (~1e3 1/s) has not fully relaxed; modest tolerance
-    assert cgf == pytest.approx(top.real, rel=2e-2)
-
-
-def test_cgf_rejects_bad_tau(default_params):
-    with pytest.raises(ValueError):
-        fcs.cgf_finite_time(default_params, (0.0, 0.0), 0.0)
-
-
 def test_cross_sections_use_pipeline_gap_threshold():
     """Direct calls track the dominant branch down to the same gap as the
     pipeline: at slow rates they give the pipeline's cross sections."""
@@ -101,8 +82,7 @@ def test_cross_section_parity():
 
 
 def test_cross_sections_scale_with_dipole_squared(default_params):
-    doubled = default_params.with_molecule(
-        dipole_a=2 * default_params.molecule.dipole_a)
+    doubled = from_config({"dipole_a_debye": 2.0})
     s1, s2 = fcs.cross_sections(default_params)
     d1, d2 = fcs.cross_sections(doubled)
     assert d1 + d2 == pytest.approx(4 * (s1 + s2), rel=1e-4)

@@ -144,8 +144,7 @@ def test_dissipator_cached_read_only(default_params):
     cached = dissipator_sum(default_params)
     with pytest.raises(ValueError):
         cached[0, 0] = 1.0
-    detuned = default_params.with_molecule(
-        detuning_a=2 * default_params.molecule.detuning_a)
+    detuned = from_config({"detuning_a_mhz": 80.0})
     assert dissipator_sum(detuned) is cached
 
 

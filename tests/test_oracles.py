@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spectrosens import adiabatic, oracles
+from spectrosens import adiabatic, fcs, oracles
 from spectrosens.errors import StencilUnstable
+from spectrosens.liouvillian import build_two_sided
 from spectrosens.params import from_config
 
 
@@ -153,3 +154,22 @@ def test_jackknife_matches_loop_reference(default_params):
     centered = samples - samples.mean(axis=0)
     assert np.array_equal(rate, centered.T @ centered / (n - 1) / horizon)
     assert np.array_equal(stderr, expected)
+
+
+def test_finite_time_cgf_matches_eigenvalue(default_params):
+    """At times long against all relaxation scales the finite-time CGF per
+    unit time converges to the dominant eigenvalue."""
+    gamma = default_params.molecule.decay_gamma
+    tau = 1e3 / gamma
+    s = 1e-3
+    chi = (-1j * s, 0.0)
+    cgf = oracles.cgf_finite_time(default_params, chi, tau).real / tau
+    liou = build_two_sided(default_params, chi)
+    top, _ = fcs.dominant_eigenvalue(liou)
+    # the chemical mode (~1e3 1/s) has not fully relaxed; modest tolerance
+    assert cgf == pytest.approx(top.real, rel=2e-2)
+
+
+def test_cgf_rejects_bad_tau(default_params):
+    with pytest.raises(ValueError):
+        oracles.cgf_finite_time(default_params, (0.0, 0.0), 0.0)

@@ -89,13 +89,6 @@ def test_validate_json():
         validate("[1, 2]")
 
 
-def test_with_molecule_refreshes_derived(default_params):
-    changed = default_params.with_molecule(
-        dipole_a=2 * default_params.molecule.dipole_a)
-    assert changed.derived.rabi_a == pytest.approx(
-        2 * default_params.derived.rabi_a, rel=1e-12)
-
-
 def test_default_config_is_copy():
     config = default_config()
     config["power_mw"] = 99.0
