@@ -14,8 +14,9 @@ import warnings
 
 import numpy as np
 
-from .fcs import (CROSS_SECTION_FLUX_FRACTION, detector_rate, gradient,
-                  hessian, richardson)
+from .errors import FitResidualExceeded
+from .fcs import (DiffusionExpansion, detector_rate, gradient, hessian,
+                  richardson)
 from .liouvillian import block_hamiltonian, commutator, decay_dissipator
 from .params import ModelParams
 
@@ -55,25 +56,28 @@ def warn_if_nonadiabatic(params):
 
 def conditioned_cross_sections(params: ModelParams, state: str):
     """(S_plus|state, S_minus|state) in m^2, weak-field Lorentzian forms."""
-    _, eps, beta_sq = _state_constants(params, state)
+    # numpy floats saturate to inf where Python floats raise OverflowError
+    _, eps, beta_sq = np.float64(_state_constants(params, state))
     gamma = params.molecule.decay_gamma
-    denom = 4.0 * eps**2 + gamma**2
-    return 0.5 * gamma * beta_sq / denom, eps * beta_sq / denom
+    with np.errstate(all="ignore"):
+        denom = 4.0 * eps**2 + gamma**2
+        return 0.5 * gamma * beta_sq / denom, eps * beta_sq / denom
 
 
 def _curvature_weak_field(params, state, J):
     """Second-derivative matrix of the conditioned eigenvalue to leading
     order in the drive (counting order, 1/s), from the characteristic
     polynomial of the conditioned tilted generator."""
-    rabi, eps, _ = _state_constants(params, state)
+    rabi, eps, _ = np.float64(_state_constants(params, state))
     gamma = params.molecule.decay_gamma
-    w = rabi**2 * (J / params.derived.photon_flux_j0)
-    u = np.array([gamma / 8.0 - eps / 4.0, gamma / 8.0 + eps / 4.0])
-    a1 = eps**2 + gamma**2 / 4.0
-    a2 = eps**2 / gamma + 1.25 * gamma
-    return (gamma * w / (8.0 * a1) * np.eye(2)
-            - 2.0 * a2 * w**2 / a1**3 * np.outer(u, u)
-            + w**2 / (4.0 * a1**2) * (u[:, None] + u[None, :]))
+    with np.errstate(all="ignore"):
+        w = rabi**2 * (J / params.derived.photon_flux_j0)
+        u = np.array([gamma / 8.0 - eps / 4.0, gamma / 8.0 + eps / 4.0])
+        a1 = eps**2 + gamma**2 / 4.0
+        a2 = eps**2 / gamma + 1.25 * gamma
+        return (gamma * w / (8.0 * a1) * np.eye(2)
+                - 2.0 * a2 * w**2 / a1**3 * np.outer(u, u)
+                + w**2 / (4.0 * a1**2) * (u[:, None] + u[None, :]))
 
 
 def _conditioned_lambda(rabi, eps, gamma, s1, s2):
@@ -149,18 +153,6 @@ def effective_cross_sections(params: ModelParams):
     return (p_a * sa[0] + p_b * sb[0], p_a * sa[1] + p_b * sb[1])
 
 
-def cross_sections(params: ModelParams):
-    """(S1, S2) in m^2 from the stationary-weighted conditioned mean fluxes
-    at the linear-response reference flux (detector order); the adiabatic
-    counterpart of ``fcs.cross_sections``."""
-    warn_if_nonadiabatic(params)
-    j_ref = params.derived.photon_flux_j0 * CROSS_SECTION_FLUX_FRACTION
-    p_a, p_b = stationary_probabilities(params)
-    c1 = (p_a * conditioned_first_cumulants(params, "A", j_ref)
-          + p_b * conditioned_first_cumulants(params, "B", j_ref))
-    return c1[1] / j_ref, c1[0] / j_ref
-
-
 def _telegraph_term(params, c1):
     """2 t_R p_A p_B dS dS^T (detector order) from the first cumulants
     ``c1`` of states A and B."""
@@ -185,3 +177,19 @@ def adiabatic_rate(params: ModelParams, J: float,
     c1 = [_first_cumulants(params, state, J, method) for state in "AB"]
     rates = [_rate(params, s, J, c, method) for s, c in zip("AB", c1)]
     return p_a * rates[0] + p_b * rates[1] + _telegraph_term(params, c1)
+
+
+def weak_field_expansion(params: ModelParams):
+    """(S_plus, S_minus, DiffusionExpansion) of the composition in closed
+    form: the weak-field rate is exactly D1*J + (1/2)*D2*J^2, D1 = S_plus*I,
+    so D2 follows from the rate at J0 and nothing is fitted."""
+    warn_if_nonadiabatic(params)
+    s_plus, s_minus = effective_cross_sections(params)
+    j0 = params.derived.photon_flux_j0
+    d1 = s_plus * np.eye(2)
+    with np.errstate(all="ignore"):
+        d2 = 2.0 * (adiabatic_rate(params, j0, method="weak_field")
+                    - j0 * d1) / j0**2
+    if not (np.isfinite(s_minus) and np.all(np.isfinite(d2))):
+        raise FitResidualExceeded("weak-field expansion is not finite")
+    return s_plus, s_minus, DiffusionExpansion(D1=d1, D2=d2, fit_residual=0.0)

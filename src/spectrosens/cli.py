@@ -211,27 +211,31 @@ _FIG2_COLUMNS = (("cross_section_plus", "s_plus_m2"),
 
 def emit_figure_pack(figure_id: str, config: dict, out_dir: str, route: str,
                      workers: int | None = None):
-    """Write preset sweep CSVs plus a gnuplot script for one figure."""
+    """Write preset sweep CSVs plus a gnuplot script for one figure; returns
+    the rows of every sweep run, failed ones included."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    swept = []
+
+    def sweep(point_config, axis):
+        rows = run_sweep(point_config, [axis], route, workers)
+        swept.extend(rows)
+        return rows
 
     def save(name, rows, columns):
         path = os.path.join(out_dir, name)
         with open(path, "w") as handle:
             _write_table(rows, handle, columns)
-        written.append(path)
         return path
 
     if figure_id == "fig1c":
-        rows = run_sweep(config, [_RATE_AXIS], route, workers)
+        rows = sweep(config, _RATE_AXIS)
         path = save("fig1c_sensitivity_vs_rate.csv", rows, CSV_COLUMNS)
         script = (_RATE_LABELS
                   + f"plot '{path}' using 2:9 with lines, "
                   f"'' using 2:10 with lines, '' using 2:11 with lines, "
                   f"'' using 2:12 with points\n")
     elif figure_id == "fig2":
-        rows = run_sweep(config, ["detuning,linear,-100,100,101"],
-                         route, workers)
+        rows = sweep(config, "detuning,linear,-100,100,101")
         script = "set xlabel 'detuning (MHz)'\n"
         for name, column in _FIG2_COLUMNS:
             path = save(f"fig2_{name}.csv", rows, ["detuning_mhz", column])
@@ -239,8 +243,7 @@ def emit_figure_pack(figure_id: str, config: dict, out_dir: str, route: str,
     elif figure_id == "fig3":
         plots = []
         for detuning in (20.0, 40.0, 100.0):
-            rows = run_sweep(dict(config, detuning_a_mhz=detuning),
-                             [_RATE_AXIS], route, workers)
+            rows = sweep(dict(config, detuning_a_mhz=detuning), _RATE_AXIS)
             path = save(f"fig3_detuning_{int(detuning)}mhz.csv", rows,
                         CSV_COLUMNS)
             plots.append(f"'{path}' using 2:9 with lines")
@@ -251,8 +254,7 @@ def emit_figure_pack(figure_id: str, config: dict, out_dir: str, route: str,
     path = os.path.join(out_dir, f"{figure_id}.gp")
     with open(path, "w") as handle:
         handle.write(_GNUPLOT_HEADER + script)
-    written.append(path)
-    return written
+    return swept
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +321,11 @@ def main(argv=None) -> int:
                 return EXIT_USAGE
             with _output(args.out) as stream:
                 write_csv(rows, stream)
-            failed = any(row["status"] != "ok" for row in rows)
-            return EXIT_COMPUTE if failed else EXIT_OK
-
-        emit_figure_pack(args.figure_id, config, args.out or ".", args.route,
-                         args.workers)
-        return EXIT_OK
+        else:
+            rows = emit_figure_pack(args.figure_id, config, args.out or ".",
+                                    args.route, args.workers)
+        failed = any(row["status"] != "ok" for row in rows)
+        return EXIT_COMPUTE if failed else EXIT_OK
     except (ModelError, OSError) as exc:
         print(_error_json(exc), file=sys.stderr)
         return EXIT_COMPUTE

@@ -206,7 +206,7 @@ def diffusion_rate(params: ModelParams, J: float) -> np.ndarray:
     return detector_rate(curvature, c1[0] + c1[1])
 
 
-def fit_diffusion_expansion(params: ModelParams, rate_fn=None,
+def fit_diffusion_expansion(params: ModelParams,
                             s_plus: float | None = None,
                             pin_linear: bool = True) -> DiffusionExpansion:
     """Least-squares fit of the per-molecule rate to D1*J + (1/2)*D2*J^2
@@ -224,18 +224,14 @@ def fit_diffusion_expansion(params: ModelParams, rate_fn=None,
     coefficient is extracted, with cubic and quartic nuisance columns
     absorbing saturation corrections of the chemical term.
 
-    ``rate_fn(params, J) -> 2x2`` overrides the full-statistics rate, e.g. to
-    fit the adiabatic composition instead; pass the matching ``s_plus`` in
-    that case.  ``pin_linear=False`` restores the free linear column, which
-    is reliable only when chemical noise does not dwarf absorption (fast
-    rates); it is retained as a consistency check on the pinned structure.
+    ``pin_linear=False`` restores the free linear column, which is reliable
+    only when chemical noise does not dwarf absorption (fast rates); it is
+    retained as a consistency check on the pinned structure.
     """
     j0 = params.derived.photon_flux_j0
     J_grid = np.geomspace(j0 / 10.0, j0, 10)
     x = J_grid / j0
-    if rate_fn is None:
-        rate_fn = diffusion_rate
-    rates = np.array([rate_fn(params, j) for j in J_grid])   # (n, 2, 2)
+    rates = np.array([diffusion_rate(params, j) for j in J_grid])  # (n, 2, 2)
     flat = rates.reshape(len(J_grid), 4)
     norm = np.linalg.norm(flat)
 

@@ -2,9 +2,9 @@
 expansion, transported covariance, and the sensitivity report.
 
 Two routes are provided.  The ``full`` route extracts everything from the
-dominant eigenvalue of the tilted superoperator; the ``adiabatic`` route uses
-the conditioned-statistics composition, valid for slow chemical rates.
-``both`` runs the two and records their relative deviation.
+dominant eigenvalue of the tilted superoperator; the ``adiabatic`` route is the
+weak-field conditioned-statistics composition in closed form, valid for slow
+chemical rates.  ``both`` runs the two and records their relative deviation.
 """
 
 from __future__ import annotations
@@ -42,16 +42,10 @@ def _spectral_gap(params: ModelParams) -> float:
 
 def _route_quantities(params: ModelParams, route: str):
     # looked up per call, so that wrappers installed on the modules apply
-    if route == "full":
-        cross_sections, rate_fn = fcs.cross_sections, fcs.diffusion_rate
-    elif route == "adiabatic":
-        cross_sections = adiabatic.cross_sections
-        rate_fn = adiabatic.adiabatic_rate
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    s1, s2 = cross_sections(params)
-    expansion = fcs.fit_diffusion_expansion(params, rate_fn=rate_fn,
-                                            s_plus=s1 + s2)
+    if route == "adiabatic":
+        return adiabatic.weak_field_expansion(params)
+    s1, s2 = fcs.cross_sections(params)
+    expansion = fcs.fit_diffusion_expansion(params, s_plus=s1 + s2)
     return s1 + s2, s1 - s2, expansion
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spectrosens import adiabatic, fcs
+from spectrosens.errors import FitResidualExceeded
 from spectrosens.params import from_config
 from spectrosens.pipeline import evaluate_point
 
@@ -46,13 +47,32 @@ def test_effective_cross_sections_are_weighted(default_params):
     assert s_eff[1] == pytest.approx(p_a * s_cond[1], rel=1e-12)
 
 
-def test_adiabatic_cross_sections_match_weak_field(default_params):
-    """The composed linear-response cross sections reduce to the weighted
-    weak-field Lorentzians."""
-    s1, s2 = adiabatic.cross_sections(default_params)
-    s_plus, s_minus = adiabatic.effective_cross_sections(default_params)
-    assert s1 + s2 == pytest.approx(s_plus, rel=1e-3)
-    assert s1 - s2 == pytest.approx(s_minus, rel=1e-3)
+@pytest.mark.parametrize("config", [
+    {}, {"detuning_a_mhz": 100.0}, {"rate_a_mhz": 1e-6, "rate_b_mhz": 3e-6}])
+def test_weak_field_expansion_is_the_composed_rate(config):
+    """The closed-form expansion is the weak-field composition at every flux
+    up to roundoff, and within 1e-3 of the exact composition at J0."""
+    params = from_config(config)
+    j0 = params.derived.photon_flux_j0
+    s_plus, s_minus, exp = adiabatic.weak_field_expansion(params)
+    assert (s_plus, s_minus) == adiabatic.effective_cross_sections(params)
+    assert exp.fit_residual == 0.0
+    for J in (j0 / 10, j0 / 2, j0):
+        closed = exp.D1 * J + 0.5 * exp.D2 * J**2
+        weak = adiabatic.adiabatic_rate(params, J, method="weak_field")
+        assert np.max(np.abs(closed - weak)) <= 1e-12 * np.max(np.abs(weak))
+    exact = adiabatic.adiabatic_rate(params, j0, method="exact")
+    assert np.max(np.abs(closed - exact)) <= 1e-3 * np.max(np.abs(exact))
+
+
+def test_weak_field_expansion_beyond_float_range_is_typed():
+    """At a detuning whose square overflows, the Lorentzians saturate to
+    zero instead of raising OverflowError, and the expansion, whose
+    curvature is then undefined, raises a ModelError."""
+    params = from_config({"detuning_a_mhz": 1e300})
+    assert adiabatic.effective_cross_sections(params) == (0.0, 0.0)
+    with pytest.raises(FitResidualExceeded):
+        adiabatic.weak_field_expansion(params)
 
 
 def test_weak_field_curvature_matches_exact(default_params):

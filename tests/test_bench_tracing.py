@@ -17,8 +17,6 @@ POINT_PATH_SPANS = [
     "fcs.cross_sections",
     "fcs.diffusion_rate",
     "fcs.fit_diffusion_expansion",
-    "adiabatic.conditioned_cgf",
-    "adiabatic.conditioned_first_cumulants",
     "adiabatic.adiabatic_rate",
     "propagation.z_optimal",
     "propagation.covariance_closed_form",

@@ -366,7 +366,7 @@ FIGURE_PACKS = {
 @pytest.mark.parametrize("figure_id", cli.FIGURE_IDS)
 def test_figure_pack_bytes(figure_id, tmp_path, monkeypatch, capsys):
     """Every CSV and gnuplot file of a pack, byte for byte, including NaN
-    values and an error row."""
+    values and an error row, which makes the command exit 1."""
     sweeps = []
 
     def fake_sweep(config, axes, route, workers=None):
@@ -375,7 +375,7 @@ def test_figure_pack_bytes(figure_id, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_sweep", fake_sweep)
     monkeypatch.chdir(tmp_path)
     code, _, _ = run(["figures", figure_id, "--out", "pack"], capsys)
-    assert code == 0
+    assert code == 1  # the stub's error row
     expected_sweeps, expected_files = FIGURE_PACKS[figure_id]
     assert sweeps == expected_sweeps
     written = {path.name: path.read_bytes()

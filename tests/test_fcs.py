@@ -107,11 +107,13 @@ def test_fit_diffusion_expansion(default_params):
     assert vm @ exp.D2 @ vm > 10 * abs(vp @ exp.D2 @ vp)
 
 
-def test_fit_residual_guard(default_params):
+def test_fit_residual_guard(default_params, monkeypatch):
     j0 = default_params.derived.photon_flux_j0
-    noisy = lambda p, j: fcs.diffusion_rate(p, j) * (1 + 0.05 * np.sin(j / j0 * 37))
+    rate = fcs.diffusion_rate
+    noisy = lambda p, j: rate(p, j) * (1 + 0.05 * np.sin(j / j0 * 37))
+    monkeypatch.setattr(fcs, "diffusion_rate", noisy)
     with pytest.raises(FitResidualExceeded):
-        fcs.fit_diffusion_expansion(default_params, rate_fn=noisy)
+        fcs.fit_diffusion_expansion(default_params)
 
 
 def test_strong_probe_warning():
@@ -150,11 +152,12 @@ def test_stencils_exact_on_quadratic_in_one_call():
         assert calls == [(both,)]
 
 
-@pytest.mark.parametrize("route,limit", [("full", 40), ("adiabatic", 50)])
+@pytest.mark.parametrize("route,limit", [("full", 40), ("adiabatic", 1)])
 def test_point_eigensolves_are_stacked(route, limit, default_params,
                                        monkeypatch):
     """Each finite-difference stencil is one stacked eigensolve, not one
-    solve per tilt (several hundred per point)."""
+    solve per tilt (several hundred per point); the closed-form adiabatic
+    route solves only for the spectral gap."""
     calls = []
     eigvals = np.linalg.eigvals
 
