@@ -2,7 +2,7 @@
 photon-shot-noise estimate, and regime classification.
 
 All sensitivities are reported as relative density precision Delta(rho)/rho in
-the SensitivityReport; the individual bound functions return absolute
+the SensitivityReport; only ``cramer_rao_full`` returns an absolute
 Delta(rho) in m^-3.
 
 Sign conventions: derivatives with respect to the density are carried signed
@@ -13,7 +13,7 @@ sign-invariant so reported sensitivities are unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class SensitivityReport:
     rel_phase: float
     rel_psn: float
     regime: str
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def homodyne_means(n_plus: float, phase: float, phase_lo: float):
@@ -57,28 +57,29 @@ def homodyne_means(n_plus: float, phase: float, phase_lo: float):
     return n_plus * np.cos(angle) ** 2, n_plus * np.sin(angle) ** 2
 
 
-def mean_derivatives(params: ModelParams, s_plus: float, s_minus: float,
-                     z: float | None = None):
-    """(n_p, d n_p/d rho, d phase/d rho) at fixed depth z (default z_opt)."""
-    if z is None:
-        z = z_optimal(params, s_plus)
-    n_p, _ = propagate_mean(params, s_plus, s_minus, z)
-    return n_p, -s_plus * z * n_p, s_minus * z
-
-
-def signal_vector(params: ModelParams, s_plus: float, s_minus: float,
-                  z: float | None = None) -> np.ndarray:
-    """Density derivative of the two homodyne port means at balanced LO.
+def _transported_signal(params: ModelParams, s_plus: float, s_minus: float,
+                        z: float):
+    """(n_p, d n_p/d rho, d phase/d rho, signal vector) at depth z.
 
     Differentiating the port means gives equal weight 1/2 to the intensity
     (1,1) channel and the phase (1,-1) channel; the projections onto the
     sum/difference vectors recover the full d n_p/d rho and n_p d phase/d rho.
     """
-    n_p, dn_drho, dphi_drho = mean_derivatives(params, s_plus, s_minus, z)
+    n_p, _ = propagate_mean(params, s_plus, s_minus, z)
+    dn_drho, dphi_drho = -s_plus * z * n_p, s_minus * z
     vec = 0.5 * dn_drho * V_PLUS - 0.5 * n_p * dphi_drho * V_MINUS
     if np.max(np.abs(vec)) < SIGNAL_FLOOR:
         raise DegenerateSignal("signal vector numerically zero")
-    return vec
+    return n_p, dn_drho, dphi_drho, vec
+
+
+def signal_vector(params: ModelParams, s_plus: float, s_minus: float,
+                  z: float | None = None) -> np.ndarray:
+    """Density derivative of the two homodyne port means at balanced LO, at
+    depth z (default z_opt)."""
+    if z is None:
+        z = z_optimal(params, s_plus)
+    return _transported_signal(params, s_plus, s_minus, z)[3]
 
 
 def cramer_rao_full(signal: np.ndarray, sigma2: np.ndarray) -> float:
@@ -95,65 +96,6 @@ def cramer_rao_full(signal: np.ndarray, sigma2: np.ndarray) -> float:
     return 1.0 / math.sqrt(fisher)
 
 
-def cramer_rao_intensity(params: ModelParams, sigma_plus_sq: float,
-                         s_plus: float, s_minus: float,
-                         z: float | None = None) -> float:
-    """Sensitivity of an intensity-only (direct photodetection) readout.
-
-    Direct detection of the transmitted beam does not mix in the local
-    oscillator, so its vacuum contribution n_p(z) is removed from the
-    sum-channel variance before applying the bound.
-    """
-    n_p, dn_drho, _ = mean_derivatives(params, s_plus, s_minus, z)
-    if abs(dn_drho) < SIGNAL_FLOOR:
-        raise DegenerateSignal("intensity signal derivative is zero")
-    variance = sigma_plus_sq - n_p
-    if variance <= 0:
-        raise SingularCovariance("non-positive direct-detection variance")
-    return math.sqrt(variance) / abs(dn_drho)
-
-
-def cramer_rao_phase(params: ModelParams, sigma_minus_sq: float,
-                     s_plus: float, s_minus: float,
-                     z: float | None = None) -> float:
-    """Sensitivity of a phase-only (difference-channel) readout."""
-    n_p, _, dphi_drho = mean_derivatives(params, s_plus, s_minus, z)
-    slope = n_p * dphi_drho
-    if abs(slope) < SIGNAL_FLOOR:
-        raise DegenerateSignal("phase signal derivative is zero")
-    if sigma_minus_sq <= 0:
-        raise SingularCovariance("non-positive difference-channel variance")
-    return math.sqrt(sigma_minus_sq) / abs(slope)
-
-
-def psn_sigma_sq(params: ModelParams, s_plus: float,
-                 z: float | None = None) -> float:
-    """Photon-shot-noise variance of either homodyne combination, 2 n_p(z)."""
-    n_p, _, _ = mean_derivatives(params, s_plus, 0.0, z)
-    return 2.0 * n_p
-
-
-def psn_estimate(params: ModelParams, s_plus: float, s_minus: float,
-                 z: float | None = None) -> float:
-    """Naive sensitivity estimate assuming pure photon shot noise.
-
-    Uses the Gaussian bound with the isotropic shot covariance n_p(z) * 1
-    (equivalently sigma_PSN^2 = 2 n_p in each +/- combination); when one
-    channel dominates this reduces to sigma_PSN over the better channel's
-    slope, and it stays meaningful when both channels contribute.
-    """
-    signal = signal_vector(params, s_plus, s_minus, z)
-    n_p, _, _ = mean_derivatives(params, s_plus, 0.0, z)
-    try:
-        slope_sq = float(V_PLUS @ signal) ** 2 + float(V_MINUS @ signal) ** 2
-    except OverflowError:
-        raise DegenerateSignal(
-            "channel projections leave the float range") from None
-    if slope_sq < SIGNAL_FLOOR:
-        raise DegenerateSignal("both channel projections are zero")
-    return math.sqrt(2.0 * n_p / slope_sq)
-
-
 def classify_regime(sigma_plus_ratio: float, sigma_minus_ratio: float) -> str:
     """Label the noise regime from the variance-to-shot-noise ratios."""
     near_shot = 1.0 + REGIME_DELTA
@@ -167,23 +109,49 @@ def classify_regime(sigma_plus_ratio: float, sigma_minus_ratio: float) -> str:
 
 
 def sensitivity_report(params: ModelParams, s_plus: float, s_minus: float,
-                       sigma2: np.ndarray,
-                       z: float | None = None) -> SensitivityReport:
-    """Assemble all relative sensitivity bounds and the regime label."""
+                       sigma2: np.ndarray, z: float) -> SensitivityReport:
+    """All relative sensitivity bounds and the regime label at depth z, from
+    one transported mean.
+
+    Direct photodetection (intensity-only) mixes in no local oscillator, so
+    its vacuum contribution n_p is removed from the sum-channel variance.  The
+    phase-only bound is infinite where there is no phase signal (resonance).
+    The shot-noise estimate is the Gaussian bound with the isotropic shot
+    covariance n_p * 1 (sigma_PSN^2 = 2 n_p in each +/- combination); it stays
+    meaningful when both channels contribute.
+    """
     rho = params.sample.density_rho_m
-    signal = signal_vector(params, s_plus, s_minus, z)
+    n_p, dn_drho, dphi_drho, signal = _transported_signal(
+        params, s_plus, s_minus, z)
     sigma_plus_sq = float(V_PLUS @ sigma2 @ V_PLUS)
     sigma_minus_sq = float(V_MINUS @ sigma2 @ V_MINUS)
-    psn = psn_sigma_sq(params, s_plus, z)
+    psn = 2.0 * n_p
     rel_full = cramer_rao_full(signal, sigma2) / rho
-    rel_intensity = cramer_rao_intensity(
-        params, sigma_plus_sq, s_plus, s_minus, z) / rho
-    try:
-        rel_phase = cramer_rao_phase(
-            params, sigma_minus_sq, s_plus, s_minus, z) / rho
-    except DegenerateSignal:
+
+    if abs(dn_drho) < SIGNAL_FLOOR:
+        raise DegenerateSignal("intensity signal derivative is zero")
+    variance = sigma_plus_sq - n_p
+    if variance <= 0:
+        raise SingularCovariance("non-positive direct-detection variance")
+    rel_intensity = math.sqrt(variance) / abs(dn_drho) / rho
+
+    phase_slope = n_p * dphi_drho
+    if abs(phase_slope) < SIGNAL_FLOOR:
         rel_phase = math.inf
-    rel_psn = psn_estimate(params, s_plus, s_minus, z) / rho
+    elif sigma_minus_sq <= 0:
+        raise SingularCovariance("non-positive difference-channel variance")
+    else:
+        rel_phase = math.sqrt(sigma_minus_sq) / abs(phase_slope) / rho
+
+    try:
+        slope_sq = float(V_PLUS @ signal) ** 2 + float(V_MINUS @ signal) ** 2
+    except OverflowError:
+        raise DegenerateSignal(
+            "channel projections leave the float range") from None
+    if slope_sq < SIGNAL_FLOOR:
+        raise DegenerateSignal("both channel projections are zero")
+    rel_psn = math.sqrt(psn / slope_sq) / rho
+
     ratios = (sigma_plus_sq / psn, sigma_minus_sq / psn)
     return SensitivityReport(
         rel_full=rel_full,

@@ -30,8 +30,11 @@ from .params import ModelParams
 # covariance transport quadrature
 # ---------------------------------------------------------------------------
 
+QUADRATURE_RTOL = 1e-9
+
+
 def quadrature_covariance(params: ModelParams, rate_fn, s_plus: float,
-                          z: float, rtol: float = 1e-9) -> np.ndarray:
+                          z: float) -> np.ndarray:
     """Covariance at depth z by adaptive quadrature of the transport integral.
 
     ``rate_fn(J) -> 2x2`` is the per-molecule diffusion rate (1/s).  The
@@ -48,9 +51,10 @@ def quadrature_covariance(params: ModelParams, rate_fn, s_plus: float,
         return damping * line_density * np.asarray(rate_fn(j_local))
 
     result, error = scipy.integrate.quad_vec(integrand, 0.0, z,
-                                             epsrel=rtol, epsabs=0.0)
+                                             epsrel=QUADRATURE_RTOL,
+                                             epsabs=0.0)
     scale = np.max(np.abs(result))
-    if scale > 0 and np.max(np.abs(error)) > 10.0 * rtol * scale:
+    if scale > 0 and np.max(np.abs(error)) > 10.0 * QUADRATURE_RTOL * scale:
         raise QuadratureNotConverged(
             f"quadrature error {np.max(np.abs(error)):.2e} above tolerance")
     return n_p0 * np.exp(-2.0 * rho * s_plus * z) * np.eye(2) + result
@@ -100,10 +104,9 @@ def _occupancy_time(rng, p_a, rate_a, rate_b, horizon):
     return time_a
 
 
-def telegraph_mc_diffusion(params: ModelParams, mc: McConfig,
-                           J: float | None = None):
-    """Chemical contribution to the per-molecule diffusion rate by direct
-    simulation of the two-state jump process.
+def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
+    """Chemical contribution to the per-molecule diffusion rate at the
+    reference flux J0, by direct simulation of the two-state jump process.
 
     Returns ``(rate, stderr)``: the 2x2 sample covariance of the
     time-integrated per-detector fluxes divided by the horizon, and its
@@ -111,9 +114,7 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig,
     and independent of scheduling, because each trajectory uses a
     counter-based generator keyed by (seed, trajectory index).
     """
-    mol, der = params.molecule, params.derived
-    if J is None:
-        J = der.photon_flux_j0
+    mol, J = params.molecule, params.derived.photon_flux_j0
     t_r = reaction_time(params)
     _, horizon = mc.resolve(t_r)
     p_a, _ = stationary_probabilities(params)
@@ -161,25 +162,27 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig,
 # finite-difference baseline
 # ---------------------------------------------------------------------------
 
-def fd_pipeline_derivative(f, rho: float, initial_step: float | None = None,
-                           rtol: float = 1e-7, max_halvings: int = 6):
+# first step relative to |rho|, and how often it may be halved
+FD_INITIAL_STEP = 1e-3
+FD_MAX_HALVINGS = 6
+
+
+def fd_pipeline_derivative(f, rho: float, rtol: float = 1e-7):
     """Derivative of a scalar function of the density by a five-point central
     stencil, with the step chosen by Richardson agreement between h and h/2.
 
     Returns ``(derivative, error_estimate)``.
     """
-    if initial_step is None:
-        initial_step = 1e-3 * abs(rho)
-    if not initial_step > 0:
-        raise ValueError("initial_step must be positive")
+    h = FD_INITIAL_STEP * abs(rho)
+    if not h > 0:
+        raise ValueError("initial step must be positive (rho must be nonzero)")
 
     def stencil(h):
         return (-f(rho + 2 * h) + 8 * f(rho + h)
                 - 8 * f(rho - h) + f(rho - 2 * h)) / (12 * h)
 
-    h = initial_step
     previous = stencil(h)
-    for _ in range(max_halvings):
+    for _ in range(FD_MAX_HALVINGS):
         h /= 2
         current = stencil(h)
         error = abs(current - previous)
@@ -191,7 +194,7 @@ def fd_pipeline_derivative(f, rho: float, initial_step: float | None = None,
         previous = current
     raise StencilUnstable(
         f"stencil did not stabilize to rtol={rtol:g} after "
-        f"{max_halvings} halvings (last error {error:.3e})")
+        f"{FD_MAX_HALVINGS} halvings (last error {error:.3e})")
 
 
 # ---------------------------------------------------------------------------

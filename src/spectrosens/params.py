@@ -56,7 +56,7 @@ class MoleculeParams:
 @dataclass(frozen=True)
 class SampleParams:
     density_rho_m: float        # m^-3
-    thickness: float | None = None   # m; None means optimal thickness
+    thickness: float | None     # m; None means optimal thickness
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ DEFAULT_CONFIG = {
     "rate_b_mhz": 1.0e-4,
     "density_per_m3": 1.0e20,
     "thickness_policy": "optimal",   # or "fixed"
-    "thickness_m": None,             # required when thickness_policy == "fixed"
+    "thickness_m": None,             # set iff thickness_policy == "fixed"
 }
 
 _NUMERIC_KEYS = [k for k in DEFAULT_CONFIG
@@ -213,6 +213,9 @@ def from_config(config: dict) -> ModelParams:
     )
     policy = merged["thickness_policy"]
     if policy == "optimal":
+        if merged["thickness_m"] is not None:
+            raise InvalidParam("thickness_m",
+                               "thickness_m is set only with policy 'fixed'")
         thickness = None
     elif policy == "fixed":
         thickness = merged["thickness_m"]

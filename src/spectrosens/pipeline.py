@@ -85,7 +85,7 @@ def evaluate_point(params: ModelParams, route: str = "full") -> PointResult:
         z = z_optimal(params, s_plus)
     sigma2 = covariance_closed_form(params, s_plus, expansion.D1,
                                     expansion.D2, z)
-    report = sensitivity_report(params, s_plus, s_minus, sigma2, z=z)
+    report = sensitivity_report(params, s_plus, s_minus, sigma2, z)
     return PointResult(
         s_plus=s_plus, s_minus=s_minus, expansion=expansion, sigma2=sigma2,
         report=report, route=route_used, spectral_gap=gap,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectrosens import estimation, fcs, oracles, propagation
-from spectrosens.errors import DegenerateSignal, SingularCovariance
+from spectrosens.errors import SingularCovariance
 from spectrosens.params import from_config
 from spectrosens.pipeline import evaluate_point
 
@@ -99,18 +99,46 @@ def test_fisher_additivity(a, b, corr, s1, s2):
             assert fisher_full >= slope**2 / variance - 1e-9 * abs(fisher_full)
 
 
+def _shot_covariance(params):
+    """Isotropic covariance above shot level, 4 n_p0 * 1."""
+    return 4.0 * params.derived.n_p0 * np.eye(2)
+
+
 def test_phase_bound_degenerate_at_resonance(default_params):
-    with pytest.raises(DegenerateSignal):
-        estimation.cramer_rao_phase(default_params, 1e10, 5e-17, 0.0)
+    """No phase signal at S- = 0: the phase-only bound is infinite while the
+    other bounds stay finite."""
+    s_plus = 5e-17
+    z = propagation.z_optimal(default_params, s_plus)
+    report = estimation.sensitivity_report(
+        default_params, s_plus, 0.0, _shot_covariance(default_params), z)
+    assert report.rel_phase == math.inf
+    assert math.isfinite(report.rel_full)
+    assert math.isfinite(report.rel_intensity)
 
 
 def test_psn_estimate_scales_with_time():
     base = from_config({})
     doubled = from_config({"measurement_time_s": 2.0})
     s_plus, s_minus = 5e-17, 2e-16
-    r1 = estimation.psn_estimate(base, s_plus, s_minus)
-    r2 = estimation.psn_estimate(doubled, s_plus, s_minus)
+    z = propagation.z_optimal(base, s_plus)
+    r1 = estimation.sensitivity_report(base, s_plus, s_minus,
+                                       _shot_covariance(base), z).rel_psn
+    r2 = estimation.sensitivity_report(doubled, s_plus, s_minus,
+                                       _shot_covariance(doubled), z).rel_psn
     assert r2 == pytest.approx(r1 / math.sqrt(2.0), rel=1e-9)
+
+
+def test_report_transports_the_mean_once(default_params, monkeypatch):
+    """All four bounds of one report come from a single transported mean."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return propagation.propagate_mean(*args)
+
+    monkeypatch.setattr(estimation, "propagate_mean", counting)
+    evaluate_point(default_params, "adiabatic")
+    assert len(calls) == 1
 
 
 def test_classify_regime():

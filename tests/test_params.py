@@ -76,6 +76,12 @@ def test_fixed_thickness_policy():
         from_config({"thickness_policy": "fixed", "thickness_m": True})
     with pytest.raises(InvalidParam):
         from_config({"thickness_policy": "bogus"})
+    # a depth under the optimal policy would be ignored, so it is refused
+    with pytest.raises(InvalidParam) as excinfo:
+        from_config({"thickness_m": -1.0})
+    assert excinfo.value.field == "thickness_m"
+    with pytest.raises(InvalidParam):
+        from_config({"thickness_policy": "optimal", "thickness_m": 0.01})
 
 
 def test_validate_json():
