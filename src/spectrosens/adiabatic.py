@@ -15,9 +15,9 @@ import warnings
 import numpy as np
 
 from .errors import FitResidualExceeded
-from .fcs import (DiffusionExpansion, detector_rate, gradient, hessian,
-                  richardson)
-from .liouvillian import block_hamiltonian, commutator, decay_dissipator
+from .fcs import (DiffusionExpansion, cumulants, detector_rate,
+                  dominant_eigenvalue)
+from .liouvillian import decay_dissipator, generator_derivatives, two_sided
 from .params import ModelParams
 
 ADIABATIC_GATE = 0.1   # warn when (r_A + r_B) / gamma exceeds this
@@ -80,37 +80,35 @@ def _curvature_weak_field(params, state, J):
                 + w**2 / (4.0 * a1**2) * (u[:, None] + u[None, :]))
 
 
-def _conditioned_lambda(rabi, eps, gamma, s1, s2):
-    """Dominant eigenvalue of the conditioned (single-state) tilted generator:
-    one driven two-level block, vectorized to 4x4, for arrays of tilts."""
-    chi = (-1j * np.asarray(s1), -1j * np.asarray(s2))
-    blocks = ((eps, rabi),)
-    h_left = block_hamiltonian(blocks, (chi[0] / 2.0, chi[1] / 2.0))
-    h_right = block_hamiltonian(blocks, (-chi[0] / 2.0, -chi[1] / 2.0))
-    matrix = commutator(h_left, h_right) + decay_dissipator(gamma)
-    values = np.linalg.eigvals(matrix)
-    top = np.argmax(values.real, axis=-1)[..., None]
-    return np.take_along_axis(values, top, axis=-1)[..., 0].real
+def _conditioned_model(params, state, J):
+    """The state's driven two-level block at flux J and its decay."""
+    rabi, eps, _ = _state_constants(params, state)
+    scale = np.sqrt(J / params.derived.photon_flux_j0)
+    return ((eps, rabi * scale),), decay_dissipator(params.molecule.decay_gamma)
 
 
 def conditioned_cgf(params: ModelParams, state: str, s1, s2, J: float):
     """Conditioned cumulant-generating rate K_state(s), elementwise in s."""
-    rabi, eps, _ = _state_constants(params, state)
-    scale = np.sqrt(J / params.derived.photon_flux_j0)
-    return _conditioned_lambda(rabi * scale, eps,
-                               params.molecule.decay_gamma, s1, s2)
+    chi = (-1j * np.asarray(s1), -1j * np.asarray(s2))
+    matrix = two_sided(*_conditioned_model(params, state, J), chi, (0.0, 0.0))
+    return dominant_eigenvalue(matrix)[0].real
+
+
+def _conditioned_cumulants(params, state, J):
+    """Exact (c1, c2) of the conditioned generator (counting order, 1/s)."""
+    model = _conditioned_model(params, state, J)
+    return cumulants(*generator_derivatives(*model))
 
 
 def conditioned_first_cumulants(params: ModelParams, state: str,
                                 J: float) -> np.ndarray:
     """Conditioned mean detector fluxes (counting-index order, 1/s)."""
-    fun = lambda a, b: conditioned_cgf(params, state, a, b, J)
-    return richardson(gradient, fun, 1e-4)[0]
+    return _conditioned_cumulants(params, state, J)[0]
 
 
 def _first_cumulants(params, state, J, method):
     """The state's mean detector fluxes (counting order, 1/s) by ``method``:
-    "exact" from the conditioned eigenvalue, "weak_field" as J times the
+    "exact" from the conditioned generator, "weak_field" as J times the
     Lorentzian channels (S_plus - S_minus) / 2 and (S_plus + S_minus) / 2.
     This is the one place an unknown ``method`` raises ``ValueError``."""
     if method == "exact":
@@ -124,11 +122,9 @@ def _first_cumulants(params, state, J, method):
 
 def _rate(params, state, J, c1, method):
     """Conditioned rate (detector order, 1/s) from the state's first
-    cumulants ``c1``, as returned by ``_first_cumulants`` for ``method``
-    (which has therefore been checked)."""
+    cumulants ``c1`` of ``_first_cumulants``, which has checked ``method``."""
     if method == "exact":
-        fun = lambda a, b: conditioned_cgf(params, state, a, b, J)
-        curvature = richardson(hessian, fun, 1e-3)[0]
+        curvature = _conditioned_cumulants(params, state, J)[1]
     else:
         curvature = _curvature_weak_field(params, state, J)
     return detector_rate(curvature, c1[0] + c1[1])

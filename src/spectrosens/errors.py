@@ -29,10 +29,6 @@ class PropagationOverflow(ModelError):
     """Matrix-exponential propagation failed to scale."""
 
 
-class DifferentiationUnstable(ModelError):
-    """Richardson estimates of a finite-difference derivative disagree."""
-
-
 class FitResidualExceeded(ModelError):
     """Two-term intensity expansion does not describe the diffusion data."""
 

@@ -14,6 +14,10 @@ Conventions frozen here:
   absorption, D_kl = d2(lambda)/ds_k ds_l + delta_kl * (absorbed flux)/2.
   The shot term is what keeps a coherent input coherent under the variance
   flow (linear coefficient 2*S_plus instead of S_plus).
+* The curvature is exact up to roundoff, by Rayleigh-Schroedinger theory
+  in s with bordered solves (Flindt, Novotny & Jauho, EPL 69, 475 (2005);
+  Flindt et al., PRL 100, 150601 (2008)).  Only the cross sections still
+  come from finite differences of the dominant eigenvalue.
 """
 
 from __future__ import annotations
@@ -23,13 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DifferentiationUnstable, FitResidualExceeded, GapTooSmall
-from .liouvillian import build_two_sided
+from .errors import FitResidualExceeded, GapTooSmall
+from .liouvillian import (build_two_sided, dissipator_sum,
+                          generator_derivatives, model_blocks)
 from .params import ModelParams
-
-# Largest Richardson correction of the second cumulants, relative to their
-# size, that still counts as a converged finite difference.
-STABILITY_TOL = 5e-2
 
 # Largest relative residual of the intensity-expansion fit.
 FIT_RESIDUAL_TOL = 1e-3
@@ -82,29 +83,37 @@ def gradient(fun, h) -> np.ndarray:
     return np.array([(f[0] - f[1]) / (2 * h), (f[2] - f[3]) / (2 * h)])
 
 
-def hessian(fun, h) -> np.ndarray:
-    """Central-difference Hessian of ``fun(s1, s2)`` at the origin."""
-    zero = np.zeros_like(h)
-    f = fun(np.concatenate([0.0, h, -h, zero, zero, h, h, -h, -h], axis=None),
-            np.concatenate([0.0, zero, zero, h, -h, h, -h, h, -h], axis=None))
-    f00, f = f[0], f[1:].reshape((8,) + np.shape(h))
-    d11 = (f[0] - 2 * f00 + f[1]) / h**2
-    d22 = (f[2] - 2 * f00 + f[3]) / h**2
-    d12 = (f[4] - f[5] - f[6] + f[7]) / (4 * h**2)
-    return np.array([[d11, d12], [d12, d22]])
-
-
 def richardson(stencil, fun, h: float):
     """One Richardson step on ``stencil(fun, step)`` from steps h and h/2 in
-    one call; returns the extrapolated value and the step-h/2 value."""
+    one call."""
     both = stencil(fun, np.array([h, h / 2]))
-    coarse, fine = both[..., 0], both[..., 1]
-    return (4 * fine - coarse) / 3, fine
+    return (4 * both[..., 1] - both[..., 0]) / 3
 
 
 # ---------------------------------------------------------------------------
 # eigenvalue derivatives
 # ---------------------------------------------------------------------------
+
+def cumulants(l0: np.ndarray, first: np.ndarray):
+    """(c1, c2): first and second s-derivatives of the dominant eigenvalue
+    at s = 0 (counting order, 1/s), from the generator ``l0`` at s = 0 and
+    the stack ``first`` of its derivatives dL/ds_k.  With <<1| the trace
+    row, rho the stationary state and rho_k the traceless solution of
+    L0 rho_k = -(dL/ds_k - c1_k) rho, c1_k = <<1|dL/ds_k|rho>> and
+    c2_kl = <<1|dL/ds_k|rho_l>> + (k <-> l).  L0 bordered by the trace row
+    and column is invertible and serves every solve."""
+    n = l0.shape[-1]
+    trace = np.eye(int(np.sqrt(n))).reshape(-1)
+    border = trace[None, :]
+    bordered = np.block([[l0, border.T], [border, np.zeros((1, 1))]])
+    rho = np.linalg.solve(bordered, np.append(np.zeros(n), 1.0))[:n]
+    moved = first @ rho                                   # (2, n)
+    c1 = moved @ trace
+    rhs = np.vstack([(c1[:, None] * rho - moved).T, np.zeros(2)])
+    rho_k = np.linalg.solve(bordered, rhs)[:n]            # (n, 2)
+    cross = (trace @ first) @ rho_k                       # [k, l]
+    return c1.real, (cross + cross.T).real
+
 
 def _lambda_s(params, s1, s2, flux_scale):
     """Dominant eigenvalues and gaps at arrays of real tilts, in one solve."""
@@ -116,42 +125,29 @@ def _lambda_s(params, s1, s2, flux_scale):
 
 
 def _adaptive_steps(params, flux_scale):
-    """Choose finite-difference steps below the chemical curvature scale of
+    """Choose a finite-difference step below the chemical curvature scale of
     the CGF, which is of order gap/|c1| at slow reaction rates."""
-    # The curvature step is kept as large as the chemical scale allows:
-    # eigenvalue noise enters second differences as 1/h^2, and at fast rates
-    # it dominates the extracted diffusion rate for small steps.
-    h1, h2 = 1e-4, 1e-2
+    h1 = 1e-4
     values, gaps = _lambda_s(params, [0.0, h1, 0.0], [0.0, 0.0, h1],
                              flux_scale)
     c1_scale = max(abs(values[1]), abs(values[2])) / h1
     if c1_scale > 0:
-        s_star = gaps[0] / c1_scale
-        h1 = min(h1, 0.2 * s_star)
-        h2 = min(h2, 0.2 * s_star)
-    return h1, h2
+        h1 = min(h1, 0.2 * gaps[0] / c1_scale)
+    return h1
 
 
 def first_cumulants(params: ModelParams, flux_scale: float, h: float):
     """(c1_1, c1_2): plain d(lambda)/ds_k in counting-index order, units 1/s,
     from central differences of step ``h``."""
     fun = lambda a, b: _lambda_s(params, a, b, flux_scale)[0]
-    return richardson(gradient, fun, h)[0]
+    return richardson(gradient, fun, h)
 
 
-def second_cumulant_matrix(params: ModelParams, flux_scale: float,
-                           h: float) -> np.ndarray:
-    """2x2 matrix of d2(lambda)/ds_k ds_l (counting-index order), units 1/s,
-    from central differences of step ``h``."""
-    fun = lambda a, b: _lambda_s(params, a, b, flux_scale)[0]
-    result, fine = richardson(hessian, fun, h)
-    scale = np.max(np.abs(result))
-    if scale > 0:
-        drift = np.max(np.abs(result - fine)) / scale
-        if drift > STABILITY_TOL:
-            raise DifferentiationUnstable(
-                f"Richardson correction {drift:.2e} exceeds {STABILITY_TOL:.0e}")
-    return result
+def second_cumulant_matrix(params: ModelParams, flux_scale: float):
+    """Exact (c1, c2) of the 4-level model: d(lambda)/ds_k and the 2x2
+    matrix of d2(lambda)/ds_k ds_l (counting-index order), units 1/s."""
+    return cumulants(*generator_derivatives(
+        model_blocks(params, flux_scale), dissipator_sum(params)))
 
 
 def detector_rate(curvature: np.ndarray, absorbed: float) -> np.ndarray:
@@ -191,8 +187,8 @@ def cross_sections(params: ModelParams):
     if j_ref == 0:
         return 0.0, 0.0
     flux_scale = np.sqrt(frac)
-    h1, _ = _adaptive_steps(params, flux_scale)
-    c1 = first_cumulants(params, flux_scale, h1)
+    c1 = first_cumulants(params, flux_scale,
+                         _adaptive_steps(params, flux_scale))
     # counting index order -> physical detector order is reversed
     return c1[1] / j_ref, c1[0] / j_ref
 
@@ -200,10 +196,8 @@ def cross_sections(params: ModelParams):
 def diffusion_rate(params: ModelParams, J: float) -> np.ndarray:
     """Per-molecule second-cumulant rate matrix at flux J (detector order)."""
     flux_scale = np.sqrt(J / params.derived.photon_flux_j0)
-    h1, h2 = _adaptive_steps(params, flux_scale)
-    curvature = second_cumulant_matrix(params, flux_scale, h2)
-    c1 = first_cumulants(params, flux_scale, h1)
-    return detector_rate(curvature, c1[0] + c1[1])
+    c1, c2 = second_cumulant_matrix(params, flux_scale)
+    return detector_rate(c2, c1[0] + c1[1])
 
 
 def fit_diffusion_expansion(params: ModelParams,

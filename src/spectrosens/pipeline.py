@@ -2,7 +2,7 @@
 expansion, transported covariance, and the sensitivity report.
 
 Two routes are provided.  The ``full`` route extracts everything from the
-dominant eigenvalue of the tilted superoperator; the ``adiabatic`` route is the
+tilted superoperator of the chemical model; the ``adiabatic`` route is the
 weak-field conditioned-statistics composition in closed form, valid for slow
 chemical rates.  ``both`` runs the two and records their relative deviation.
 """

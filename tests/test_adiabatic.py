@@ -5,6 +5,7 @@ from spectrosens import adiabatic, fcs
 from spectrosens.errors import FitResidualExceeded
 from spectrosens.params import from_config
 from spectrosens.pipeline import evaluate_point
+from stencils import hessian
 
 
 def test_stationary_probabilities():
@@ -85,7 +86,7 @@ def test_weak_field_curvature_matches_exact(default_params):
     J = default_params.derived.photon_flux_j0 * 1e-2
     weak = adiabatic._curvature_weak_field(default_params, "A", J)
     fun = lambda a, b: adiabatic.conditioned_cgf(default_params, "A", a, b, J)
-    exact = fcs.richardson(fcs.hessian, fun, 1e-3)[0]
+    exact = fcs.richardson(hessian, fun, 1e-3)
     assert np.max(np.abs(weak - exact)) < 1e-2 * np.max(np.abs(exact))
 
 
@@ -160,7 +161,7 @@ def test_chemical_term_is_two_state_curvature():
         return np.max(np.linalg.eigvals(generator).real, axis=-1)
 
     h = 1e-2 * (r_a + r_b) / np.max(np.abs(c1[0] - c1[1]))
-    curvature = fcs.richardson(fcs.hessian, top, h)[0]
+    curvature = fcs.richardson(hessian, top, h)
     chemical = adiabatic.chemical_rate_term(params, J, method="weak_field")
     assert np.max(np.abs(curvature[::-1, ::-1] - chemical)) \
         <= 1e-4 * np.max(np.abs(chemical))
@@ -177,11 +178,14 @@ def test_unknown_method_rejected(default_params, function):
         function(default_params, J, method="weakfield")
 
 
-def test_adiabatic_matches_full_statistics(default_params):
-    j0 = default_params.derived.photon_flux_j0
-    full = fcs.diffusion_rate(default_params, j0)
-    adia = adiabatic.adiabatic_rate(default_params, j0)
-    assert np.max(np.abs(full - adia)) < 2e-2 * np.max(np.abs(full))
+@pytest.mark.parametrize("config", [
+    {}, {"rate_a_mhz": 1e-6, "rate_b_mhz": 3e-6}], ids=["default", "slow"])
+def test_adiabatic_matches_full_statistics(config):
+    params = from_config(config)
+    j0 = params.derived.photon_flux_j0
+    full = fcs.diffusion_rate(params, j0)
+    adia = adiabatic.adiabatic_rate(params, j0)
+    assert np.max(np.abs(full - adia)) < 1e-5 * np.max(np.abs(full))
 
 
 def test_pipeline_nonadiabatic_warning():

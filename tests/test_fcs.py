@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from spectrosens import fcs
+from spectrosens import adiabatic, fcs
 from spectrosens.errors import FitResidualExceeded, GapTooSmall
 from spectrosens.liouvillian import build_two_sided
 from spectrosens.params import from_config
 from spectrosens.pipeline import evaluate_point
+from stencils import hessian
 
 
 def test_dominant_eigenvalue_zero_at_chi_zero(default_params):
@@ -55,6 +56,16 @@ def test_gap_threshold_shared_with_pipeline():
         fcs.cross_sections(params)
     with pytest.raises(GapTooSmall):
         evaluate_point(params, "full")
+
+
+def test_diffusion_rate_needs_no_gap_threshold():
+    """The bordered solves track no eigenvalue branch: below the pipeline's
+    gap threshold the diffusion rate still matches the composition."""
+    params = from_config({"rate_a_mhz": 1e-12, "rate_b_mhz": 1e-12})
+    j0 = params.derived.photon_flux_j0
+    full = fcs.diffusion_rate(params, j0)
+    adia = adiabatic.adiabatic_rate(params, j0, method="exact")
+    assert np.max(np.abs(full - adia)) <= 1e-6 * np.max(np.abs(full))
 
 
 def test_cross_sections_reference_values(default_params):
@@ -136,28 +147,82 @@ def _counted_quadratic():
 
 
 def test_stencils_exact_on_quadratic_in_one_call():
-    gradient = np.array([2.0, -5.0])
-    hessian = np.array([[8.0, 6.0], [6.0, -4.0]])
     # tilts per call at one step and at the two Richardson steps; the
     # Hessian evaluates its origin once for both
-    for stencil, expected, points, both in ((fcs.gradient, gradient, 4, 8),
-                                            (fcs.hessian, hessian, 9, 17)):
+    for stencil, expected, points, both in (
+            (fcs.gradient, np.array([2.0, -5.0]), 4, 8),
+            (hessian, np.array([[8.0, 6.0], [6.0, -4.0]]), 9, 17)):
         fun, calls = _counted_quadratic()
         assert np.array_equal(stencil(fun, 0.25), expected)
         assert calls == [(points,)]
         fun, calls = _counted_quadratic()
-        value, fine = fcs.richardson(stencil, fun, 0.25)
-        assert np.array_equal(value, expected)
-        assert np.array_equal(fine, expected)
+        assert np.array_equal(fcs.richardson(stencil, fun, 0.25), expected)
         assert calls == [(both,)]
 
 
-@pytest.mark.parametrize("route,limit", [("full", 40), ("adiabatic", 1)])
+def _model_cumulants(rate_mhz, detuning_mhz):
+    """Exact (c1, c2) of the 4-level model at J0, both states absorbing,
+    and its dominant eigenvalue as a function of the tilts."""
+    params = from_config({"rate_a_mhz": rate_mhz,
+                          "rate_b_mhz": 1.5 * rate_mhz,
+                          "detuning_a_mhz": detuning_mhz,
+                          "dipole_b_debye": 0.6})
+    return (fcs.second_cumulant_matrix(params, 1.0),
+            lambda a, b: fcs._lambda_s(params, a, b, 1.0)[0])
+
+
+def _block_cumulants(state):
+    """The same for a conditioned block at J0."""
+    params = from_config({"dipole_b_debye": 0.6})
+    j0 = params.derived.photon_flux_j0
+    return (adiabatic._conditioned_cumulants(params, state, j0),
+            lambda a, b: adiabatic.conditioned_cgf(params, state, a, b, j0))
+
+
+@pytest.mark.parametrize("build,args", [
+    *[pytest.param(_model_cumulants, (rate, eps), id=f"{rate}MHz-{eps}MHz")
+      for rate in (1.0, 10.0) for eps in (-100.0, 0.0, 40.0)],
+    *[pytest.param(_block_cumulants, (state,), id=f"block-{state}")
+      for state in "AB"]])
+def test_cumulants_match_eigenvalue_stencils(build, args):
+    """The bordered-solve cumulants equal Richardson-extrapolated stencils
+    on the dominant eigenvalue, at fast rates and on the conditioned blocks,
+    where the stencils are well conditioned."""
+    (c1, c2), fun = build(*args)
+    stencil_c1 = fcs.richardson(fcs.gradient, fun, 1e-2)
+    stencil_c2 = fcs.richardson(hessian, fun, 1e-2)
+    assert np.max(np.abs(c1 - stencil_c1)) <= 1e-7 * np.max(np.abs(c1))
+    assert np.max(np.abs(c2 - stencil_c2)) <= 1e-5 * np.max(np.abs(c2))
+
+
+@pytest.mark.parametrize("config", [
+    {"rate_a_mhz": 1.7816e-7, "rate_b_mhz": 1.8734e-7,
+     "detuning_a_mhz": -3.08},
+    {"rate_a_mhz": 1.39e-7, "rate_b_mhz": 1.39e-7, "detuning_a_mhz": -2.63},
+    {"rate_a_mhz": 1e-6, "rate_b_mhz": 3e-6},
+], ids=["bench-seed-3", "seed-91", "slow-unequal"])
+def test_full_route_covariance_is_psd(config):
+    """Slow, nearly balanced rates make the covariance nearly singular; the
+    exact curvature keeps it positive semidefinite."""
+    sigma2 = evaluate_point(from_config(config), "full").sigma2
+    assert np.min(np.linalg.eigvalsh(sigma2)) >= 0.0
+
+
+def test_far_detuned_turnover_point_evaluates():
+    """The fig3 grid point at 100 MHz and the fifth rate of its axis."""
+    rate = np.geomspace(1e-6, 1e2, 25)[4]
+    params = from_config({"detuning_a_mhz": 100.0, "rate_a_mhz": rate,
+                          "rate_b_mhz": rate})
+    assert evaluate_point(params, "full").report.rel_full > 0
+
+
+@pytest.mark.parametrize("route,limit", [("full", 3), ("adiabatic", 1)])
 def test_point_eigensolves_are_stacked(route, limit, default_params,
                                        monkeypatch):
     """Each finite-difference stencil is one stacked eigensolve, not one
-    solve per tilt (several hundred per point); the closed-form adiabatic
-    route solves only for the spectral gap."""
+    solve per tilt (several hundred per point); the diffusion rates need
+    none, and the closed-form adiabatic route solves only for the spectral
+    gap."""
     calls = []
     eigvals = np.linalg.eigvals
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectrosens.errors import TrustRadiusExceeded
-from spectrosens.liouvillian import (build_hamiltonian, build_two_sided,
-                                     dissipator_sum, stationary_state,
-                                     trace_vector)
+from spectrosens.liouvillian import (block_hamiltonian, build_two_sided,
+                                     dissipator_sum, model_blocks,
+                                     stationary_state, trace_vector)
 from spectrosens.params import from_config
 
 small_angle = st.floats(min_value=-0.09, max_value=0.09,
@@ -52,13 +52,13 @@ def test_trust_radius(default_params):
 
 
 def test_hamiltonian_hermitian_at_real_phases(default_params):
-    h = build_hamiltonian(default_params, (0.3, -0.7))
+    h = block_hamiltonian(model_blocks(default_params, 1.0), (0.3, -0.7))
     assert np.max(np.abs(h - h.conj().T)) < 1e-15 * np.max(np.abs(h))
 
 
 def test_flux_scale_scales_coupling(default_params):
-    h1 = build_hamiltonian(default_params, flux_scale=1.0)
-    h2 = build_hamiltonian(default_params, flux_scale=np.sqrt(2.0))
+    h1 = block_hamiltonian(model_blocks(default_params, 1.0))
+    h2 = block_hamiltonian(model_blocks(default_params, np.sqrt(2.0)))
     off = np.abs(h1[1, 0])
     assert np.abs(h2[1, 0]) == pytest.approx(np.sqrt(2.0) * off, rel=1e-12)
     # diagonal (detunings) untouched
@@ -108,10 +108,11 @@ def test_gauge_invariance_of_spectrum(shift, chi1, chi2):
 def _kron_generator(params, chi, phi, flux_scale):
     """The tilted generator assembled term by term with np.kron."""
     eye = np.eye(4)
-    h_left = build_hamiltonian(params, (phi[0] + chi[0] / 2.0,
-                                        phi[1] + chi[1] / 2.0), flux_scale)
-    h_right = build_hamiltonian(params, (phi[0] - chi[0] / 2.0,
-                                         phi[1] - chi[1] / 2.0), flux_scale)
+    blocks = model_blocks(params, flux_scale)
+    h_left = block_hamiltonian(blocks, (phi[0] + chi[0] / 2.0,
+                                        phi[1] + chi[1] / 2.0))
+    h_right = block_hamiltonian(blocks, (phi[0] - chi[0] / 2.0,
+                                         phi[1] - chi[1] / 2.0))
     matrix = -1j * (np.kron(h_left, eye) - np.kron(eye, h_right.T))
     mol = params.molecule
     total = np.zeros((16, 16), dtype=complex)
