@@ -175,7 +175,7 @@ def _warn_if_strong(params):
                       / np.float64(mol.decay_gamma) ** 2)
     if saturation > WEAK_PROBE_LIMIT:
         warnings.warn(f"outside weak-probe regime: Omega^2/gamma^2 = "
-                      f"{saturation:.2f}", stacklevel=3)
+                      f"{saturation:.3g}", stacklevel=3)
 
 
 def cross_sections(params: ModelParams):

@@ -12,6 +12,7 @@ eigenvalue.  They are the only users of scipy in the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,13 @@ def quadrature_covariance(params: ModelParams, rate_fn, s_plus: float,
         damping = np.exp(-2.0 * rho * s_plus * (z - z_prime))
         return damping * line_density * np.asarray(rate_fn(j_local))
 
-    result, error = scipy.integrate.quad_vec(integrand, 0.0, z,
-                                             epsrel=QUADRATURE_RTOL,
-                                             epsabs=0.0)
+    # the smallest positive epsabs leaves the relative rule in charge but
+    # lets an integrand that vanishes everywhere meet the stopping rule
+    result, error, info = scipy.integrate.quad_vec(
+        integrand, 0.0, z, epsrel=QUADRATURE_RTOL,
+        epsabs=np.finfo(float).tiny, full_output=True)
+    if not info.success:
+        raise QuadratureNotConverged(f"quadrature stopped: {info.message}")
     scale = np.max(np.abs(result))
     if scale > 0 and np.max(np.abs(error)) > 10.0 * QUADRATURE_RTOL * scale:
         raise QuadratureNotConverged(
@@ -68,7 +73,7 @@ def quadrature_covariance(params: ModelParams, rate_fn, s_plus: float,
 class McConfig:
     n_trajectories: int = 10_000
     seed: int = 0
-    dt: float | None = None      # s; defaults to 0.01 * t_R
+    dt: float | None = None      # s; checked only, the sampler has no step
     horizon: float | None = None  # s; defaults to 50 * t_R
 
     def resolve(self, t_r: float):
@@ -83,25 +88,97 @@ class McConfig:
         return dt, horizon
 
 
-def _occupancy_time(rng, p_a, rate_a, rate_b, horizon):
-    """Time spent in state A over [0, horizon] of one telegraph trajectory.
+# trajectories sampled per block of arrays, and the margin of a trajectory's
+# block of waiting times over its expected number of jumps m: the block holds
+# ceil(m + MC_BLOCK_MARGIN * (sqrt(m) + 1)) draws
+MC_CHUNK = 512
+MC_BLOCK_MARGIN = 10
 
-    Waiting times are exact exponentials; because the conditioned fluxes are
-    constant within a chemical state, occupancy times integrate the flux
-    between jumps exactly (no discretization step enters).
+
+def _mean_stay(rate_out: float) -> float:
+    """Mean dwell time (s) in a state left at ``rate_out``; a state that is
+    never left has an infinite stay."""
+    return 1.0 / rate_out if rate_out > 0 else np.inf
+
+
+def _block_occupancy(in_a, draws, stay_a, stay_b, horizon):
+    """Time in state A over [0, horizon] of trajectories given their initial
+    states and rows of standard exponential draws, and which rows ran out of
+    draws before the horizon.
+
+    Column j of a row is the j-th stay: in A at even j if the row starts in
+    A, at odd j if it starts in B, and as long as its draw times the mean
+    stay of that state.  Segments are ``min(stay, horizon - t)`` while the
+    clock t is below the horizon, and the clock and the occupancy are
+    cumulative sums along the row, in the order of a per-jump loop.  Until
+    the first truncation the clock is the sum of the stays; after it,
+    ``t + (horizon - t)`` can round below the horizon, and the loop then
+    takes another segment.  Iterating clock and segments to their fixed
+    point reproduces that loop bit for bit.
     """
-    in_a = rng.random() < p_a
-    t, time_a = 0.0, 0.0
-    while t < horizon:
-        # leaving A happens at rate r_B (transfer into B) and vice versa
-        rate_out = rate_b if in_a else rate_a
-        stay = rng.exponential(1.0 / rate_out) if rate_out > 0 else np.inf
-        segment = min(stay, horizon - t)
-        if in_a:
-            time_a += segment
-        t += segment
-        in_a = not in_a
-    return time_a
+    col_in_a = in_a[:, None] ^ (np.arange(draws.shape[1]) % 2 == 1)
+    scale = np.where(col_in_a, stay_a, stay_b)
+    # a state that is never left is held to the horizon, without 0 * inf
+    stays = np.multiply(draws, scale, out=np.full_like(draws, np.inf),
+                        where=np.isfinite(scale))
+
+    def truncate(clock):
+        return np.where(clock < horizon,
+                        np.minimum(stays, horizon - clock), 0.0)
+
+    clock = np.zeros_like(stays)
+    np.cumsum(stays[:, :-1], axis=1, out=clock[:, 1:])
+    segments = truncate(clock)
+    while True:
+        ends = np.cumsum(segments, axis=1)
+        clock[:, 1:] = ends[:, :-1]
+        update = truncate(clock)
+        if np.array_equal(update, segments):
+            break
+        segments = update
+    # x + 0.0 is exact, so masking the B segments keeps the summation order
+    time_a = np.cumsum(np.where(col_in_a, segments, 0.0), axis=1)[:, -1]
+    return time_a, ends[:, -1] < horizon
+
+
+def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
+    """Time spent in state A over [0, horizon] by telegraph trajectories
+    0 .. n-1.
+
+    Trajectory i draws from a Philox stream keyed by (seed, i): one uniform
+    for its initial state, then exact exponential waiting times.  Leaving A
+    happens at rate r_B (transfer into B) and vice versa.  Because the
+    conditioned fluxes are constant within a chemical state, occupancy times
+    integrate the flux between jumps exactly (no discretization step
+    enters).  Each trajectory takes its waiting times in one block of draws;
+    a block that ends before the horizon is drawn again twice as long, which
+    extends the same stream.  One generator serves all trajectories: setting
+    the key into its fresh state gives the stream of a new generator.
+    """
+    stay_a, stay_b = _mean_stay(rate_b), _mean_stay(rate_a)
+    jumps = 2.0 * horizon / (stay_a + stay_b)
+    width = max(1, math.ceil(jumps
+                             + MC_BLOCK_MARGIN * (math.sqrt(jumps) + 1)))
+
+    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+    key = fresh["state"]["key"]
+    times = np.empty(n)
+    for start in range(0, n, MC_CHUNK):
+        rows, k = np.arange(start, min(start + MC_CHUNK, n)), width
+        while rows.size:
+            in_a = np.empty(rows.size, dtype=bool)
+            draws = np.empty((rows.size, k))
+            for j, i in enumerate(rows.tolist()):
+                key[1] = i
+                bit_generator.state = fresh
+                in_a[j] = rng.random() < p_a
+                rng.standard_exponential(out=draws[j])
+            times[rows], short = _block_occupancy(in_a, draws, stay_a,
+                                                  stay_b, horizon)
+            rows, k = rows[short], 2 * k
+    return times
 
 
 def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
@@ -126,12 +203,9 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
     flux_b = J * np.array([(s_b[0] + s_b[1]) / 2, (s_b[0] - s_b[1]) / 2])
 
     n = mc.n_trajectories
-    samples = np.empty((n, 2))
-    for i in range(n):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([mc.seed, i], dtype=np.uint64)))
-        time_a = _occupancy_time(rng, p_a, mol.rate_a, mol.rate_b, horizon)
-        samples[i] = flux_a * time_a + flux_b * (horizon - time_a)
+    time_a = _occupancy_times(mc.seed, n, p_a, mol.rate_a, mol.rate_b,
+                              horizon)[:, None]
+    samples = flux_a * time_a + flux_b * (horizon - time_a)
 
     mean = samples.mean(axis=0)
     centered = samples - mean

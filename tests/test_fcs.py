@@ -128,9 +128,14 @@ def test_fit_residual_guard(default_params, monkeypatch):
 
 
 def test_strong_probe_warning():
-    params = from_config({"power_mw": 1e4})
-    with pytest.warns(UserWarning, match="weak-probe"):
-        fcs.cross_sections(params)
+    """The warning names the saturation in a few significant digits, even
+    where it is a number of a hundred digits."""
+    for config in ({"power_mw": 1e4}, {"gamma_mhz": 1e-60}):
+        params = from_config(config)
+        with pytest.warns(UserWarning, match="weak-probe") as record:
+            fcs.cross_sections(params)
+        number = str(record[0].message).rsplit("= ", 1)[1]
+        assert float(number) > fcs.WEAK_PROBE_LIMIT and len(number) <= 9
 
 
 def _counted_quadratic():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from spectrosens import adiabatic, fcs, oracles
-from spectrosens.errors import StencilUnstable
+from spectrosens.errors import QuadratureNotConverged, StencilUnstable
 from spectrosens.liouvillian import build_two_sided
 from spectrosens.params import from_config
+from telegraph import occupancy_time, occupancy_times
 
 
 def test_quadrature_zero_diffusion(default_params):
@@ -17,6 +18,14 @@ def test_quadrature_zero_diffusion(default_params):
     rho = default_params.sample.density_rho_m
     expected = default_params.derived.n_p0 * math.exp(-2 * rho * s_plus * z)
     assert np.allclose(result, expected * np.eye(2), rtol=1e-9)
+
+
+def test_quadrature_non_finite_integrand_raises(default_params):
+    """A failed integration is a typed error, not a NaN covariance."""
+    with pytest.raises(QuadratureNotConverged):
+        oracles.quadrature_covariance(default_params,
+                                      lambda j: np.full((2, 2), np.nan),
+                                      5e-17, 0.01)
 
 
 def test_quadrature_constant_diffusion(default_params):
@@ -62,6 +71,88 @@ def test_mc_single_state_no_chemical_noise():
     rate, stderr = oracles.telegraph_mc_diffusion(params, cfg)
     assert np.allclose(rate, 0.0)
     assert np.allclose(stderr, 0.0)
+
+
+def test_mc_single_state_b_no_chemical_noise():
+    """All transfer into B: p_A = 0 and the molecule never leaves B."""
+    params = from_config({"rate_a_mhz": 0.0, "rate_b_mhz": 1e-4})
+    p_a, _ = adiabatic.stationary_probabilities(params)
+    assert p_a == 0.0
+    cfg = oracles.McConfig(n_trajectories=1000, seed=5)
+    _, horizon = cfg.resolve(adiabatic.reaction_time(params))
+    times = oracles._occupancy_times(cfg.seed, cfg.n_trajectories, p_a,
+                                     params.molecule.rate_a,
+                                     params.molecule.rate_b, horizon)
+    assert np.all(times == 0.0)
+    rate, stderr = oracles.telegraph_mc_diffusion(params, cfg)
+    assert np.allclose(rate, 0.0)
+    assert np.allclose(stderr, 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 2**63 + 11, 2**64 - 1])
+@pytest.mark.parametrize("config", [{}, {"rate_a_mhz": 3e-3,
+                                        "rate_b_mhz": 1.5e-3}])
+def test_occupancy_times_match_loop_reference(seed, config):
+    """Block draws and cumulative sums give the occupancy times of the
+    one-draw-per-jump loop bit for bit, across more than one chunk."""
+    params = from_config(config)
+    p_a, _ = adiabatic.stationary_probabilities(params)
+    mol, t_r = params.molecule, adiabatic.reaction_time(params)
+    args = (seed, oracles.MC_CHUNK + 88, p_a, mol.rate_a, mol.rate_b,
+            50 * t_r)
+    assert np.array_equal(oracles._occupancy_times(*args),
+                          occupancy_times(*args))
+
+
+def test_occupancy_top_up_matches_loop_reference(default_params,
+                                                 monkeypatch):
+    """Rows whose block ends before the horizon are drawn again, longer,
+    from the same stream, and still equal the reference."""
+    monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", 0)
+    widths = []
+    block_occupancy = oracles._block_occupancy
+
+    def spy(in_a, draws, *args):
+        widths.append(draws.shape[1])
+        return block_occupancy(in_a, draws, *args)
+    monkeypatch.setattr(oracles, "_block_occupancy", spy)
+    p_a, _ = adiabatic.stationary_probabilities(default_params)
+    mol = default_params.molecule
+    horizon = 50 * adiabatic.reaction_time(default_params)
+    args = (9, 300, p_a, mol.rate_a, mol.rate_b, horizon)
+    assert np.array_equal(oracles._occupancy_times(*args),
+                          occupancy_times(*args))
+    # one chunk, its first block too short for some rows, then doubled
+    assert len(widths) >= 2
+    assert widths[1:] == [2 * w for w in widths[:-1]]
+
+
+class _ScriptedRng:
+    """Stands in for a generator: fixed uniform, scripted exponentials."""
+
+    def __init__(self, uniform, draws):
+        self.uniform, self.draws = uniform, list(draws)
+
+    def random(self):
+        return self.uniform
+
+    def exponential(self, scale):
+        return scale * self.draws.pop(0)
+
+
+def test_block_occupancy_clock_rounding_short_of_horizon():
+    """When t + (horizon - t) rounds below the horizon the loop takes one
+    more segment; the block sums take it too."""
+    horizon = float.fromhex("0x1.1111111111111p-6")
+    first = float.fromhex("0x1.b4c450b5b3640p-13")
+    assert first + (horizon - first) < horizon
+    draws = np.array([[first, 1.0, 1.0, 1.0]])
+    time_a, short = oracles._block_occupancy(np.array([True]), draws, 1.0,
+                                             1.0, horizon)
+    expected = occupancy_time(_ScriptedRng(0.0, draws[0]), 1.0, 1.0, 1.0,
+                              horizon)
+    assert expected > first
+    assert np.array_equal(time_a, [expected]) and not short[0]
 
 
 def test_mc_horizon_stationarity(default_params):
@@ -138,8 +229,7 @@ def test_jackknife_matches_loop_reference(default_params):
     for i in range(n):
         rng = np.random.Generator(
             np.random.Philox(key=np.array([mc.seed, i], dtype=np.uint64)))
-        time_a = oracles._occupancy_time(rng, p_a, mol.rate_a, mol.rate_b,
-                                         horizon)
+        time_a = occupancy_time(rng, p_a, mol.rate_a, mol.rate_b, horizon)
         samples[i] = fluxes[0] * time_a + fluxes[1] * (horizon - time_a)
     sum_x = samples.sum(axis=0)
     sum_xx = np.einsum("ni,nj->ij", samples, samples)
