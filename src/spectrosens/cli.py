@@ -41,6 +41,10 @@ SWEEP_PARAMS = {
 
 EXIT_OK, EXIT_COMPUTE, EXIT_USAGE = 0, 1, 2
 
+# failures of one evaluation: typed model errors and untyped numerical ones
+# end a point in error JSON and a sweep grid point in its error row
+COMPUTE_ERRORS = (ModelError, ArithmeticError, np.linalg.LinAlgError)
+
 
 def _fmt(value) -> str:
     if isinstance(value, str):
@@ -121,18 +125,10 @@ def _evaluate_row(task):
         "density_per_m3": config["density_per_m3"],
     }
     try:
-        record = run_point(config, route)
-    except (ModelError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        # untyped numerical failures stay in their row too, so one bad point
-        # cannot abort the sweep
-        for column in CSV_COLUMNS[4:12]:
-            row[column] = float("nan")
-        row["regime"] = "Unclassified"
-        row["status"] = f"error:{type(exc).__name__}"
-        return row
-    for column in CSV_COLUMNS[4:13]:
-        row[column] = record[column]
-    row["status"] = "ok"
+        row.update(run_point(config, route), status="ok")
+    except COMPUTE_ERRORS as exc:  # one bad point cannot abort the sweep
+        row.update(dict.fromkeys(CSV_COLUMNS[4:12], float("nan")),
+                   regime="Unclassified", status=f"error:{type(exc).__name__}")
     return row
 
 
@@ -162,6 +158,10 @@ def run_point(config: dict, route: str) -> dict:
 def run_sweep(config: dict, axes, route: str, workers: int | None = None):
     """Evaluate a 1D or 2D grid; yields rows in deterministic grid order."""
     keys, values = zip(*(_grid(axis) for axis in axes))
+    # a configuration error that no grid value overrides fails the sweep
+    # once, here; failures of grid values stay in their rows
+    swept = set(itertools.chain(*keys))
+    from_config({k: v for k, v in config.items() if k not in swept})
     tasks = []
     for combo in itertools.product(*values):  # the last axis varies fastest
         point = dict(config)
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
                                     args.route, args.workers)
         failed = any(row["status"] != "ok" for row in rows)
         return EXIT_COMPUTE if failed else EXIT_OK
-    except (ModelError, OSError) as exc:
+    except COMPUTE_ERRORS + (OSError,) as exc:
         print(_error_json(exc), file=sys.stderr)
         return EXIT_COMPUTE
 

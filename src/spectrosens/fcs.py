@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitResidualExceeded, GapTooSmall
-from .liouvillian import (build_two_sided, dissipator_sum,
+from .liouvillian import (bordered, build_two_sided, dissipator_sum,
                           generator_derivatives, model_blocks)
 from .params import ModelParams
 
@@ -103,14 +103,13 @@ def cumulants(l0: np.ndarray, first: np.ndarray):
     c2_kl = <<1|dL/ds_k|rho_l>> + (k <-> l).  L0 bordered by the trace row
     and column is invertible and serves every solve."""
     n = l0.shape[-1]
-    trace = np.eye(int(np.sqrt(n))).reshape(-1)
-    border = trace[None, :]
-    bordered = np.block([[l0, border.T], [border, np.zeros((1, 1))]])
-    rho = np.linalg.solve(bordered, np.append(np.zeros(n), 1.0))[:n]
+    system = bordered(l0)
+    trace = system[n, :n].real
+    rho = np.linalg.solve(system, np.append(np.zeros(n), 1.0))[:n]
     moved = first @ rho                                   # (2, n)
     c1 = moved @ trace
     rhs = np.vstack([(c1[:, None] * rho - moved).T, np.zeros(2)])
-    rho_k = np.linalg.solve(bordered, rhs)[:n]            # (n, 2)
+    rho_k = np.linalg.solve(system, rhs)[:n]              # (n, 2)
     cross = (trace @ first) @ rho_k                       # [k, l]
     return c1.real, (cross + cross.T).real
 

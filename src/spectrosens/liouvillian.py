@@ -17,7 +17,6 @@ from .errors import TrustRadiusExceeded
 from .params import ModelParams
 
 DIM = 4
-I4 = np.eye(DIM)
 
 # Fixed auxiliary-phase offsets of the two detector channels.
 PHASE_OFFSETS = (np.pi / 4.0, -np.pi / 4.0)
@@ -26,19 +25,14 @@ PHASE_OFFSETS = (np.pi / 4.0, -np.pi / 4.0)
 TRUST_RADIUS = 0.1
 
 
-def _coupling_up(amp, phi1, phi2):
-    """Raising-operator amplitude for drive amplitude ``amp`` (= d E / hbar)."""
+def _coupling(amp, phi1, phi2, sign):
+    """Raising (``sign`` = +1) or lowering (-1) operator amplitude for drive
+    amplitude ``amp`` (= d E / hbar).  The lowering amplitude is the analytic
+    continuation of the conjugate, so the superoperator stays analytic in
+    complex counting fields."""
     return amp / (2.0 * np.sqrt(2.0)) * (
-        np.exp(1j * (phi1 + PHASE_OFFSETS[0]))
-        + np.exp(1j * (phi2 + PHASE_OFFSETS[1])))
-
-
-def _coupling_down(amp, phi1, phi2):
-    """Lowering-operator amplitude; analytic continuation of the conjugate so
-    the superoperator stays analytic in complex counting fields."""
-    return amp / (2.0 * np.sqrt(2.0)) * (
-        np.exp(-1j * (phi1 + PHASE_OFFSETS[0]))
-        + np.exp(-1j * (phi2 + PHASE_OFFSETS[1])))
+        np.exp(sign * 1j * (phi1 + PHASE_OFFSETS[0]))
+        + np.exp(sign * 1j * (phi2 + PHASE_OFFSETS[1])))
 
 
 def block_hamiltonian(blocks, phi=(0.0, 0.0)) -> np.ndarray:
@@ -53,8 +47,8 @@ def block_hamiltonian(blocks, phi=(0.0, 0.0)) -> np.ndarray:
     for k, (detuning, amp) in enumerate(blocks):
         ground, excited = 2 * k, 2 * k + 1
         h[..., excited, excited] = detuning
-        h[..., excited, ground] = _coupling_up(amp, phi1, phi2)
-        h[..., ground, excited] = _coupling_down(amp, phi1, phi2)
+        h[..., excited, ground] = _coupling(amp, phi1, phi2, 1)
+        h[..., ground, excited] = _coupling(amp, phi1, phi2, -1)
     return h
 
 
@@ -177,13 +171,23 @@ def build_two_sided(params: ModelParams, chi, phi=(0.0, 0.0),
 
 def trace_vector() -> np.ndarray:
     """Left null vector of the chi=0 generator: vec(identity)."""
-    return I4.reshape(-1)
+    return np.eye(DIM).reshape(-1)
+
+
+def bordered(generator: np.ndarray) -> np.ndarray:
+    """An n x n generator (n = d^2, any block size d) bordered by the trace
+    row and column vec(identity) and a zero corner.  The bordered system is
+    invertible when the stationary state is unique; it replaces the singular
+    generator in every solve (Flindt, Novotny & Jauho, EPL 69, 475 (2005))."""
+    n = generator.shape[-1]
+    system = np.zeros((n + 1, n + 1), dtype=complex)
+    system[:n, :n] = generator
+    system[n, :n] = system[:n, n] = np.eye(int(np.sqrt(n))).reshape(-1)
+    return system
 
 
 def stationary_state(matrix: np.ndarray) -> np.ndarray:
-    """Vectorized stationary density matrix of the chi=0 generator."""
-    values, vectors = np.linalg.eig(matrix)
-    vec = vectors[:, np.argmax(values.real)]
-    rho = vec.reshape(DIM, DIM)
-    rho = 0.5 * (rho + rho.conj().T)
-    return (rho / np.trace(rho)).reshape(-1)
+    """Vectorized stationary density matrix of the chi=0 generator: the
+    solution of L rho = 0 with unit trace, from the bordered system."""
+    n = matrix.shape[-1]
+    return np.linalg.solve(bordered(matrix), np.append(np.zeros(n), 1.0))[:n]

@@ -236,12 +236,14 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
 # finite-difference baseline
 # ---------------------------------------------------------------------------
 
-# first step relative to |rho|, and how often it may be halved
+# first step relative to |rho|, how often it may be halved, and the relative
+# agreement between steps h and h/2 that ends the halving
 FD_INITIAL_STEP = 1e-3
 FD_MAX_HALVINGS = 6
+FD_RTOL = 1e-7
 
 
-def fd_pipeline_derivative(f, rho: float, rtol: float = 1e-7):
+def fd_pipeline_derivative(f, rho: float):
     """Derivative of a scalar function of the density by a five-point central
     stencil, with the step chosen by Richardson agreement between h and h/2.
 
@@ -263,11 +265,11 @@ def fd_pipeline_derivative(f, rho: float, rtol: float = 1e-7):
         scale = max(abs(current), abs(previous))
         if scale == 0.0:
             return 0.0, error
-        if error <= rtol * scale:
+        if error <= FD_RTOL * scale:
             return current, error
         previous = current
     raise StencilUnstable(
-        f"stencil did not stabilize to rtol={rtol:g} after "
+        f"stencil did not stabilize to rtol={FD_RTOL:g} after "
         f"{FD_MAX_HALVINGS} halvings (last error {error:.3e})")
 
 

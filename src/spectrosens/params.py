@@ -88,12 +88,12 @@ class ModelParams:
 
 
 def derive(laser: LaserParams, molecule: MoleculeParams) -> DerivedQuantities:
-    """Compute field amplitude, Rabi frequencies and photon bookkeeping.
+    """Compute field amplitude, Rabi frequencies and photon bookkeeping from
+    inputs ``from_config`` has range-checked.
 
-    Finite inputs so extreme that a derived quantity leaves the float range
-    raise ``InvalidParam``."""
-    _check_laser(laser)
-    _check_molecule(molecule)
+    Finite inputs so extreme that a derived quantity leaves the float range,
+    or so small that they vanish on unit conversion, raise
+    ``InvalidParam("derived")``."""
     try:
         area = math.pi * laser.beam_diameter**2 / 4.0
         field_e = math.sqrt(2.0 * laser.power / (area * EPS0 * C))
@@ -124,27 +124,6 @@ def derive(laser: LaserParams, molecule: MoleculeParams) -> DerivedQuantities:
     return derived
 
 
-def _check_laser(laser: LaserParams):
-    for field in ("power", "wavelength", "beam_diameter", "measurement_time"):
-        if not getattr(laser, field) > 0:
-            raise InvalidParam(field)
-
-
-def _check_molecule(molecule: MoleculeParams):
-    if molecule.dipole_a < 0:
-        raise InvalidParam("dipole_a")
-    if molecule.dipole_b < 0:
-        raise InvalidParam("dipole_b")
-    if not molecule.decay_gamma > 0:
-        raise InvalidParam("decay_gamma")
-    if molecule.rate_a < 0:
-        raise InvalidParam("rate_a")
-    if molecule.rate_b < 0:
-        raise InvalidParam("rate_b")
-    if not molecule.rate_a + molecule.rate_b > 0:
-        raise InvalidParam("rate_a+rate_b")
-
-
 # ---------------------------------------------------------------------------
 # JSON configuration
 # ---------------------------------------------------------------------------
@@ -169,6 +148,11 @@ DEFAULT_CONFIG = {
 _NUMERIC_KEYS = [k for k in DEFAULT_CONFIG
                  if k not in ("thickness_policy", "thickness_m")]
 
+# numeric keys that must be positive; the others but the detunings (the
+# dipoles and the rates) must be non-negative
+_POSITIVE_KEYS = {"power_mw", "wavelength_nm", "beam_diameter_cm",
+                  "measurement_time_s", "gamma_mhz", "density_per_m3"}
+
 
 def _is_finite(value) -> bool:
     """False for NaN, +-inf and integers beyond the float range."""
@@ -188,6 +172,9 @@ def from_config(config: dict) -> ModelParams:
     if unknown:
         raise ParseError(f"unknown configuration keys: {sorted(unknown)}")
     merged = dict(DEFAULT_CONFIG, **config)
+    # range errors wait for the loop's end, so that a later key that is not
+    # a number still raises ParseError
+    out_of_range = []
     for key in _NUMERIC_KEYS:
         value = merged[key]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -196,6 +183,13 @@ def from_config(config: dict) -> ModelParams:
         if not _is_finite(value) or (key.endswith("_mhz") and not
                                      _is_finite(mhz_to_angular(value))):
             raise InvalidParam(key)
+        if (key in _POSITIVE_KEYS and not value > 0
+                or not key.startswith("detuning") and value < 0):
+            out_of_range.append(key)
+    if out_of_range:
+        raise InvalidParam(out_of_range[0])
+    if not merged["rate_a_mhz"] + merged["rate_b_mhz"] > 0:
+        raise InvalidParam("rate_a_mhz+rate_b_mhz")
     laser = LaserParams(
         power=merged["power_mw"] * 1e-3,
         wavelength=merged["wavelength_nm"] * 1e-9,
@@ -225,8 +219,6 @@ def from_config(config: dict) -> ModelParams:
             raise InvalidParam("thickness_m")
     else:
         raise InvalidParam("thickness_policy")
-    if not merged["density_per_m3"] > 0:
-        raise InvalidParam("density_per_m3")
     sample = SampleParams(density_rho_m=merged["density_per_m3"],
                           thickness=thickness)
     return ModelParams(laser, molecule, sample, derive(laser, molecule))

@@ -3,9 +3,8 @@ accumulation, the closed-form photon-count covariance, and the
 signal-optimal thickness.
 
 The covariance closed form integrates the two-term intensity expansion of the
-per-molecule diffusion rate along the attenuated beam.  Its quadratic term
-carries the consistency factor ``KAPPA`` fixed once against the direct
-numerical quadrature of the variance flow (see oracles) and then frozen.
+per-molecule diffusion rate along the attenuated beam exactly; the direct
+numerical quadrature of the same integral (see oracles) checks it.
 """
 
 from __future__ import annotations
@@ -14,10 +13,6 @@ import numpy as np
 
 from .errors import DegenerateAbsorption
 from .params import ModelParams
-
-# Consistency factor of the order-J^2 covariance term, settled by the
-# quadrature oracle (regression-tested).
-KAPPA = 0.5
 
 # Below this absorption cross section (m^2) no optimal thickness exists.
 ABSORPTION_THRESHOLD = 1e-40
@@ -50,9 +45,14 @@ def covariance_closed_form(params: ModelParams, s_plus: float,
                            z: float) -> np.ndarray:
     """Photon-count covariance at depth z from the fitted intensity expansion.
 
-    Input covariance is Poissonian, Sigma_0^2 = n_p0 * identity.  The linear
-    expansion coefficient relaxes the covariance toward the attenuated shot
-    level; the quadratic coefficient accumulates along the depth.
+    Input covariance is Poissonian, Sigma_0^2 = n_p0 * identity, and decays
+    as att^2, att = exp(-rho S+ z).  The slice at z' adds rho A tau times the
+    rate D1 J + (1/2) D2 J^2 at J = J0 exp(-rho S+ z'), damped by
+    exp(-2 rho S+ (z - z')).  With n_p0 = J0 A tau, the D1 term integrates to
+    n_p0 (D1/S+)(att - att^2), a relaxation toward the attenuated shot level,
+    and the D2 term, whose integrand is constant in z', to
+    int_0^z e^{-2 rho S+ (z-z')} rho A tau (1/2) D2 J0^2 e^{-2 rho S+ z'} dz'
+    = (1/2) att^2 n_p0 J0 rho D2 z.
     """
     if z < 0:
         raise ValueError("z must be non-negative")
@@ -62,6 +62,6 @@ def covariance_closed_form(params: ModelParams, s_plus: float,
     identity = np.eye(2)
     sigma2 = n_p0 * att**2 * identity
     sigma2 = sigma2 + n_p0 * (D1 / s_plus) * (att - att**2)
-    sigma2 = sigma2 + att**2 * n_p0 * j0 * rho * D2 * z * KAPPA
+    sigma2 = sigma2 + att**2 * n_p0 * j0 * rho * D2 * z * 0.5
     return sigma2
 

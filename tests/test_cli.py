@@ -210,6 +210,39 @@ def test_sweep_keeps_untyped_failure_in_row(monkeypatch, capsys):
     assert all(row.endswith(",error:LinAlgError") for row in rows)
 
 
+def test_point_untyped_failure_is_error_json(monkeypatch, capsys):
+    """point ends the failures a sweep keeps in a row in error JSON too."""
+    def failing(params, route):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(cli, "evaluate_point", failing)
+    code, out, err = run(["point"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "LinAlgError",
+                               "message": "SVD did not converge"}
+
+
+def test_sweep_config_error_fails_once(tmp_path, capsys):
+    """A configuration error that no grid value overrides ends the sweep
+    before any point, in one JSON error and without a CSV."""
+    path = tmp_path / "sweep.csv"
+    code, out, err = run(["sweep", "--set", "bogus=1",
+                          "--axis1", "detuning,linear,0,10,3",
+                          "--out", str(path), "--workers", "1"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParseError"
+    assert not path.exists()
+    code, _, err = run(["sweep", "--set", "gamma_mhz=0",
+                        "--axis1", "detuning,linear,0,10,3"], capsys)
+    assert code == 1
+    assert json.loads(err)["error"] == "InvalidParam"
+    # the grid replaces a swept key, so its base value is not checked
+    code, out, _ = run(["sweep", "--set", "detuning_a_mhz=NaN",
+                        "--axis1", "detuning,linear,0,10,2",
+                        "--workers", "1"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 3
+
+
 NUMERIC_KEYS = sorted(k for k, v in default_config().items()
                       if isinstance(v, float))
 

@@ -18,15 +18,17 @@ def test_trace_is_left_null_vector(default_params):
     assert np.max(np.abs(residual)) < 1e-6 * np.max(np.abs(liou))
 
 
-def test_stationary_state_properties(default_params):
-    liou = build_two_sided(default_params, (0.0, 0.0))
-    rho = stationary_state(liou).reshape(4, 4)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
-    eigs = np.linalg.eigvalsh(rho)
-    assert eigs.min() > -1e-12
-    # stationary residual
-    assert np.max(np.abs(liou @ rho.reshape(-1))) < 1e-6
+def test_stationary_state_properties():
+    # default rates, and slow ones whose chemical mode nearly closes the gap
+    for config in ({}, {"rate_a_mhz": 1e-6, "rate_b_mhz": 3e-6}):
+        liou = build_two_sided(from_config(config), (0.0, 0.0))
+        rho = stationary_state(liou).reshape(4, 4)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        eigs = np.linalg.eigvalsh(rho)
+        assert eigs.min() > -1e-12
+        # stationary residual
+        assert np.max(np.abs(liou @ rho.reshape(-1))) < 1e-6
 
 
 def test_symmetric_rates_balance_populations():

@@ -56,10 +56,15 @@ def test_non_numeric_rejected():
     ("gamma_mhz", 0.0),
     ("rate_a_mhz", -1.0),
     ("density_per_m3", 0.0),
+    ("beam_diameter_cm", -0.5),
+    ("measurement_time_s", 0.0),
+    ("dipole_a_debye", -1.0),
+    ("rate_b_mhz", -1e-4),
 ])
 def test_range_checks(key, value):
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidParam) as excinfo:
         from_config({key: value})
+    assert excinfo.value.field == key
 
 
 def test_both_rates_zero_rejected():

@@ -5,8 +5,10 @@ import pathlib
 
 import pytest
 
-SCRIPTS = sorted(
-    (pathlib.Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the scripts, and the benchmark harness, which reaches the package through
+# names it imports and through a dict of its modules, pkg["<module>"]
+CALLERS = sorted((ROOT / "scripts").glob("*.py")) + [ROOT / "bench" / "run.py"]
 
 
 def _resolve(dotted):
@@ -25,36 +27,74 @@ def _resolve(dotted):
 
 
 def _package_uses(tree):
-    """(dotted name, keyword names) for every spectrosens name a script
-    imports or reads as an attribute of an imported name, with the keywords
-    of the calls made through it."""
-    aliases, uses = {}, set()
+    """(dotted name, keyword names) for every spectrosens name a file
+    imports or reads as an attribute of an imported name or of a module
+    looked up by its imported name, ``pkg["params"]``, with the keywords of
+    the calls made through it.  A name the file also binds to anything else
+    is a local and is not followed."""
+    modules, aliases, local, uses = {}, {}, set(), set()
     for node in ast.walk(tree):
         if (isinstance(node, ast.ImportFrom) and node.module
                 and node.module.split(".")[0] == "spectrosens"):
             for alias in node.names:
                 dotted = f"{node.module}.{alias.name}"
-                aliases[alias.asname or alias.name] = dotted
+                modules[alias.asname or alias.name] = dotted
                 uses.add((dotted, ()))
+    aliases.update(modules)
+
+    def package_name(node):
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.slice, ast.Constant)):
+            return modules.get(node.slice.value)
+        if isinstance(node, ast.Attribute):
+            base = package_name(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    bound = {}  # name -> dotted path, for assignments from the package
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if (isinstance(target, ast.Tuple)
+                        and isinstance(node.value, ast.Tuple)):
+                    pairs = zip(target.elts, node.value.elts)
+                for name, value in pairs:
+                    dotted = package_name(value)
+                    if isinstance(name, ast.Name) and dotted:
+                        bound[name.id] = dotted
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node.id not in bound:
+                local.add(node.id)
+        elif isinstance(node, ast.arg):
+            local.add(node.arg)
+    aliases.update(bound)
+    for name in local:
+        aliases.pop(name, None)
+
     for node in ast.walk(tree):
         target, keywords = node, ()
         if isinstance(node, ast.Call):
             target = node.func
             keywords = tuple(k.arg for k in node.keywords if k.arg)
-        if isinstance(target, ast.Attribute) and isinstance(
-                target.value, ast.Name) and target.value.id in aliases:
-            uses.add((f"{aliases[target.value.id]}.{target.attr}", keywords))
+        if isinstance(target, ast.Attribute):
+            dotted = package_name(target)
+            if dotted:
+                uses.add((dotted, keywords))
         elif (isinstance(target, ast.Name) and target.id in aliases
               and keywords):
             uses.add((aliases[target.id], keywords))
     return uses
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
+@pytest.mark.parametrize("script", CALLERS, ids=lambda path: path.name)
 def test_script_package_names_resolve(script):
-    """Every spectrosens name a script uses still exists and still takes
-    the keywords the script passes, so an API removal cannot silently break
-    a script that no test runs."""
+    """Every spectrosens name a script or the benchmark harness uses still
+    exists and still takes the keywords the file passes, so an API removal
+    cannot silently break a file that no test runs."""
     broken = []
     uses = _package_uses(ast.parse(script.read_text()))
     for dotted, keywords in sorted(uses):
