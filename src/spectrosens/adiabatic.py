@@ -90,7 +90,7 @@ def _conditioned_model(params, state, J):
 def conditioned_cgf(params: ModelParams, state: str, s1, s2, J: float):
     """Conditioned cumulant-generating rate K_state(s), elementwise in s."""
     chi = (-1j * np.asarray(s1), -1j * np.asarray(s2))
-    matrix = two_sided(*_conditioned_model(params, state, J), chi, (0.0, 0.0))
+    matrix = two_sided(*_conditioned_model(params, state, J), chi)
     return dominant_eigenvalue(matrix)[0].real
 
 

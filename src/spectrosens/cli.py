@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -56,8 +57,9 @@ def _fmt(value) -> str:
     return "%.12g" % value
 
 
-def _error_json(exc: Exception) -> str:
-    return json.dumps({"error": type(exc).__name__, "message": str(exc)})
+def _error_json(exc: Exception, **extra) -> str:
+    return json.dumps({"error": type(exc).__name__, "message": str(exc),
+                       **extra})
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +170,9 @@ def run_sweep(config: dict, axes, route: str, workers: int | None = None):
         for names, value in zip(keys, combo):  # a later axis overrides
             point.update(dict.fromkeys(names, float(value)))
         tasks.append((point, route))
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = min(workers, len(tasks))  # fork starts every worker up front
+    cores = os.cpu_count() or 1
+    # fork starts every worker up front: no more than the cores or the points
+    workers = min(cores if workers is None else workers, cores, len(tasks))
     if workers <= 1:
         return [_evaluate_row(task) for task in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -274,7 +276,6 @@ def _build_parser():
                        help="override a configuration key")
         p.add_argument("--route", choices=ROUTES, default="full")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--workers", type=int, default=None)
 
     point = sub.add_parser("point", help="evaluate a single configuration")
     common(point)
@@ -288,7 +289,15 @@ def _build_parser():
     figures = sub.add_parser("figures", help="emit preset figure data packs")
     common(figures)
     figures.add_argument("figure_id", choices=FIGURE_IDS)
+    for p in (sweep, figures):
+        p.add_argument("--workers", type=int, default=None,
+                       help="worker processes, at most the CPU count "
+                            "(default: the CPU count)")
     return parser
+
+
+def _messages(caught) -> list:
+    return [str(warning.message) for warning in caught]
 
 
 def _output(path):
@@ -307,7 +316,16 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "point":
-            record = run_point(config, args.route)
+            # the one JSON document written carries the evaluation's warnings
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    record = run_point(config, args.route)
+                except COMPUTE_ERRORS as exc:
+                    print(_error_json(exc, warnings=_messages(caught)),
+                          file=sys.stderr)
+                    return EXIT_COMPUTE
+            record["warnings"] = _messages(caught)
             with _output(args.out) as stream:
                 stream.write(json.dumps(record, indent=2, default=float) + "\n")
             return EXIT_OK

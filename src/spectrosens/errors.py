@@ -17,10 +17,6 @@ class ParseError(ModelError):
     """Configuration document is malformed."""
 
 
-class TrustRadiusExceeded(ModelError):
-    """Counting-field magnitude outside the branch-isolation trust radius."""
-
-
 class GapTooSmall(ModelError):
     """Spectral gap too small for reliable dominant-branch tracking."""
 

@@ -53,9 +53,9 @@ def dominant_eigenvalue(matrix: np.ndarray, min_gap: float = 0.0):
 
     An (n, d, d) stack gives arrays of n of each from one solve, and raises
     ``GapTooSmall`` if any gap is below ``min_gap``.  For the real tilts used
-    throughout (|s| well inside the trust radius) the max-real-part branch
-    coincides with the branch continuously connected to lambda(0) = 0; the
-    property tests check this against eigenvector-overlap tracking.
+    throughout (|s| <= 1e-4) the max-real-part branch coincides with the
+    branch continuously connected to lambda(0) = 0; the property tests check
+    this against eigenvector-overlap tracking.
     """
     values = np.linalg.eigvals(matrix)
     order = np.argsort(-values.real, axis=-1)[..., :2]

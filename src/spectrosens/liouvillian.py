@@ -1,54 +1,46 @@
-"""Rotating-frame Hamiltonian with auxiliary phases/counting fields and the
-vectorized two-sided superoperator.
+"""Rotating-frame Hamiltonian at counting-field phases and the vectorized
+two-sided superoperator.
 
-Basis order is frozen package-wide: |g_A>, |e_A>, |g_B>, |e_B| mapped to
-indices 0..3.  Vectorization is row-major, vec(rho)[4*i+j] = rho_ij, so that
-vec(A rho B) = kron(A, B.T) @ vec(rho) and the trace functional is the
-left vector vec(identity).
+The counting fields chi enter as channel phases: chi/2 on the left of the
+density matrix and -chi/2 on the right.  Basis order is frozen package-wide:
+|g_A>, |e_A>, |g_B>, |e_B| mapped to indices 0..3.  Vectorization is
+row-major, vec(rho)[4*i+j] = rho_ij, so that vec(A rho B) = kron(A, B.T) @
+vec(rho) and the trace functional is the left vector vec(identity).
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .errors import TrustRadiusExceeded
 from .params import ModelParams
 
 DIM = 4
 
-# Fixed auxiliary-phase offsets of the two detector channels.
+# Fixed phase offsets of the two detector channels.
 PHASE_OFFSETS = (np.pi / 4.0, -np.pi / 4.0)
 
-# Largest counting-field magnitude for which the dominant branch is isolated.
-TRUST_RADIUS = 0.1
 
-
-def _coupling(amp, phi1, phi2, sign):
-    """Raising (``sign`` = +1) or lowering (-1) operator amplitude for drive
-    amplitude ``amp`` (= d E / hbar).  The lowering amplitude is the analytic
-    continuation of the conjugate, so the superoperator stays analytic in
-    complex counting fields."""
-    return amp / (2.0 * np.sqrt(2.0)) * (
-        np.exp(sign * 1j * (phi1 + PHASE_OFFSETS[0]))
-        + np.exp(sign * 1j * (phi2 + PHASE_OFFSETS[1])))
-
-
-def block_hamiltonian(blocks, phi=(0.0, 0.0)) -> np.ndarray:
-    """Rotating-frame Hamiltonian of independent driven two-level blocks.
+def block_hamiltonian(blocks, phases) -> np.ndarray:
+    """Rotating-frame Hamiltonian of independent driven two-level blocks at
+    the channel ``phases``.
 
     ``blocks`` holds one (detuning, drive amplitude) pair per block; block k
-    occupies ground index 2k and excited index 2k+1.  Phase arrays of shape
-    (n,) give an (n, d, d) stack.
+    occupies ground index 2k and excited index 2k+1.  A block of drive
+    amplitude amp (= d E / hbar) is raised by amp / (2 sqrt 2) times the sum
+    over both channels of exp(i (phase + offset)) and lowered by the same sum
+    at -i, the analytic continuation of the conjugate, so the superoperator
+    stays analytic in complex counting fields.  Phase arrays of shape (n,)
+    give an (n, d, d) stack.
     """
-    phi1, phi2 = phi
-    h = np.zeros(np.shape(phi1) + (2 * len(blocks),) * 2, dtype=complex)
+    raising, lowering = (np.exp(sign * 1j * (phases[0] + PHASE_OFFSETS[0]))
+                         + np.exp(sign * 1j * (phases[1] + PHASE_OFFSETS[1]))
+                         for sign in (1, -1))
+    h = np.zeros(np.shape(raising) + (2 * len(blocks),) * 2, dtype=complex)
     for k, (detuning, amp) in enumerate(blocks):
         ground, excited = 2 * k, 2 * k + 1
         h[..., excited, excited] = detuning
-        h[..., excited, ground] = _coupling(amp, phi1, phi2, 1)
-        h[..., ground, excited] = _coupling(amp, phi1, phi2, -1)
+        h[..., excited, ground] = amp / (2.0 * np.sqrt(2.0)) * raising
+        h[..., ground, excited] = amp / (2.0 * np.sqrt(2.0)) * lowering
     return h
 
 
@@ -74,12 +66,13 @@ def commutator(h_left: np.ndarray, h_right: np.ndarray) -> np.ndarray:
     return -1j * (_outer(h_left, eye) - _outer(eye, h_right.swapaxes(-1, -2)))
 
 
-def _dissipator(jump: np.ndarray, rate: float) -> np.ndarray:
+def _dissipator(jump: np.ndarray) -> np.ndarray:
+    """Real superoperator of ``jump`` acting at unit rate."""
     eye = np.eye(jump.shape[0])
     jd = jump.conj().T
     jdj = jd @ jump
-    return rate * (np.kron(jump, jump.conj())
-                   - 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T)))
+    return (np.kron(jump, jump.conj())
+            - 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T)))
 
 
 def _proj(i, j, dim=DIM):
@@ -88,58 +81,36 @@ def _proj(i, j, dim=DIM):
     return op
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
+# Unit-rate superoperators of the model's jumps, in the order of the rates
+# gamma, gamma, r_A, r_A, r_B, r_B: decay |g_A><e_A| and |g_B><e_B|, then
+# transfer into A and into B from the ground and the excited level.
+UNIT_DISSIPATORS = np.array([_dissipator(_proj(i, j)) for i, j in (
+    (0, 1), (2, 3), (0, 2), (1, 3), (2, 0), (3, 1))])
+
+# Unit-rate decay of one two-level block.
+UNIT_DECAY = _dissipator(_proj(0, 1, dim=2))
 
 
-# Dissipators depend on rates only; one entry serves every tilt, phase and
-# flux scale of a parameter point.
-DISSIPATOR_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=DISSIPATOR_CACHE_SIZE)
 def decay_dissipator(decay_gamma: float) -> np.ndarray:
-    """Read-only 4x4 superoperator of one two-level block decaying at
-    ``decay_gamma``."""
-    return _read_only(_dissipator(_proj(0, 1, dim=2), decay_gamma))
-
-
-@functools.lru_cache(maxsize=DISSIPATOR_CACHE_SIZE)
-def _dissipator_sum(decay_gamma: float, rate_a: float,
-                    rate_b: float) -> np.ndarray:
-    total = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-    total += _dissipator(_proj(0, 1), decay_gamma)   # |g_A><e_A|
-    total += _dissipator(_proj(2, 3), decay_gamma)   # |g_B><e_B|
-    # transfer into A at rate_a, into B at rate_b, for ground and excited levels
-    total += _dissipator(_proj(0, 2), rate_a)
-    total += _dissipator(_proj(1, 3), rate_a)
-    total += _dissipator(_proj(2, 0), rate_b)
-    total += _dissipator(_proj(3, 1), rate_b)
-    return _read_only(total)
+    """4x4 superoperator of one two-level block decaying at ``decay_gamma``."""
+    return decay_gamma * UNIT_DECAY
 
 
 def dissipator_sum(params: ModelParams) -> np.ndarray:
     """Spontaneous decay within each state plus chemical transfer between
-    them; read-only and shared by all points with the same rates."""
+    them."""
     mol = params.molecule
-    return _dissipator_sum(mol.decay_gamma, mol.rate_a, mol.rate_b)
+    rates = np.array([mol.decay_gamma, mol.decay_gamma, mol.rate_a,
+                      mol.rate_a, mol.rate_b, mol.rate_b])
+    return (rates[:, None, None] * UNIT_DISSIPATORS).sum(axis=0)
 
 
-def _check_trust_radius(chi):
-    size1, size2 = np.max(np.abs(chi[0])), np.max(np.abs(chi[1]))
-    if size1 > TRUST_RADIUS or size2 > TRUST_RADIUS:
-        raise TrustRadiusExceeded(
-            f"|chi| = ({size1:.3g}, {size2:.3g}) "
-            f"exceeds trust radius {TRUST_RADIUS}")
-
-
-def two_sided(blocks, dissipator: np.ndarray, chi, phi) -> np.ndarray:
+def two_sided(blocks, dissipator: np.ndarray, chi) -> np.ndarray:
     """Superoperator (stack) of the driven ``blocks`` plus ``dissipator``:
-    left phases phi + chi/2, right phases phi - chi/2, at any chi."""
-    (phi1, phi2), (chi1, chi2) = phi, chi
-    h_left = block_hamiltonian(blocks, (phi1 + chi1 / 2.0, phi2 + chi2 / 2.0))
-    h_right = block_hamiltonian(blocks, (phi1 - chi1 / 2.0, phi2 - chi2 / 2.0))
+    left phases chi/2, right phases -chi/2, at any chi."""
+    chi1, chi2 = chi
+    h_left = block_hamiltonian(blocks, (chi1 / 2.0, chi2 / 2.0))
+    h_right = block_hamiltonian(blocks, (-chi1 / 2.0, -chi2 / 2.0))
     return commutator(h_left, h_right) + dissipator
 
 
@@ -150,23 +121,21 @@ def generator_derivatives(blocks, dissipator: np.ndarray):
     d2L/ds_k^2, a commutator, has a zero trace row: cumulants need neither."""
     t = 1j * np.log(4.0)   # chi = -i s
     chi = (np.array([0.0, -t, t, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, -t, t]))
-    stack = two_sided(blocks, dissipator, chi, (0.0, 0.0))
+    stack = two_sided(blocks, dissipator, chi)
     return stack[0], (stack[1::2] - stack[2::2]) / 3.0
 
 
-def build_two_sided(params: ModelParams, chi, phi=(0.0, 0.0),
+def build_two_sided(params: ModelParams, chi,
                     flux_scale: float = 1.0) -> np.ndarray:
-    """Two-sided 16x16 superoperator of the model: left phases phi + chi/2,
-    right phases phi - chi/2.
+    """Two-sided 16x16 superoperator of the model: left phases chi/2, right
+    phases -chi/2.
 
     ``chi`` is the pair of counting fields, scalars or equal-shape (n,)
     arrays giving an (n, 16, 16) stack; complex values occur during
-    differentiation.  A field beyond ``TRUST_RADIUS`` in magnitude raises
-    ``TrustRadiusExceeded``.
+    differentiation.
     """
-    _check_trust_radius(chi)
     return two_sided(model_blocks(params, flux_scale), dissipator_sum(params),
-                     chi, phi)
+                     chi)
 
 
 def trace_vector() -> np.ndarray:

@@ -80,7 +80,7 @@ class ModelParams:
     derived: DerivedQuantities
 
     def with_density(self, density: float) -> "ModelParams":
-        if density <= 0:
+        if not (_is_finite(density) and density > 0):
             raise InvalidParam("density_per_m3")
         return ModelParams(self.laser, self.molecule,
                            replace(self.sample, density_rho_m=density),

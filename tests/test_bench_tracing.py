@@ -7,8 +7,7 @@ from spectrosens.params import from_config
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
-# Layers that one evaluate_point(params, "both") runs through.  kernel.kron
-# is left out: whether it runs depends on the state of the dissipator cache.
+# Layers that one evaluate_point(params, "both") runs through.
 POINT_PATH_SPANS = [
     "liouvillian.build_two_sided",
     "fcs.dominant_eigenvalue",
@@ -53,3 +52,5 @@ def test_tracer_records_every_point_layer():
         tracer.uninstall()
     summary = tracer.summary()
     assert [name for name in POINT_PATH_SPANS if summary[name][0] == 0] == []
+    # the unit dissipators are built once, at import
+    assert summary["kernel.kron"][0] == 0

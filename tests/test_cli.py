@@ -91,9 +91,10 @@ def test_sweep_determinism(capsys):
     assert out3 == out1
 
 
-def test_sweep_forks_no_more_workers_than_points(monkeypatch, capsys):
-    """Fork starts every pool worker up front, so a large --workers on a
-    small grid must not reach the pool unclipped."""
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by an in-process one; returns the list of
+    the pool sizes requested."""
     requested = []
 
     class InProcessPool:
@@ -109,14 +110,34 @@ def test_sweep_forks_no_more_workers_than_points(monkeypatch, capsys):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    args = ["sweep", "--axis1", "detuning,linear,-20,20,3"]
-    code1, serial, _ = run(args + ["--workers", "1"], capsys)
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
                         InProcessPool)
+    return requested
+
+
+def test_sweep_forks_no_more_workers_than_points(pool_sizes, monkeypatch,
+                                                 capsys):
+    """Fork starts every pool worker up front, so a large --workers on a
+    small grid must not reach the pool unclipped."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    args = ["sweep", "--axis1", "detuning,linear,-20,20,3"]
+    code1, serial, _ = run(args + ["--workers", "1"], capsys)
     code2, pooled, _ = run(args + ["--workers", "64"], capsys)
-    assert requested == [3]
+    assert pool_sizes == [3]
     assert code1 == code2 == 0
     assert pooled == serial
+
+
+def test_sweep_forks_no_more_workers_than_cores(pool_sizes, monkeypatch):
+    """A --workers above the CPU count, or none, gets a pool of the CPU
+    count."""
+    monkeypatch.setattr(cli, "_evaluate_row", lambda task: task)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    axis = ["detuning,linear,-20,20,5"]
+    for workers in (5000, None, 2):
+        assert len(cli.run_sweep(default_config(), axis, "full",
+                                 workers)) == 5
+    assert pool_sizes == [2, 2, 2]
 
 
 def test_sweep_partial_failure(capsys):
@@ -218,7 +239,8 @@ def test_point_untyped_failure_is_error_json(monkeypatch, capsys):
     code, out, err = run(["point"], capsys)
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "LinAlgError",
-                               "message": "SVD did not converge"}
+                               "message": "SVD did not converge",
+                               "warnings": []}
 
 
 def test_sweep_config_error_fails_once(tmp_path, capsys):
@@ -299,6 +321,40 @@ def test_seed_option_removed(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["point", "--seed", "1"])
     assert excinfo.value.code == 2
+
+
+def test_point_has_no_workers_option(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["point", "--workers", "2"])
+    assert excinfo.value.code == 2
+
+
+def _run_cli(*argv):
+    src = os.path.dirname(os.path.dirname(spectrosens.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "spectrosens.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+def test_point_stderr_is_one_json_document():
+    """A warning raised on the way to an error goes into the error object,
+    not onto stderr ahead of it."""
+    proc = _run_cli("point", "--set", "gamma_mhz=1e-300")
+    assert proc.returncode == 1 and proc.stdout == ""
+    error = json.loads(proc.stderr)
+    assert error["error"] == "FitResidualExceeded"
+    assert [message.split(":")[0] for message in error["warnings"]] == [
+        "outside weak-probe regime"]
+
+
+def test_point_record_carries_warnings(capsys):
+    code, out, err = run(["point", "--route", "adiabatic",
+                          "--set", "rate_a_mhz=3"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["warnings"] == [
+        "adiabatic factorization unreliable: rate_a + rate_b > gamma/10"]
+    code, out, _ = run(["point"], capsys)
+    assert json.loads(out)["warnings"] == []
 
 
 def test_cli_import_loads_no_scipy():

@@ -121,3 +121,14 @@ def test_non_finite_rejected(key, value):
     with pytest.raises(InvalidParam) as excinfo:
         from_config(config)
     assert excinfo.value.field == key
+
+
+@pytest.mark.parametrize("density", [math.nan, math.inf, -math.inf, 0.0,
+                                     -1.0])
+def test_with_density_rejects_what_from_config_rejects(default_params,
+                                                       density):
+    with pytest.raises(InvalidParam) as excinfo:
+        default_params.with_density(density)
+    assert excinfo.value.field == "density_per_m3"
+    with pytest.raises(InvalidParam):
+        from_config({"density_per_m3": density})
