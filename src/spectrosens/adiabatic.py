@@ -35,12 +35,17 @@ def reaction_time(params: ModelParams) -> float:
 
 
 def _state_constants(params: ModelParams, state: str):
+    """(Rabi frequency, detuning, beta^2, decay rate) of the state as numpy
+    floats, whose squares saturate to inf where Python floats would raise
+    OverflowError."""
     mol, der = params.molecule, params.derived
     if state == "A":
-        return der.rabi_a, mol.detuning_a, der.beta_sq_a
-    if state == "B":
-        return der.rabi_b, mol.detuning_b, der.beta_sq_b
-    raise ValueError(f"unknown chemical state {state!r}")
+        constants = der.rabi_a, mol.detuning_a, der.beta_sq_a
+    elif state == "B":
+        constants = der.rabi_b, mol.detuning_b, der.beta_sq_b
+    else:
+        raise ValueError(f"unknown chemical state {state!r}")
+    return np.float64((*constants, mol.decay_gamma))
 
 
 def warn_if_nonadiabatic(params):
@@ -56,9 +61,7 @@ def warn_if_nonadiabatic(params):
 
 def conditioned_cross_sections(params: ModelParams, state: str):
     """(S_plus|state, S_minus|state) in m^2, weak-field Lorentzian forms."""
-    # numpy floats saturate to inf where Python floats raise OverflowError
-    _, eps, beta_sq = np.float64(_state_constants(params, state))
-    gamma = params.molecule.decay_gamma
+    _, eps, beta_sq, gamma = _state_constants(params, state)
     with np.errstate(all="ignore"):
         denom = 4.0 * eps**2 + gamma**2
         return 0.5 * gamma * beta_sq / denom, eps * beta_sq / denom
@@ -68,8 +71,7 @@ def _curvature_weak_field(params, state, J):
     """Second-derivative matrix of the conditioned eigenvalue to leading
     order in the drive (counting order, 1/s), from the characteristic
     polynomial of the conditioned tilted generator."""
-    rabi, eps, _ = np.float64(_state_constants(params, state))
-    gamma = params.molecule.decay_gamma
+    rabi, eps, _, gamma = _state_constants(params, state)
     with np.errstate(all="ignore"):
         w = rabi**2 * (J / params.derived.photon_flux_j0)
         u = np.array([gamma / 8.0 - eps / 4.0, gamma / 8.0 + eps / 4.0])
@@ -82,9 +84,9 @@ def _curvature_weak_field(params, state, J):
 
 def _conditioned_model(params, state, J):
     """The state's driven two-level block at flux J and its decay."""
-    rabi, eps, _ = _state_constants(params, state)
+    rabi, eps, _, gamma = _state_constants(params, state)
     scale = np.sqrt(J / params.derived.photon_flux_j0)
-    return ((eps, rabi * scale),), decay_dissipator(params.molecule.decay_gamma)
+    return ((eps, rabi * scale),), decay_dissipator(gamma)
 
 
 def conditioned_cgf(params: ModelParams, state: str, s1, s2, J: float):

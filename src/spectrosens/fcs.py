@@ -18,6 +18,12 @@ Conventions frozen here:
   in s with bordered solves (Flindt, Novotny & Jauho, EPL 69, 475 (2005);
   Flindt et al., PRL 100, 150601 (2008)).  Only the cross sections still
   come from finite differences of the dominant eigenvalue.
+* The generator is affine in the flux scale f = sqrt(J/J0): the undriven
+  part holds the detunings and dissipators, and the drive, through which
+  alone the counting fields enter, scales with f.  Two builds, at f = 0 and
+  f = 1, give the generator and its s-derivatives at any flux, and
+  ``cumulants`` solves a leading stack axis of fluxes at once, so the ten
+  fluxes of the intensity expansion are one stacked solve.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from .errors import FitResidualExceeded, GapTooSmall
 from .liouvillian import (bordered, build_two_sided, dissipator_sum,
-                          generator_derivatives, model_blocks)
+                          generator_derivatives, model_blocks, trace_vector)
 from .params import ModelParams
 
 # Largest relative residual of the intensity-expansion fit.
@@ -101,17 +107,26 @@ def cumulants(l0: np.ndarray, first: np.ndarray):
     row, rho the stationary state and rho_k the traceless solution of
     L0 rho_k = -(dL/ds_k - c1_k) rho, c1_k = <<1|dL/ds_k|rho>> and
     c2_kl = <<1|dL/ds_k|rho_l>> + (k <-> l).  L0 bordered by the trace row
-    and column is invertible and serves every solve."""
+    and column is invertible and serves every solve.
+
+    A leading stack axis, ``l0`` of shape (m, n, n) and ``first`` of shape
+    (m, 2, n, n), gives c1 of shape (m, 2) and c2 of shape (m, 2, 2) from
+    two stacked solves."""
     n = l0.shape[-1]
     system = bordered(l0)
-    trace = system[n, :n].real
-    rho = np.linalg.solve(system, np.append(np.zeros(n), 1.0))[:n]
-    moved = first @ rho                                   # (2, n)
+    trace = trace_vector(n)
+    # right-hand sides as full (..., n + 1, k) stacks, never (n + 1, k)
+    # alone, which numpy < 2 reads as a stack of vectors
+    unit = np.broadcast_to(np.eye(n + 1)[:, n:], system.shape[:-1] + (1,))
+    rho = np.linalg.solve(system, unit)[..., :n, 0]       # (..., n)
+    moved = (first @ rho[..., None, :, None])[..., 0]     # (..., 2, n)
     c1 = moved @ trace
-    rhs = np.vstack([(c1[:, None] * rho - moved).T, np.zeros(2)])
-    rho_k = np.linalg.solve(system, rhs)[:n]              # (n, 2)
-    cross = (trace @ first) @ rho_k                       # [k, l]
-    return c1.real, (cross + cross.T).real
+    source = c1[..., :, None] * rho[..., None, :] - moved
+    rhs = np.concatenate([source.swapaxes(-1, -2),
+                          np.zeros(source.shape[:-2] + (1, 2))], axis=-2)
+    rho_k = np.linalg.solve(system, rhs)[..., :n, :]      # (..., n, 2)
+    cross = (trace @ first) @ rho_k                       # [..., k, l]
+    return c1.real, (cross + cross.swapaxes(-1, -2)).real
 
 
 def _lambda_s(params, s1, s2, flux_scale):
@@ -142,18 +157,27 @@ def first_cumulants(params: ModelParams, flux_scale: float, h: float):
     return richardson(gradient, fun, h)
 
 
-def second_cumulant_matrix(params: ModelParams, flux_scale: float):
+def second_cumulant_matrix(params: ModelParams, flux_scale):
     """Exact (c1, c2) of the 4-level model: d(lambda)/ds_k and the 2x2
-    matrix of d2(lambda)/ds_k ds_l (counting-index order), units 1/s."""
-    return cumulants(*generator_derivatives(
-        model_blocks(params, flux_scale), dissipator_sum(params)))
+    matrix of d2(lambda)/ds_k ds_l (counting-index order), units 1/s, at a
+    scalar ``flux_scale`` f or an (m,) array of them (both results gain the
+    axis).  L(f) = L_u + f (L(1) - L_u) and dL/ds_k(f) = f dL/ds_k(1)."""
+    dissipator = dissipator_sum(params)
+    undriven, _ = generator_derivatives(model_blocks(params, 0.0), dissipator)
+    driven, first = generator_derivatives(model_blocks(params, 1.0),
+                                          dissipator)
+    f = np.asarray(flux_scale)[..., None, None]
+    return cumulants(undriven + f * (driven - undriven),
+                     f[..., None, :, :] * first)
 
 
-def detector_rate(curvature: np.ndarray, absorbed: float) -> np.ndarray:
+def detector_rate(curvature: np.ndarray, absorbed) -> np.ndarray:
     """Per-molecule second-cumulant rate in detector order from the eigenvalue
     curvature (counting-index order) and the absorbed flux (1/s): the
-    curvature plus the partition shot noise of absorption."""
-    return curvature[::-1, ::-1] + 0.5 * absorbed * np.eye(2)
+    curvature plus the partition shot noise of absorption.  Both may carry
+    a leading stack axis."""
+    absorbed = np.asarray(absorbed)[..., None, None]
+    return curvature[..., ::-1, ::-1] + 0.5 * absorbed * np.eye(2)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +216,13 @@ def cross_sections(params: ModelParams):
     return c1[1] / j_ref, c1[0] / j_ref
 
 
-def diffusion_rate(params: ModelParams, J: float) -> np.ndarray:
-    """Per-molecule second-cumulant rate matrix at flux J (detector order)."""
-    flux_scale = np.sqrt(J / params.derived.photon_flux_j0)
+def diffusion_rate(params: ModelParams, J) -> np.ndarray:
+    """Per-molecule second-cumulant rate matrix at flux J (detector order).
+    An (m,) array of fluxes gives the (m, 2, 2) stack of rates from one
+    stacked solve of the flux-affine generator."""
+    flux_scale = np.sqrt(np.asarray(J) / params.derived.photon_flux_j0)
     c1, c2 = second_cumulant_matrix(params, flux_scale)
-    return detector_rate(c2, c1[0] + c1[1])
+    return detector_rate(c2, c1[..., 0] + c1[..., 1])
 
 
 def fit_diffusion_expansion(params: ModelParams,
@@ -204,7 +230,8 @@ def fit_diffusion_expansion(params: ModelParams,
                             pin_linear: bool = True) -> DiffusionExpansion:
     """Least-squares fit of the per-molecule rate to D1*J + (1/2)*D2*J^2
     through the origin, on ten log-spaced fluxes spanning the decade below
-    J0; a relative residual above ``FIT_RESIDUAL_TOL`` raises
+    J0, all ten rates from one ``diffusion_rate`` call on the flux grid; a
+    relative residual above ``FIT_RESIDUAL_TOL`` raises
     ``FitResidualExceeded``.
 
     At slow reaction rates the quadratic chemical term exceeds the linear
@@ -224,7 +251,7 @@ def fit_diffusion_expansion(params: ModelParams,
     j0 = params.derived.photon_flux_j0
     J_grid = np.geomspace(j0 / 10.0, j0, 10)
     x = J_grid / j0
-    rates = np.array([diffusion_rate(params, j) for j in J_grid])  # (n, 2, 2)
+    rates = diffusion_rate(params, J_grid)                # (n, 2, 2)
     flat = rates.reshape(len(J_grid), 4)
     norm = np.linalg.norm(flat)
 

@@ -138,20 +138,22 @@ def build_two_sided(params: ModelParams, chi,
                      chi)
 
 
-def trace_vector() -> np.ndarray:
-    """Left null vector of the chi=0 generator: vec(identity)."""
-    return np.eye(DIM).reshape(-1)
+def trace_vector(n: int = DIM * DIM) -> np.ndarray:
+    """Left null vector of a chi=0 generator of size n = d^2 (default: the
+    model's): vec(identity)."""
+    return np.eye(int(np.sqrt(n))).reshape(-1)
 
 
 def bordered(generator: np.ndarray) -> np.ndarray:
-    """An n x n generator (n = d^2, any block size d) bordered by the trace
-    row and column vec(identity) and a zero corner.  The bordered system is
-    invertible when the stationary state is unique; it replaces the singular
-    generator in every solve (Flindt, Novotny & Jauho, EPL 69, 475 (2005))."""
+    """An n x n generator (n = d^2, any block size d), or a stack of them,
+    bordered by the trace row and column vec(identity) and a zero corner.
+    The bordered system is invertible when the stationary state is unique;
+    it replaces the singular generator in every solve (Flindt, Novotny &
+    Jauho, EPL 69, 475 (2005))."""
     n = generator.shape[-1]
-    system = np.zeros((n + 1, n + 1), dtype=complex)
-    system[:n, :n] = generator
-    system[n, :n] = system[:n, n] = np.eye(int(np.sqrt(n))).reshape(-1)
+    system = np.zeros(generator.shape[:-2] + (n + 1, n + 1), dtype=complex)
+    system[..., :n, :n] = generator
+    system[..., n, :n] = system[..., :n, n] = trace_vector(n)
     return system
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,54 @@ def test_point_failure_contract(route, config):
         assert code == 1
         error = getattr(errors, json.loads(err.getvalue())["error"])
         assert issubclass(error, errors.ModelError)
+
+
+EDGE_VALUES = (1e300, -1e300, 1e30, -1e30, 1e-300, 5e-324)
+
+
+def _untyped_outcomes(configs, route):
+    """The configurations whose ``run_point`` raises anything but a
+    ``ModelError``, with what they raised."""
+    untyped = []
+    for config in configs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                cli.run_point(config, route)
+            except errors.ModelError:
+                pass
+            except Exception as exc:
+                untyped.append((config, repr(exc)))
+    return untyped
+
+
+@pytest.mark.parametrize("route", cli.ROUTES)
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_point_failure_contract_on_edge_grid(key, route):
+    """Each numeric key at the edges of the float range ends in a result or
+    a typed error on every route, without relying on a random search."""
+    assert _untyped_outcomes([{key: v} for v in EDGE_VALUES], route) == []
+
+
+@pytest.mark.parametrize("route", cli.ROUTES)
+@pytest.mark.parametrize("key", sorted(set(NUMERIC_KEYS) - {"gamma_mhz"}))
+def test_point_failure_contract_with_huge_decay(key, route):
+    """A decay rate whose square leaves the float range, paired with each
+    other key at the edges, also ends typed; the adiabatic closed forms
+    square it."""
+    configs = [{"gamma_mhz": 1e300, key: v} for v in EDGE_VALUES]
+    assert _untyped_outcomes(configs, route) == []
+
+
+@pytest.mark.parametrize("gamma", ["1e150", "1e300"])
+def test_adiabatic_huge_decay_is_typed_error_json(gamma, capsys):
+    """The closed forms square the decay rate in numpy floats, which
+    saturate, so the square's overflow surfaces as a typed error."""
+    code, _, err = run(["point", "--route", "adiabatic",
+                        "--set", f"gamma_mhz={gamma}"], capsys)
+    assert code == 1
+    error = getattr(errors, json.loads(err)["error"])
+    assert issubclass(error, errors.ModelError)
 
 
 @pytest.mark.parametrize("figure_id", cli.FIGURE_IDS)

@@ -3,7 +3,8 @@ import pytest
 
 from spectrosens import adiabatic, fcs
 from spectrosens.errors import FitResidualExceeded, GapTooSmall
-from spectrosens.liouvillian import build_two_sided
+from spectrosens.liouvillian import (build_two_sided, dissipator_sum,
+                                     generator_derivatives, model_blocks)
 from spectrosens.params import from_config
 from spectrosens.pipeline import evaluate_point
 from stencils import hessian
@@ -121,10 +122,64 @@ def test_fit_diffusion_expansion(default_params):
 def test_fit_residual_guard(default_params, monkeypatch):
     j0 = default_params.derived.photon_flux_j0
     rate = fcs.diffusion_rate
-    noisy = lambda p, j: rate(p, j) * (1 + 0.05 * np.sin(j / j0 * 37))
+    noisy = lambda p, j: rate(p, j) * (1 + 0.05 * np.sin(j / j0 * 37))[
+        ..., None, None]
     monkeypatch.setattr(fcs, "diffusion_rate", noisy)
     with pytest.raises(FitResidualExceeded):
         fcs.fit_diffusion_expansion(default_params)
+
+
+FLUX_STACK_POINTS = {
+    "default": {},
+    "slow": {"rate_a_mhz": 1e-6, "rate_b_mhz": 3e-6},
+    "fast": {"rate_a_mhz": 3.0, "rate_b_mhz": 60.0},
+    "100MHz": {"detuning_a_mhz": 100.0},
+}
+
+
+@pytest.mark.parametrize("config", FLUX_STACK_POINTS.values(),
+                         ids=FLUX_STACK_POINTS.keys())
+def test_stacked_diffusion_rate_equals_scalar_calls(config):
+    """One call on a flux grid gives each flux's rate matrix as a call at
+    that flux alone would."""
+    params = from_config(config)
+    j0 = params.derived.photon_flux_j0
+    grid = np.geomspace(j0 / 10.0, j0, 10)
+    stacked = fcs.diffusion_rate(params, grid)
+    singles = np.array([fcs.diffusion_rate(params, j) for j in grid])
+    assert stacked.shape == (10, 2, 2)
+    scale = np.max(np.abs(singles), axis=(1, 2), keepdims=True)
+    assert np.max(np.abs(stacked - singles) / scale) <= 1e-15
+
+
+@pytest.mark.parametrize("config", FLUX_STACK_POINTS.values(),
+                         ids=FLUX_STACK_POINTS.keys())
+def test_flux_affine_cumulants_match_direct_builds(config):
+    """The generator combined from its builds at zero and full drive gives
+    the cumulants of the generator built at each flux scale directly."""
+    params = from_config(config)
+    scales = np.array([0.0, 0.3, 1.0, 2.5])
+    c1, c2 = fcs.second_cumulant_matrix(params, scales)
+    for k, scale in enumerate(scales):
+        d1, d2 = fcs.cumulants(*generator_derivatives(
+            model_blocks(params, scale), dissipator_sum(params)))
+        for got, want in ((c1[k], d1), (c2[k], d2)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(
+                np.max(np.abs(want)), 1e-300)
+
+
+def test_full_point_makes_one_stacked_rate_call(default_params, monkeypatch):
+    """The intensity expansion takes all its fluxes from one call."""
+    shapes = []
+    rate = fcs.diffusion_rate
+
+    def counted(params, J):
+        shapes.append(np.shape(J))
+        return rate(params, J)
+
+    monkeypatch.setattr(fcs, "diffusion_rate", counted)
+    evaluate_point(default_params, "full")
+    assert shapes == [(10,)]
 
 
 def test_strong_probe_warning():
