@@ -8,7 +8,7 @@ bounds for homodyne and direct detection.
 """
 
 from .errors import ModelError
-from .params import ModelParams, default_config, from_config, validate
+from .params import ModelParams, default_config, from_config
 from .pipeline import PointResult, evaluate_point
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "default_config",
     "evaluate_point",
     "from_config",
-    "validate",
 ]
 
 __version__ = "0.1.0"

@@ -62,9 +62,8 @@ def warn_if_nonadiabatic(params):
 def conditioned_cross_sections(params: ModelParams, state: str):
     """(S_plus|state, S_minus|state) in m^2, weak-field Lorentzian forms."""
     _, eps, beta_sq, gamma = _state_constants(params, state)
-    with np.errstate(all="ignore"):
-        denom = 4.0 * eps**2 + gamma**2
-        return 0.5 * gamma * beta_sq / denom, eps * beta_sq / denom
+    denom = 4.0 * eps**2 + gamma**2
+    return 0.5 * gamma * beta_sq / denom, eps * beta_sq / denom
 
 
 def _curvature_weak_field(params, state, J):
@@ -72,14 +71,13 @@ def _curvature_weak_field(params, state, J):
     order in the drive (counting order, 1/s), from the characteristic
     polynomial of the conditioned tilted generator."""
     rabi, eps, _, gamma = _state_constants(params, state)
-    with np.errstate(all="ignore"):
-        w = rabi**2 * (J / params.derived.photon_flux_j0)
-        u = np.array([gamma / 8.0 - eps / 4.0, gamma / 8.0 + eps / 4.0])
-        a1 = eps**2 + gamma**2 / 4.0
-        a2 = eps**2 / gamma + 1.25 * gamma
-        return (gamma * w / (8.0 * a1) * np.eye(2)
-                - 2.0 * a2 * w**2 / a1**3 * np.outer(u, u)
-                + w**2 / (4.0 * a1**2) * (u[:, None] + u[None, :]))
+    w = rabi**2 * (J / params.derived.photon_flux_j0)
+    u = np.array([gamma / 8.0 - eps / 4.0, gamma / 8.0 + eps / 4.0])
+    a1 = eps**2 + gamma**2 / 4.0
+    a2 = eps**2 / gamma + 1.25 * gamma
+    return (gamma * w / (8.0 * a1) * np.eye(2)
+            - 2.0 * a2 * w**2 / a1**3 * np.outer(u, u)
+            + w**2 / (4.0 * a1**2) * (u[:, None] + u[None, :]))
 
 
 def _conditioned_model(params, state, J):
@@ -185,9 +183,8 @@ def weak_field_expansion(params: ModelParams):
     s_plus, s_minus = effective_cross_sections(params)
     j0 = params.derived.photon_flux_j0
     d1 = s_plus * np.eye(2)
-    with np.errstate(all="ignore"):
-        d2 = 2.0 * (adiabatic_rate(params, j0, method="weak_field")
-                    - j0 * d1) / j0**2
+    d2 = 2.0 * (adiabatic_rate(params, j0, method="weak_field")
+                - j0 * d1) / j0**2
     if not (np.isfinite(s_minus) and np.all(np.isfinite(d2))):
         raise FitResidualExceeded("weak-field expansion is not finite")
     return s_plus, s_minus, DiffusionExpansion(D1=d1, D2=d2, fit_residual=0.0)

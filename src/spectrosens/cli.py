@@ -13,7 +13,6 @@ import concurrent.futures
 import contextlib
 import itertools
 import json
-import math
 import os
 import sys
 import warnings
@@ -50,10 +49,6 @@ COMPUTE_ERRORS = (ModelError, ArithmeticError, np.linalg.LinAlgError)
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
     return "%.12g" % value
 
 

@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import FitResidualExceeded, GapTooSmall
 from .liouvillian import (bordered, build_two_sided, dissipator_sum,
-                          generator_derivatives, model_blocks, trace_vector)
+                          generator_derivatives, model_blocks, trace_vector,
+                          two_sided)
 from .params import ModelParams
 
 # Largest relative residual of the intensity-expansion fit.
@@ -163,7 +164,7 @@ def second_cumulant_matrix(params: ModelParams, flux_scale):
     scalar ``flux_scale`` f or an (m,) array of them (both results gain the
     axis).  L(f) = L_u + f (L(1) - L_u) and dL/ds_k(f) = f dL/ds_k(1)."""
     dissipator = dissipator_sum(params)
-    undriven, _ = generator_derivatives(model_blocks(params, 0.0), dissipator)
+    undriven = two_sided(model_blocks(params, 0.0), dissipator, (0.0, 0.0))
     driven, first = generator_derivatives(model_blocks(params, 1.0),
                                           dissipator)
     f = np.asarray(flux_scale)[..., None, None]
@@ -193,9 +194,8 @@ def _warn_if_strong(params):
     der, mol = params.derived, params.molecule
     # numpy floats saturate to 0 or inf at extreme but finite rates, where
     # Python floats would raise ZeroDivisionError or OverflowError
-    with np.errstate(over="ignore", divide="ignore"):
-        saturation = (np.float64(max(der.rabi_a, der.rabi_b)) ** 2
-                      / np.float64(mol.decay_gamma) ** 2)
+    saturation = (np.float64(max(der.rabi_a, der.rabi_b)) ** 2
+                  / np.float64(mol.decay_gamma) ** 2)
     if saturation > WEAK_PROBE_LIMIT:
         warnings.warn(f"outside weak-probe regime: Omega^2/gamma^2 = "
                       f"{saturation:.3g}", stacklevel=3)

@@ -11,7 +11,6 @@ Unit conventions (frozen for the whole package):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import astuple, dataclass, replace
 
@@ -222,16 +221,3 @@ def from_config(config: dict) -> ModelParams:
     sample = SampleParams(density_rho_m=merged["density_per_m3"],
                           thickness=thickness)
     return ModelParams(laser, molecule, sample, derive(laser, molecule))
-
-
-def validate(config_text: str) -> ModelParams:
-    """Parse a JSON configuration document and return validated parameters."""
-    if not config_text or not config_text.strip():
-        raise ParseError("empty configuration document")
-    try:
-        config = json.loads(config_text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ParseError("configuration document must be a JSON object")
-    return from_config(config)

@@ -64,28 +64,35 @@ def _relative_deviation(full, adia):
 
 
 def evaluate_point(params: ModelParams, route: str = "full") -> PointResult:
-    """Run the complete pipeline at one parameter point."""
+    """Run the complete pipeline at one parameter point.
+
+    This is the one place that sets numpy's floating-point error state.
+    Far out in rate, detuning or density the arithmetic saturates to 0, inf
+    or nan without a warning, and the typed checks downstream turn
+    non-finite results into ``ModelError``s, so the only warnings a point
+    raises are physics warnings."""
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}")
-    gap = _spectral_gap(params)
+    with np.errstate(all="ignore"):
+        gap = _spectral_gap(params)
 
-    deviation = None
-    if route == "both":
-        full_q = _route_quantities(params, "full")
-        adia_q = _route_quantities(params, "adiabatic")
-        deviation = _relative_deviation(full_q, adia_q)
-        s_plus, s_minus, expansion = full_q
-        route_used = "both"
-    else:
-        s_plus, s_minus, expansion = _route_quantities(params, route)
-        route_used = route
+        deviation = None
+        if route == "both":
+            full_q = _route_quantities(params, "full")
+            adia_q = _route_quantities(params, "adiabatic")
+            deviation = _relative_deviation(full_q, adia_q)
+            s_plus, s_minus, expansion = full_q
+            route_used = "both"
+        else:
+            s_plus, s_minus, expansion = _route_quantities(params, route)
+            route_used = route
 
-    z = params.sample.thickness
-    if z is None:
-        z = z_optimal(params, s_plus)
-    sigma2 = covariance_closed_form(params, s_plus, expansion.D1,
-                                    expansion.D2, z)
-    report = sensitivity_report(params, s_plus, s_minus, sigma2, z)
+        z = params.sample.thickness
+        if z is None:
+            z = z_optimal(params, s_plus)
+        sigma2 = covariance_closed_form(params, s_plus, expansion.D1,
+                                        expansion.D2, z)
+        report = sensitivity_report(params, s_plus, s_minus, sigma2, z)
     return PointResult(
         s_plus=s_plus, s_minus=s_minus, expansion=expansion, sigma2=sigma2,
         report=report, route=route_used, spectral_gap=gap,

@@ -208,16 +208,39 @@ def test_sweep_non_finite_axis_rows(capsys):
 
 
 def test_sweep_bad_point_is_not_usage_error(capsys):
-    """A point whose numerics fail ends in its own typed row; only a bad
-    axis spec is a usage error."""
-    code, out, _ = run(["sweep", "--axis1", "density,log,1e-300,1e20,3",
-                        "--workers", "1"], capsys)
-    assert code == 1
+    """A point whose numerics fail ends in its own typed row, without numpy
+    floating-point warnings; only a bad axis spec is a usage error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(["sweep", "--axis1", "density,log,1e-300,1e20,3",
+                              "--workers", "1"], capsys)
+    assert code == 1 and err == ""
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     statuses = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
     assert len(statuses) == 3 and statuses[2] == "ok"
     for status in statuses[:2]:
         assert status.startswith("error:")
         assert issubclass(getattr(errors, status[6:]), errors.ModelError)
+
+
+@pytest.mark.parametrize("density", ["1e-300", "5e-324"])
+@pytest.mark.parametrize("route", cli.ROUTES)
+def test_point_overflow_carries_no_numpy_warnings(route, density, capsys):
+    """A density whose optimal depth leaves the float range ends in the
+    same typed error on every route, and numpy's floating-point warnings of
+    the saturated arithmetic on the way are not among the point's warnings."""
+    code, out, err = run(["point", "--route", route,
+                          "--set", f"density_per_m3={density}"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "SingularCovariance",
+                               "message": "covariance has non-finite entries",
+                               "warnings": []}
+
+
+def test_csv_cells_format_non_finite_values():
+    assert [cli._fmt(v) for v in (float("nan"), float("inf"), float("-inf"),
+                                  np.float64("-inf"), "CL")] == [
+        "nan", "inf", "-inf", "-inf", "CL"]
 
 
 def test_sweep_keeps_untyped_failure_in_row(monkeypatch, capsys):

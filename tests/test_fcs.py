@@ -169,17 +169,24 @@ def test_flux_affine_cumulants_match_direct_builds(config):
 
 
 def test_full_point_makes_one_stacked_rate_call(default_params, monkeypatch):
-    """The intensity expansion takes all its fluxes from one call."""
-    shapes = []
-    rate = fcs.diffusion_rate
+    """The intensity expansion takes all its fluxes from one call, and
+    differentiates one generator: the undriven part has no tilts to build."""
+    shapes, builds = [], []
+    rate, derivatives = fcs.diffusion_rate, fcs.generator_derivatives
 
     def counted(params, J):
         shapes.append(np.shape(J))
         return rate(params, J)
 
+    def counted_build(*args):
+        builds.append(args)
+        return derivatives(*args)
+
     monkeypatch.setattr(fcs, "diffusion_rate", counted)
+    monkeypatch.setattr(fcs, "generator_derivatives", counted_build)
     evaluate_point(default_params, "full")
     assert shapes == [(10,)]
+    assert len(builds) == 1
 
 
 def test_strong_probe_warning():

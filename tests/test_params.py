@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -6,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from spectrosens.errors import InvalidParam, ParseError
 from spectrosens.params import (MHZ, angular_to_mhz, default_config,
-                                from_config, mhz_to_angular, validate)
+                                from_config, mhz_to_angular)
 
 
 def test_unit_scale():
@@ -87,17 +86,6 @@ def test_fixed_thickness_policy():
     assert excinfo.value.field == "thickness_m"
     with pytest.raises(InvalidParam):
         from_config({"thickness_policy": "optimal", "thickness_m": 0.01})
-
-
-def test_validate_json():
-    params = validate(json.dumps({"detuning_a_mhz": 20.0}))
-    assert angular_to_mhz(params.molecule.detuning_a) == pytest.approx(20.0)
-    with pytest.raises(ParseError):
-        validate("")
-    with pytest.raises(ParseError):
-        validate("{not json")
-    with pytest.raises(ParseError):
-        validate("[1, 2]")
 
 
 def test_default_config_is_copy():
