@@ -97,6 +97,8 @@ def _grid(spec: str):
         raise ValueError("axis count must be at least 2")
     if not low < high:
         raise ValueError("axis min must be below max")
+    if not np.isfinite(high - low):
+        raise ValueError("axis span must be finite")
     if scale == "linear":
         values = np.linspace(low, high, count)
     elif scale == "log":

@@ -79,8 +79,7 @@ class ModelParams:
     derived: DerivedQuantities
 
     def with_density(self, density: float) -> "ModelParams":
-        if not (_is_finite(density) and density > 0):
-            raise InvalidParam("density_per_m3")
+        _check_value("density_per_m3", density)
         return ModelParams(self.laser, self.molecule,
                            replace(self.sample, density_rho_m=density),
                            self.derived)
@@ -140,25 +139,28 @@ DEFAULT_CONFIG = {
     "rate_a_mhz": 1.0e-4,
     "rate_b_mhz": 1.0e-4,
     "density_per_m3": 1.0e20,
-    "thickness_policy": "optimal",   # or "fixed"
-    "thickness_m": None,             # set iff thickness_policy == "fixed"
+    "thickness_m": None,             # fixed sample depth; None means z_opt
 }
 
-_NUMERIC_KEYS = [k for k in DEFAULT_CONFIG
-                 if k not in ("thickness_policy", "thickness_m")]
-
-# numeric keys that must be positive; the others but the detunings (the
-# dipoles and the rates) must be non-negative
+# keys that must be positive; the others but the detunings (the dipoles and
+# the rates) must be non-negative
 _POSITIVE_KEYS = {"power_mw", "wavelength_nm", "beam_diameter_cm",
-                  "measurement_time_s", "gamma_mhz", "density_per_m3"}
+                  "measurement_time_s", "gamma_mhz", "density_per_m3",
+                  "thickness_m"}
 
 
-def _is_finite(value) -> bool:
-    """False for NaN, +-inf and integers beyond the float range."""
+def _check_value(key: str, value) -> None:
+    """Raise ``InvalidParam(key)`` unless the number ``value`` is finite, in
+    rad/s too for a MHz key, and in the key's range."""
     try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+        # MHz values near the float maximum overflow on conversion to rad/s
+        finite = math.isfinite(mhz_to_angular(value) if key.endswith("_mhz")
+                               else value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if (not finite or key in _POSITIVE_KEYS and not value > 0
+            or not key.startswith("detuning") and value < 0):
+        raise InvalidParam(key)
 
 
 def default_config() -> dict:
@@ -170,23 +172,16 @@ def from_config(config: dict) -> ModelParams:
     unknown = set(config) - set(DEFAULT_CONFIG)
     if unknown:
         raise ParseError(f"unknown configuration keys: {sorted(unknown)}")
-    merged = dict(DEFAULT_CONFIG, **config)
-    # range errors wait for the loop's end, so that a later key that is not
-    # a number still raises ParseError
-    out_of_range = []
-    for key in _NUMERIC_KEYS:
-        value = merged[key]
+    merged = dict(DEFAULT_CONFIG, **config)  # in schema order
+    numbers = dict(merged)
+    if numbers["thickness_m"] is None:  # the signal-optimal depth
+        del numbers["thickness_m"]
+    # every type error before any value error
+    for key, value in numbers.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParseError(f"key {key!r} must be a number, got {value!r}")
-        # MHz values near the float maximum overflow on conversion to rad/s
-        if not _is_finite(value) or (key.endswith("_mhz") and not
-                                     _is_finite(mhz_to_angular(value))):
-            raise InvalidParam(key)
-        if (key in _POSITIVE_KEYS and not value > 0
-                or not key.startswith("detuning") and value < 0):
-            out_of_range.append(key)
-    if out_of_range:
-        raise InvalidParam(out_of_range[0])
+    for key, value in numbers.items():
+        _check_value(key, value)
     if not merged["rate_a_mhz"] + merged["rate_b_mhz"] > 0:
         raise InvalidParam("rate_a_mhz+rate_b_mhz")
     laser = LaserParams(
@@ -204,20 +199,6 @@ def from_config(config: dict) -> ModelParams:
         rate_a=mhz_to_angular(merged["rate_a_mhz"]),
         rate_b=mhz_to_angular(merged["rate_b_mhz"]),
     )
-    policy = merged["thickness_policy"]
-    if policy == "optimal":
-        if merged["thickness_m"] is not None:
-            raise InvalidParam("thickness_m",
-                               "thickness_m is set only with policy 'fixed'")
-        thickness = None
-    elif policy == "fixed":
-        thickness = merged["thickness_m"]
-        if (not isinstance(thickness, (int, float))
-                or isinstance(thickness, bool)
-                or not _is_finite(thickness) or not thickness > 0):
-            raise InvalidParam("thickness_m")
-    else:
-        raise InvalidParam("thickness_policy")
     sample = SampleParams(density_rho_m=merged["density_per_m3"],
-                          thickness=thickness)
+                          thickness=merged["thickness_m"])
     return ModelParams(laser, molecule, sample, derive(laser, molecule))

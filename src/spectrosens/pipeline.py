@@ -82,10 +82,8 @@ def evaluate_point(params: ModelParams, route: str = "full") -> PointResult:
             adia_q = _route_quantities(params, "adiabatic")
             deviation = _relative_deviation(full_q, adia_q)
             s_plus, s_minus, expansion = full_q
-            route_used = "both"
         else:
             s_plus, s_minus, expansion = _route_quantities(params, route)
-            route_used = route
 
         z = params.sample.thickness
         if z is None:
@@ -95,6 +93,6 @@ def evaluate_point(params: ModelParams, route: str = "full") -> PointResult:
         report = sensitivity_report(params, s_plus, s_minus, sigma2, z)
     return PointResult(
         s_plus=s_plus, s_minus=s_minus, expansion=expansion, sigma2=sigma2,
-        report=report, route=route_used, spectral_gap=gap,
+        report=report, route=route, spectral_gap=gap,
         route_deviation=deviation,
     )

@@ -198,13 +198,19 @@ def test_point_extreme_gamma_is_typed_error(capsys):
 
 
 def test_sweep_non_finite_axis_rows(capsys):
-    """Non-finite grid values fail their own rows, not the whole sweep."""
-    code, out, _ = run(["sweep", "--axis1", "detuning,linear,-10,inf,3",
-                        "--workers", "1"], capsys)
-    assert code == 1
-    rows = out.strip().splitlines()[1:]
-    assert len(rows) == 3
-    assert all(row.endswith(",error:InvalidParam") for row in rows)
+    """An axis whose span is not finite is a bad axis spec: one JSON error,
+    no rows, and no numpy floating-point warning."""
+    for axis in ("detuning,linear,-10,inf,3", "detuning,linear,-inf,10,3",
+                 "detuning,linear,-1.7e308,1.7e308,3", "rate,log,1e-6,inf,4"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["sweep", "--axis1", axis,
+                                  "--workers", "1"], capsys)
+        assert code == 2 and out == "", axis
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": "axis span must be finite"}
+        assert [w for w in caught
+                if issubclass(w.category, RuntimeWarning)] == [], axis
 
 
 def test_sweep_bad_point_is_not_usage_error(capsys):

@@ -72,20 +72,30 @@ def test_both_rates_zero_rejected():
 
 
 def test_fixed_thickness_policy():
-    params = from_config({"thickness_policy": "fixed", "thickness_m": 0.01})
-    assert params.sample.thickness == 0.01
-    with pytest.raises(InvalidParam):
+    """thickness_m alone sets the depth: null is the signal-optimal depth,
+    a positive finite number a fixed one."""
+    assert from_config({"thickness_m": 0.01}).sample.thickness == 0.01
+    assert from_config({"thickness_m": None}).sample.thickness is None
+    for bad in (0, -1.0, math.inf):
+        with pytest.raises(InvalidParam) as excinfo:
+            from_config({"thickness_m": bad})
+        assert excinfo.value.field == "thickness_m"
+    for not_a_number in ("x", True):
+        with pytest.raises(ParseError):
+            from_config({"thickness_m": not_a_number})
+    with pytest.raises(ParseError, match="unknown configuration keys"):
         from_config({"thickness_policy": "fixed"})
-    with pytest.raises(InvalidParam):
-        from_config({"thickness_policy": "fixed", "thickness_m": True})
-    with pytest.raises(InvalidParam):
-        from_config({"thickness_policy": "bogus"})
-    # a depth under the optimal policy would be ignored, so it is refused
+
+
+def test_type_errors_before_value_errors():
+    """A value that is not a number raises ParseError before any
+    InvalidParam, and InvalidParam names the first bad key in schema
+    order, whatever the kind of its error."""
+    with pytest.raises(ParseError):
+        from_config({"power_mw": math.inf, "gamma_mhz": "x"})
     with pytest.raises(InvalidParam) as excinfo:
-        from_config({"thickness_m": -1.0})
-    assert excinfo.value.field == "thickness_m"
-    with pytest.raises(InvalidParam):
-        from_config({"thickness_policy": "optimal", "thickness_m": 0.01})
+        from_config({"power_mw": -1.0, "gamma_mhz": math.nan})
+    assert excinfo.value.field == "power_mw"
 
 
 def test_default_config_is_copy():
@@ -103,12 +113,10 @@ def test_default_config_is_copy():
     ("thickness_m", math.inf),
 ])
 def test_non_finite_rejected(key, value):
-    config = {key: value}
-    if key == "thickness_m":
-        config["thickness_policy"] = "fixed"
     with pytest.raises(InvalidParam) as excinfo:
-        from_config(config)
+        from_config({key: value})
     assert excinfo.value.field == key
+    assert str(excinfo.value) == f"invalid parameter: {key}"
 
 
 @pytest.mark.parametrize("density", [math.nan, math.inf, -math.inf, 0.0,

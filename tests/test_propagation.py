@@ -90,7 +90,7 @@ def test_covariance_psd_along_depth(default_params):
 
 
 def test_pipeline_uses_fixed_thickness():
-    params = from_config({"thickness_policy": "fixed", "thickness_m": 0.02})
+    params = from_config({"thickness_m": 0.02})
     result = evaluate_point(params)
     sigma2 = propagation.covariance_closed_form(
         params, result.s_plus, result.expansion.D1, result.expansion.D2,
