@@ -24,6 +24,12 @@ Conventions frozen here:
   f = 1, give the generator and its s-derivatives at any flux, and
   ``cumulants`` solves a leading stack axis of fluxes at once, so the ten
   fluxes of the intensity expansion are one stacked solve.
+* The generator is block-diagonal: it never mixes the matrix elements
+  within one chemical state with those between the states (see
+  ``liouvillian``).  The stationary state and every dL/ds_k live within the
+  states, so the exact solves run on that 8x8 sector, bordered by its part
+  of the trace row.  The finite-difference tilts of the cross sections
+  still eigensolve the full 16x16 generator.
 """
 
 from __future__ import annotations
@@ -34,9 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitResidualExceeded, GapTooSmall
-from .liouvillian import (bordered, build_two_sided, dissipator_sum,
-                          generator_derivatives, model_blocks, trace_vector,
-                          two_sided)
+from .liouvillian import (WITHIN, bordered, build_two_sided, dissipator_sum,
+                          generator_derivatives, model_blocks, sector,
+                          trace_vector, two_sided)
 from .params import ModelParams
 
 # Largest relative residual of the intensity-expansion fit.
@@ -101,21 +107,22 @@ def richardson(stencil, fun, h: float):
 # eigenvalue derivatives
 # ---------------------------------------------------------------------------
 
-def cumulants(l0: np.ndarray, first: np.ndarray):
+def cumulants(l0: np.ndarray, first: np.ndarray, trace=None):
     """(c1, c2): first and second s-derivatives of the dominant eigenvalue
     at s = 0 (counting order, 1/s), from the generator ``l0`` at s = 0 and
     the stack ``first`` of its derivatives dL/ds_k.  With <<1| the trace
     row, rho the stationary state and rho_k the traceless solution of
     L0 rho_k = -(dL/ds_k - c1_k) rho, c1_k = <<1|dL/ds_k|rho>> and
     c2_kl = <<1|dL/ds_k|rho_l>> + (k <-> l).  L0 bordered by the trace row
-    and column is invertible and serves every solve.
+    and column is invertible and serves every solve.  ``trace`` defaults to
+    vec(identity); a sector block takes the sector's part of it.
 
     A leading stack axis, ``l0`` of shape (m, n, n) and ``first`` of shape
     (m, 2, n, n), gives c1 of shape (m, 2) and c2 of shape (m, 2, 2) from
     two stacked solves."""
     n = l0.shape[-1]
-    system = bordered(l0)
-    trace = trace_vector(n)
+    trace = trace_vector(n) if trace is None else trace
+    system = bordered(l0, trace)
     # right-hand sides as full (..., n + 1, k) stacks, never (n + 1, k)
     # alone, which numpy < 2 reads as a stack of vectors
     unit = np.broadcast_to(np.eye(n + 1)[:, n:], system.shape[:-1] + (1,))
@@ -162,14 +169,18 @@ def second_cumulant_matrix(params: ModelParams, flux_scale):
     """Exact (c1, c2) of the 4-level model: d(lambda)/ds_k and the 2x2
     matrix of d2(lambda)/ds_k ds_l (counting-index order), units 1/s, at a
     scalar ``flux_scale`` f or an (m,) array of them (both results gain the
-    axis).  L(f) = L_u + f (L(1) - L_u) and dL/ds_k(f) = f dL/ds_k(1)."""
+    axis).  L(f) = L_u + f (L(1) - L_u) and dL/ds_k(f) = f dL/ds_k(1).
+    The stationary state and every dL/ds_k act within the chemical states,
+    so the solves run on that 8x8 sector."""
     dissipator = dissipator_sum(params)
     undriven = two_sided(model_blocks(params, 0.0), dissipator, (0.0, 0.0))
     driven, first = generator_derivatives(model_blocks(params, 1.0),
                                           dissipator)
+    undriven, driven, first = (sector(m, WITHIN)
+                               for m in (undriven, driven, first))
     f = np.asarray(flux_scale)[..., None, None]
     return cumulants(undriven + f * (driven - undriven),
-                     f[..., None, :, :] * first)
+                     f[..., None, :, :] * first, trace_vector()[WITHIN])
 
 
 def detector_rate(curvature: np.ndarray, absorbed) -> np.ndarray:

@@ -6,6 +6,12 @@ density matrix and -chi/2 on the right.  Basis order is frozen package-wide:
 |g_A>, |e_A>, |g_B>, |e_B| mapped to indices 0..3.  Vectorization is
 row-major, vec(rho)[4*i+j] = rho_ij, so that vec(A rho B) = kron(A, B.T) @
 vec(rho) and the trace functional is the left vector vec(identity).
+
+The model's generator never mixes the two sectors of vec(rho): the matrix
+elements within one chemical state (``WITHIN``, where the stationary state
+and every dL/ds_k act) and those between the states (``BETWEEN``).  Its
+entries between the sectors are exactly 0.0 at every chi and flux, so a
+solve or an eigensolve may run on the 8x8 sector blocks instead.
 """
 
 from __future__ import annotations
@@ -144,16 +150,29 @@ def trace_vector(n: int = DIM * DIM) -> np.ndarray:
     return np.eye(int(np.sqrt(n))).reshape(-1)
 
 
-def bordered(generator: np.ndarray) -> np.ndarray:
-    """An n x n generator (n = d^2, any block size d), or a stack of them,
-    bordered by the trace row and column vec(identity) and a zero corner.
-    The bordered system is invertible when the stationary state is unique;
-    it replaces the singular generator in every solve (Flindt, Novotny &
-    Jauho, EPL 69, 475 (2005))."""
+# vec(rho) indices of the matrix elements within one chemical state and of
+# those between the states (A holds basis indices 0, 1 and B holds 2, 3)
+_SAME_STATE = np.equal.outer(np.arange(DIM) // 2, np.arange(DIM) // 2).ravel()
+WITHIN, BETWEEN = np.flatnonzero(_SAME_STATE), np.flatnonzero(~_SAME_STATE)
+
+
+def sector(matrix: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The block of a model superoperator (stack) on one sector."""
+    return matrix[..., indices[:, None], indices]
+
+
+def bordered(generator: np.ndarray, trace: np.ndarray | None = None
+             ) -> np.ndarray:
+    """An n x n generator, or a stack of them, bordered by the ``trace``
+    row and column and a zero corner; the default trace is vec(identity)
+    for n = d^2 (any block size d).  The bordered system is invertible when
+    the stationary state is unique; it replaces the singular generator in
+    every solve (Flindt, Novotny & Jauho, EPL 69, 475 (2005))."""
     n = generator.shape[-1]
     system = np.zeros(generator.shape[:-2] + (n + 1, n + 1), dtype=complex)
     system[..., :n, :n] = generator
-    system[..., n, :n] = system[..., :n, n] = trace_vector(n)
+    system[..., n, :n] = system[..., :n, n] = (
+        trace_vector(n) if trace is None else trace)
     return system
 
 

@@ -79,6 +79,7 @@ class ModelParams:
     derived: DerivedQuantities
 
     def with_density(self, density: float) -> "ModelParams":
+        _check_type("density_per_m3", density)
         _check_value("density_per_m3", density)
         return ModelParams(self.laser, self.molecule,
                            replace(self.sample, density_rho_m=density),
@@ -149,6 +150,12 @@ _POSITIVE_KEYS = {"power_mw", "wavelength_nm", "beam_diameter_cm",
                   "thickness_m"}
 
 
+def _check_type(key: str, value) -> None:
+    """Raise ``ParseError`` unless ``value`` is a number (bool excluded)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"key {key!r} must be a number, got {value!r}")
+
+
 def _check_value(key: str, value) -> None:
     """Raise ``InvalidParam(key)`` unless the number ``value`` is finite, in
     rad/s too for a MHz key, and in the key's range."""
@@ -178,8 +185,7 @@ def from_config(config: dict) -> ModelParams:
         del numbers["thickness_m"]
     # every type error before any value error
     for key, value in numbers.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"key {key!r} must be a number, got {value!r}")
+        _check_type(key, value)
     for key, value in numbers.items():
         _check_value(key, value)
     if not merged["rate_a_mhz"] + merged["rate_b_mhz"] > 0:

@@ -81,15 +81,21 @@ def test_sweep_symmetry(capsys):
 
 
 def test_sweep_determinism(capsys):
-    args = ["sweep", "--axis1", "rate,log,1e-4,1e-2,3", "--workers", "2"]
-    code1, out1, _ = run(args, capsys)
-    code2, out2, _ = run(args, capsys)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    # serial execution gives the same bytes
-    code3, out3, _ = run(args[:-2] + ["--workers", "1"], capsys)
-    assert code3 == 0
-    assert out3 == out1
+    """3 points run in-process; 2 * POINTS_PER_WORKER points go through a
+    real two-worker pool.  Both write the bytes of the serial sweep."""
+    for count in (3, 2 * cli.POINTS_PER_WORKER):
+        if count > 3 and (os.cpu_count() or 1) < 2:
+            pytest.skip("a two-worker pool needs two cores")
+        args = ["sweep", "--axis1", f"rate,log,1e-4,1e-2,{count}",
+                "--workers", "2"]
+        code1, out1, _ = run(args, capsys)
+        code2, out2, _ = run(args, capsys)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        # serial execution gives the same bytes
+        code3, out3, _ = run(args[:-2] + ["--workers", "1"], capsys)
+        assert code3 == 0
+        assert out3 == out1
 
 
 @pytest.fixture
@@ -120,6 +126,7 @@ def test_sweep_forks_no_more_workers_than_points(pool_sizes, monkeypatch,
                                                  capsys):
     """Fork starts every pool worker up front, so a large --workers on a
     small grid must not reach the pool unclipped."""
+    monkeypatch.setattr(cli, "POINTS_PER_WORKER", 1)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     args = ["sweep", "--axis1", "detuning,linear,-20,20,3"]
     code1, serial, _ = run(args + ["--workers", "1"], capsys)
@@ -132,6 +139,7 @@ def test_sweep_forks_no_more_workers_than_points(pool_sizes, monkeypatch,
 def test_sweep_forks_no_more_workers_than_cores(pool_sizes, monkeypatch):
     """A --workers above the CPU count, or none, gets a pool of the CPU
     count."""
+    monkeypatch.setattr(cli, "POINTS_PER_WORKER", 1)
     monkeypatch.setattr(cli, "_evaluate_row", lambda task: task)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     axis = ["detuning,linear,-20,20,5"]
@@ -139,6 +147,19 @@ def test_sweep_forks_no_more_workers_than_cores(pool_sizes, monkeypatch):
         assert len(cli.run_sweep(default_config(), axis, "full",
                                  workers)) == 5
     assert pool_sizes == [2, 2, 2]
+
+
+def test_small_sweep_opens_no_pool(pool_sizes, monkeypatch, capsys):
+    """A grid below POINTS_PER_WORKER points runs in-process whatever
+    --workers asks for, and writes the bytes of a serial sweep."""
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    count = cli.POINTS_PER_WORKER - 1
+    args = ["sweep", "--axis1", f"detuning,linear,-20,20,{count}"]
+    code1, serial, _ = run(args + ["--workers", "1"], capsys)
+    code2, pooled, _ = run(args + ["--workers", "64"], capsys)
+    assert pool_sizes == []
+    assert code1 == code2 == 0
+    assert pooled == serial
 
 
 def test_sweep_partial_failure(capsys):

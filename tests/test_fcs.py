@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectrosens import adiabatic, fcs
+from spectrosens import adiabatic, fcs, pipeline
 from spectrosens.errors import FitResidualExceeded, GapTooSmall
 from spectrosens.liouvillian import (build_two_sided, dissipator_sum,
                                      generator_derivatives, model_blocks)
@@ -154,9 +154,20 @@ def test_stacked_diffusion_rate_equals_scalar_calls(config):
 
 @pytest.mark.parametrize("config", FLUX_STACK_POINTS.values(),
                          ids=FLUX_STACK_POINTS.keys())
+def test_sector_gap_equals_full_gap(config):
+    """The pipeline's gap, from the two 8x8 sector blocks, is the gap of
+    the 16x16 generator, down to the slow point's chemical mode."""
+    params = from_config(config)
+    _, full = fcs.dominant_eigenvalue(build_two_sided(params, (0.0, 0.0)))
+    assert pipeline._spectral_gap(params) == pytest.approx(full, rel=1e-8)
+
+
+@pytest.mark.parametrize("config", FLUX_STACK_POINTS.values(),
+                         ids=FLUX_STACK_POINTS.keys())
 def test_flux_affine_cumulants_match_direct_builds(config):
-    """The generator combined from its builds at zero and full drive gives
-    the cumulants of the generator built at each flux scale directly."""
+    """The generator combined from its builds at zero and full drive, solved
+    on the within-state sector, gives the cumulants of the 16x16 generator
+    built at each flux scale directly."""
     params = from_config(config)
     scales = np.array([0.0, 0.3, 1.0, 2.5])
     c1, c2 = fcs.second_cumulant_matrix(params, scales)

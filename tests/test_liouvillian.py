@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectrosens import liouvillian
-from spectrosens.liouvillian import (block_hamiltonian, build_two_sided,
+from spectrosens.liouvillian import (BETWEEN, WITHIN, block_hamiltonian,
+                                     build_two_sided,
                                      decay_dissipator, dissipator_sum,
                                      model_blocks, stationary_state,
                                      trace_vector)
@@ -190,15 +191,20 @@ def test_point_tilts_stay_small(rate_mhz, monkeypatch):
     assert len(largest) > 1 and 0.0 < max(largest) <= 1e-4
 
 
-@pytest.mark.parametrize("flux_scale", [1.0, 0.7])
+@pytest.mark.parametrize("flux_scale", [1.0, 0.7,
+                                        np.array([0.0, 0.3, 1.0, 2.5])])
 def test_stacked_generator_equals_scalar_builds(flux_scale):
-    """Counting-field arrays build the stack of the per-tilt generators."""
+    """Counting-field arrays, and an equal-shape flux-scale array, build the
+    stack of the per-tilt generators.  No member mixes the within-state and
+    the between-state sectors: their cross entries are exactly 0.0."""
     params = from_config({"rate_a_mhz": 3e-3, "rate_b_mhz": 1e-3,
                           "dipole_b_debye": 0.6, "detuning_b_mhz": -15.0})
     chi1 = np.array([0.0, -0.03j, 0.02 - 0.05j, -0.09j])
     chi2 = np.array([0.0, 0.01j, -0.07 + 0.01j, 0.0])
     stacked = build_two_sided(params, (chi1, chi2), flux_scale=flux_scale)
     assert stacked.shape == (4, 16, 16)
-    singles = [build_two_sided(params, (a, b), flux_scale=flux_scale)
-               for a, b in zip(chi1, chi2)]
+    singles = [build_two_sided(params, (a, b), flux_scale=f)
+               for a, b, f in zip(chi1, chi2, np.broadcast_to(flux_scale, 4))]
     assert np.array_equal(stacked, np.stack(singles))
+    assert not np.any(stacked[..., WITHIN[:, None], BETWEEN])
+    assert not np.any(stacked[..., BETWEEN[:, None], WITHIN])
