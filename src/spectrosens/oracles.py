@@ -69,6 +69,10 @@ def quadrature_covariance(params: ModelParams, rate_fn, s_plus: float,
 # telegraph Monte Carlo
 # ---------------------------------------------------------------------------
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class McConfig:
     n_trajectories: int = 10_000
@@ -79,6 +83,12 @@ class McConfig:
     def resolve(self, t_r: float):
         dt = 0.01 * t_r if self.dt is None else self.dt
         horizon = 50.0 * t_r if self.horizon is None else self.horizon
+        # a float or bool seed would alias an integer seed's streams; int()
+        # keeps numpy integers out of numpy's mixed-type comparison
+        if not _is_integer(self.seed) or not 0 <= int(self.seed) < 2**64:
+            raise ValueError("seed must be an integer in [0, 2**64)")
+        if not _is_integer(self.n_trajectories):
+            raise ValueError("n_trajectories must be an integer")
         if self.n_trajectories < 1_000:
             raise ValueError("n_trajectories must be at least 1000")
         if dt > 0.01 * t_r:
@@ -90,9 +100,11 @@ class McConfig:
 
 # trajectories sampled per block of arrays, and the margin of a trajectory's
 # block of waiting times over its expected number of jumps m: the block holds
-# ceil(m + MC_BLOCK_MARGIN * (sqrt(m) + 1)) draws
-MC_CHUNK = 512
-MC_BLOCK_MARGIN = 10
+# ceil(m + MC_BLOCK_MARGIN * (sqrt(m) + 1)) draws.  At the default horizon
+# a margin of 4 leaves about 1 trajectory in 10^5 to be drawn again, a
+# margin of 3 about 1 in 1600.
+MC_CHUNK = 2048
+MC_BLOCK_MARGIN = 4
 
 
 def _mean_stay(rate_out: float) -> float:
@@ -108,37 +120,35 @@ def _block_occupancy(in_a, draws, stay_a, stay_b, horizon):
 
     Column j of a row is the j-th stay: in A at even j if the row starts in
     A, at odd j if it starts in B, and as long as its draw times the mean
-    stay of that state.  Segments are ``min(stay, horizon - t)`` while the
-    clock t is below the horizon, and the clock and the occupancy are
-    cumulative sums along the row, in the order of a per-jump loop.  Until
-    the first truncation the clock is the sum of the stays; after it,
-    ``t + (horizon - t)`` can round below the horizon, and the loop then
-    takes another segment.  Iterating clock and segments to their fixed
-    point reproduces that loop bit for bit.
+    stay of that state.  The per-jump loop runs over the columns for all
+    rows at once: a row takes the segment ``min(stay, horizon - t)`` while
+    its clock t is below the horizon and none after, so the clock and the
+    occupancy are summed in the loop's order, bit for bit, including where
+    ``t + (horizon - t)`` rounds below the horizon and the loop takes one
+    more segment.  The loop stops once no row's clock is below the
+    horizon, so the columns left over are never read.
     """
-    col_in_a = in_a[:, None] ^ (np.arange(draws.shape[1]) % 2 == 1)
-    scale = np.where(col_in_a, stay_a, stay_b)
-    # a state that is never left is held to the horizon, without 0 * inf
-    stays = np.multiply(draws, scale, out=np.full_like(draws, np.inf),
-                        where=np.isfinite(scale))
-
-    def truncate(clock):
-        return np.where(clock < horizon,
-                        np.minimum(stays, horizon - clock), 0.0)
-
-    clock = np.zeros_like(stays)
-    np.cumsum(stays[:, :-1], axis=1, out=clock[:, 1:])
-    segments = truncate(clock)
-    while True:
-        ends = np.cumsum(segments, axis=1)
-        clock[:, 1:] = ends[:, :-1]
-        update = truncate(clock)
-        if np.array_equal(update, segments):
+    n, width = draws.shape
+    stays = np.empty((width, n))
+    np.multiply(draws.T[0::2], np.where(in_a, stay_a, stay_b),
+                out=stays[0::2])
+    np.multiply(draws.T[1::2], np.where(in_a, stay_b, stay_a),
+                out=stays[1::2])
+    clock = np.zeros(n)
+    occupancy = np.zeros((2, n))        # sums of the even and odd segments
+    segment = np.empty(n)
+    for j, stay in enumerate(stays):
+        if clock.min() >= horizon:
             break
-        segments = update
-    # x + 0.0 is exact, so masking the B segments keeps the summation order
-    time_a = np.cumsum(np.where(col_in_a, segments, 0.0), axis=1)[:, -1]
-    return time_a, ends[:, -1] < horizon
+        # the stay in a state that is never left is inf, or NaN where its
+        # draw is 0, and fmin takes horizon - t for both; past the horizon
+        # the segment is 0
+        np.subtract(horizon, clock, out=segment)
+        np.fmin(stay, segment, out=segment)
+        np.maximum(segment, 0.0, out=segment)
+        clock += segment
+        occupancy[j % 2] += segment
+    return np.where(in_a, occupancy[0], occupancy[1]), clock < horizon
 
 
 def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
@@ -152,8 +162,11 @@ def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
     integrate the flux between jumps exactly (no discretization step
     enters).  Each trajectory takes its waiting times in one block of draws;
     a block that ends before the horizon is drawn again twice as long, which
-    extends the same stream.  One generator serves all trajectories: setting
-    the key into its fresh state gives the stream of a new generator.
+    extends the same stream, so the margin of the block sets only how often
+    that happens, never the result.  One generator serves all trajectories:
+    setting the key into its fresh state gives the stream of a new
+    generator.  The fresh state holds plain lists, which the state setter
+    reads faster than arrays.
     """
     stay_a, stay_b = _mean_stay(rate_b), _mean_stay(rate_a)
     jumps = 2.0 * horizon / (stay_a + stay_b)
@@ -162,21 +175,25 @@ def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
 
     bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
     rng = np.random.Generator(bit_generator)
-    fresh = bit_generator.state
+    random, exponentials = rng.random, rng.standard_exponential
+    state = bit_generator.state
+    fresh = {**state, "buffer": state["buffer"].tolist(),
+             "state": {name: value.tolist()
+                       for name, value in state["state"].items()}}
     key = fresh["state"]["key"]
     times = np.empty(n)
     for start in range(0, n, MC_CHUNK):
         rows, k = np.arange(start, min(start + MC_CHUNK, n)), width
         while rows.size:
-            in_a = np.empty(rows.size, dtype=bool)
+            uniforms = []
             draws = np.empty((rows.size, k))
-            for j, i in enumerate(rows.tolist()):
+            for i, row in zip(rows.tolist(), draws):
                 key[1] = i
                 bit_generator.state = fresh
-                in_a[j] = rng.random() < p_a
-                rng.standard_exponential(out=draws[j])
-            times[rows], short = _block_occupancy(in_a, draws, stay_a,
-                                                  stay_b, horizon)
+                uniforms.append(random())
+                exponentials(out=row)
+            times[rows], short = _block_occupancy(
+                np.array(uniforms) < p_a, draws, stay_a, stay_b, horizon)
             rows, k = rows[short], 2 * k
     return times
 

@@ -89,11 +89,16 @@ def test_mc_single_state_b_no_chemical_noise():
     assert np.allclose(stderr, 0.0)
 
 
+# equal rates, unequal ones, and a strongly unequal pair whose jump count
+# has about twice the Poisson variance
+RATE_PAIRS = [{}, {"rate_a_mhz": 3e-3, "rate_b_mhz": 1.5e-3},
+              {"rate_a_mhz": 1e-4, "rate_b_mhz": 5e-3}]
+
+
 @pytest.mark.parametrize("seed", [0, 4, 2**63 + 11, 2**64 - 1])
-@pytest.mark.parametrize("config", [{}, {"rate_a_mhz": 3e-3,
-                                        "rate_b_mhz": 1.5e-3}])
+@pytest.mark.parametrize("config", RATE_PAIRS)
 def test_occupancy_times_match_loop_reference(seed, config):
-    """Block draws and cumulative sums give the occupancy times of the
+    """Block draws summed column by column give the occupancy times of the
     one-draw-per-jump loop bit for bit, across more than one chunk."""
     params = from_config(config)
     p_a, _ = adiabatic.stationary_probabilities(params)
@@ -104,10 +109,10 @@ def test_occupancy_times_match_loop_reference(seed, config):
                           occupancy_times(*args))
 
 
-def test_occupancy_top_up_matches_loop_reference(default_params,
-                                                 monkeypatch):
+def test_occupancy_top_up_matches_loop_reference(monkeypatch):
     """Rows whose block ends before the horizon are drawn again, longer,
-    from the same stream, and still equal the reference."""
+    from the same stream, and still equal the reference; at equal rates and
+    at the strongly unequal pair, whose jump count varies most."""
     monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", 0)
     widths = []
     block_occupancy = oracles._block_occupancy
@@ -116,15 +121,18 @@ def test_occupancy_top_up_matches_loop_reference(default_params,
         widths.append(draws.shape[1])
         return block_occupancy(in_a, draws, *args)
     monkeypatch.setattr(oracles, "_block_occupancy", spy)
-    p_a, _ = adiabatic.stationary_probabilities(default_params)
-    mol = default_params.molecule
-    horizon = 50 * adiabatic.reaction_time(default_params)
-    args = (9, 300, p_a, mol.rate_a, mol.rate_b, horizon)
-    assert np.array_equal(oracles._occupancy_times(*args),
-                          occupancy_times(*args))
-    # one chunk, its first block too short for some rows, then doubled
-    assert len(widths) >= 2
-    assert widths[1:] == [2 * w for w in widths[:-1]]
+    for config in RATE_PAIRS[::2]:
+        widths.clear()
+        params = from_config(config)
+        p_a, _ = adiabatic.stationary_probabilities(params)
+        mol = params.molecule
+        horizon = 50 * adiabatic.reaction_time(params)
+        args = (9, 300, p_a, mol.rate_a, mol.rate_b, horizon)
+        assert np.array_equal(oracles._occupancy_times(*args),
+                              occupancy_times(*args))
+        # one chunk, its first block too short for some rows, then doubled
+        assert len(widths) >= 2
+        assert widths[1:] == [2 * w for w in widths[:-1]]
 
 
 class _ScriptedRng:
@@ -142,17 +150,28 @@ class _ScriptedRng:
 
 def test_block_occupancy_clock_rounding_short_of_horizon():
     """When t + (horizon - t) rounds below the horizon the loop takes one
-    more segment; the block sums take it too."""
+    more segment; the block sums take it too.  The second row, starting in
+    B, reaches the horizon one column earlier and exactly, so the rounding
+    column is the last live one: without it the first row is short, with
+    it neither row is, and the trailing columns change nothing."""
     horizon = float.fromhex("0x1.1111111111111p-6")
     first = float.fromhex("0x1.b4c450b5b3640p-13")
     assert first + (horizon - first) < horizon
-    draws = np.array([[first, 1.0, 1.0, 1.0]])
-    time_a, short = oracles._block_occupancy(np.array([True]), draws, 1.0,
-                                             1.0, horizon)
-    expected = occupancy_time(_ScriptedRng(0.0, draws[0]), 1.0, 1.0, 1.0,
-                              horizon)
-    assert expected > first
-    assert np.array_equal(time_a, [expected]) and not short[0]
+    assert horizon / 2 + (horizon - horizon / 2) == horizon
+    in_a = np.array([True, False])
+    draws = np.array([[first, 1.0, 1.0, 1.0, 1.0, 1.0],
+                      [horizon / 2, 1.0, 1.0, 1.0, 1.0, 1.0]])
+    time_a, short = oracles._block_occupancy(in_a, draws, 1.0, 1.0, horizon)
+    expected = [occupancy_time(_ScriptedRng(uniform, row), 0.5, 1.0, 1.0,
+                               horizon)
+                for uniform, row in zip((0.0, 1.0), draws)]
+    assert expected[0] > first and expected[1] == horizon / 2
+    assert np.array_equal(time_a, expected) and not short.any()
+    live, _ = oracles._block_occupancy(in_a, draws[:, :3], 1.0, 1.0, horizon)
+    assert np.array_equal(live, expected)
+    _, short = oracles._block_occupancy(in_a, draws[:, :2], 1.0, 1.0,
+                                        horizon)
+    assert short.tolist() == [True, False]
 
 
 def test_mc_horizon_stationarity(default_params):
@@ -175,6 +194,17 @@ def test_mc_config_validation(default_params):
         oracles.McConfig(dt=t_r).resolve(t_r)
     with pytest.raises(ValueError):
         oracles.McConfig(horizon=t_r).resolve(t_r)
+    # a seed outside [0, 2**64) or not an integer would alias another
+    # seed's streams or fail inside numpy; so would a fractional count
+    for seed in (1.5, True, -1, 2**64, np.float64(2.0), "1"):
+        with pytest.raises(ValueError):
+            oracles.McConfig(seed=seed).resolve(t_r)
+    for count in (1000.5, 2000.0, np.True_):
+        with pytest.raises(ValueError):
+            oracles.McConfig(n_trajectories=count).resolve(t_r)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(3)):
+        oracles.McConfig(n_trajectories=np.int64(1000),
+                         seed=seed).resolve(t_r)
 
 
 def test_fd_polynomial():

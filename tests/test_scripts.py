@@ -1,8 +1,12 @@
 import ast
 import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -107,3 +111,19 @@ def test_script_package_names_resolve(script):
                 broken += [f"{dotted}({k}=)" for k in keywords
                            if k not in params]
     assert not broken
+
+
+def test_mc_validation_script_runs():
+    """scripts/mc_validation.py runs end to end, and its Monte-Carlo rate
+    lies within 5 standard errors of the analytic telegraph term."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable,
+                           str(ROOT / "scripts" / "mc_validation.py"),
+                           "--trajectories", "1000"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    printed = proc.stdout.split("pulls (sigma):")[1]
+    pulls = np.array(printed.replace("[", " ").replace("]", " ").split(),
+                     dtype=float)
+    assert pulls.shape == (4,)
+    assert np.all(np.isfinite(pulls)) and np.all(np.abs(pulls) < 5.0)
