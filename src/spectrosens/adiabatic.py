@@ -17,7 +17,7 @@ import numpy as np
 from .errors import FitResidualExceeded
 from .fcs import (DiffusionExpansion, cumulants, detector_rate,
                   dominant_eigenvalue)
-from .liouvillian import decay_dissipator, generator_derivatives, two_sided
+from .liouvillian import UNIT_DECAY, generator_derivatives, two_sided
 from .params import ModelParams
 
 ADIABATIC_GATE = 0.1   # warn when (r_A + r_B) / gamma exceeds this
@@ -84,7 +84,7 @@ def _conditioned_model(params, state, J):
     """The state's driven two-level block at flux J and its decay."""
     rabi, eps, _, gamma = _state_constants(params, state)
     scale = np.sqrt(J / params.derived.photon_flux_j0)
-    return ((eps, rabi * scale),), decay_dissipator(gamma)
+    return ((eps, rabi * scale),), gamma * UNIT_DECAY
 
 
 def conditioned_cgf(params: ModelParams, state: str, s1, s2, J: float):

@@ -21,10 +21,6 @@ class GapTooSmall(ModelError):
     """Spectral gap too small for reliable dominant-branch tracking."""
 
 
-class PropagationOverflow(ModelError):
-    """Matrix-exponential propagation failed to scale."""
-
-
 class FitResidualExceeded(ModelError):
     """Two-term intensity expansion does not describe the diffusion data."""
 

@@ -97,11 +97,6 @@ UNIT_DISSIPATORS = np.array([_dissipator(_proj(i, j)) for i, j in (
 UNIT_DECAY = _dissipator(_proj(0, 1, dim=2))
 
 
-def decay_dissipator(decay_gamma: float) -> np.ndarray:
-    """4x4 superoperator of one two-level block decaying at ``decay_gamma``."""
-    return decay_gamma * UNIT_DECAY
-
-
 def dissipator_sum(params: ModelParams) -> np.ndarray:
     """Spontaneous decay within each state plus chemical transfer between
     them."""
@@ -161,23 +156,13 @@ def sector(matrix: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return matrix[..., indices[:, None], indices]
 
 
-def bordered(generator: np.ndarray, trace: np.ndarray | None = None
-             ) -> np.ndarray:
+def bordered(generator: np.ndarray, trace: np.ndarray) -> np.ndarray:
     """An n x n generator, or a stack of them, bordered by the ``trace``
-    row and column and a zero corner; the default trace is vec(identity)
-    for n = d^2 (any block size d).  The bordered system is invertible when
-    the stationary state is unique; it replaces the singular generator in
-    every solve (Flindt, Novotny & Jauho, EPL 69, 475 (2005))."""
+    row and column and a zero corner.  The bordered system is invertible
+    when the stationary state is unique; it replaces the singular generator
+    in every solve (Flindt, Novotny & Jauho, EPL 69, 475 (2005))."""
     n = generator.shape[-1]
     system = np.zeros(generator.shape[:-2] + (n + 1, n + 1), dtype=complex)
     system[..., :n, :n] = generator
-    system[..., n, :n] = system[..., :n, n] = (
-        trace_vector(n) if trace is None else trace)
+    system[..., n, :n] = system[..., :n, n] = trace
     return system
-
-
-def stationary_state(matrix: np.ndarray) -> np.ndarray:
-    """Vectorized stationary density matrix of the chi=0 generator: the
-    solution of L rho = 0 with unit trace, from the bordered system."""
-    n = matrix.shape[-1]
-    return np.linalg.solve(bordered(matrix), np.append(np.zeros(n), 1.0))[:n]

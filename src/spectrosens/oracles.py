@@ -1,13 +1,11 @@
 """Independent verification engines: direct quadrature of the covariance
 transport integral, Monte-Carlo simulation of the chemical telegraph noise,
-a finite-difference derivative baseline, and the finite-time
-cumulant-generating function from the tilted propagator.
+and a finite-difference derivative baseline.
 
 These deliberately avoid the code paths they check: the quadrature does not
 use the closed-form covariance, the telegraph sampler does not use eigenvalue
-derivatives, the stencil differentiates the pipeline as a black box, and the
-finite-time CGF takes a matrix exponential instead of the dominant
-eigenvalue.  They are the only users of scipy in the package.
+derivatives, and the stencil differentiates the pipeline as a black box.
+They are the only users of scipy in the package.
 """
 
 from __future__ import annotations
@@ -17,13 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
 
 from .adiabatic import (chemical_rate_term, conditioned_cross_sections,
                         reaction_time, stationary_probabilities)
-from .errors import (InsufficientStatistics, PropagationOverflow,
-                     QuadratureNotConverged, StencilUnstable)
-from .liouvillian import build_two_sided, stationary_state, trace_vector
+from .errors import (InsufficientStatistics, QuadratureNotConverged,
+                     StencilUnstable)
 from .params import ModelParams
 
 
@@ -93,8 +89,8 @@ class McConfig:
             raise ValueError("n_trajectories must be at least 1000")
         if dt > 0.01 * t_r:
             raise ValueError("dt must not exceed 0.01 * t_R")
-        if horizon < 10.0 * t_r:
-            raise ValueError("horizon must be at least 10 * t_R")
+        if not (math.isfinite(horizon) and horizon >= 10.0 * t_r):
+            raise ValueError("horizon must be finite and at least 10 * t_R")
         return dt, horizon
 
 
@@ -288,21 +284,3 @@ def fd_pipeline_derivative(f, rho: float):
     raise StencilUnstable(
         f"stencil did not stabilize to rtol={FD_RTOL:g} after "
         f"{FD_MAX_HALVINGS} halvings (last error {error:.3e})")
-
-
-# ---------------------------------------------------------------------------
-# finite-time cumulant-generating function
-# ---------------------------------------------------------------------------
-
-def cgf_finite_time(params: ModelParams, chi, tau: float) -> complex:
-    """Finite-time cumulant-generating function at the counting-field pair
-    ``chi`` from the tilted propagator, started in the stationary state of
-    the untilted generator."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    rho_ss = stationary_state(build_two_sided(params, (0.0, 0.0)))
-    propagated = scipy.linalg.expm(build_two_sided(params, chi) * tau) @ rho_ss
-    value = trace_vector() @ propagated
-    if not np.isfinite(value):
-        raise PropagationOverflow("matrix exponential overflowed")
-    return complex(np.log(value))

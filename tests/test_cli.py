@@ -468,10 +468,17 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_sweep_grid_order_and_override(monkeypatch):
-    """Axis 1 is the outer loop of a 2-D grid, and a later axis overrides
-    the keys an earlier one set."""
+    """Every sweep axis sets exactly its own keys, axis 1 is the outer loop
+    of a 2-D grid, and a later axis overrides the keys an earlier one
+    set."""
     monkeypatch.setattr(cli, "_evaluate_row", lambda task: task)
     config = default_config()
+    for param, keys in cli.SWEEP_PARAMS.items():
+        tasks = cli.run_sweep(config, [f"{param},linear,1.25,2.5,2"], "full",
+                              1)
+        assert [point for point, _ in tasks] == [
+            dict(config, **dict.fromkeys(keys, value))
+            for value in (1.25, 2.5)]
     tasks = cli.run_sweep(config, ["rate,log,1e-4,1e-2,3",
                                    "rate_A,linear,1,2,2"], "adiabatic", 1)
     expected = [dict(config, rate_a_mhz=float(b), rate_b_mhz=float(a))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from finite_time import cgf_finite_time
 from spectrosens import adiabatic, fcs, oracles
 from spectrosens.errors import QuadratureNotConverged, StencilUnstable
 from spectrosens.liouvillian import build_two_sided
@@ -192,8 +193,9 @@ def test_mc_config_validation(default_params):
         oracles.McConfig(n_trajectories=10).resolve(t_r)
     with pytest.raises(ValueError):
         oracles.McConfig(dt=t_r).resolve(t_r)
-    with pytest.raises(ValueError):
-        oracles.McConfig(horizon=t_r).resolve(t_r)
+    for horizon in (t_r, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            oracles.McConfig(horizon=horizon).resolve(t_r)
     # a seed outside [0, 2**64) or not an integer would alias another
     # seed's streams or fail inside numpy; so would a fractional count
     for seed in (1.5, True, -1, 2**64, np.float64(2.0), "1"):
@@ -283,13 +285,9 @@ def test_finite_time_cgf_matches_eigenvalue(default_params):
     tau = 1e3 / gamma
     s = 1e-3
     chi = (-1j * s, 0.0)
-    cgf = oracles.cgf_finite_time(default_params, chi, tau).real / tau
+    cgf = cgf_finite_time(default_params, chi, tau).real / tau
     liou = build_two_sided(default_params, chi)
     top, _ = fcs.dominant_eigenvalue(liou)
     # the chemical mode (~1e3 1/s) has not fully relaxed; modest tolerance
     assert cgf == pytest.approx(top.real, rel=2e-2)
 
-
-def test_cgf_rejects_bad_tau(default_params):
-    with pytest.raises(ValueError):
-        oracles.cgf_finite_time(default_params, (0.0, 0.0), 0.0)
