@@ -2,14 +2,14 @@
 output, and preset figure packs with gnuplot scripts.
 
 Determinism contract: identical configuration produces byte-identical CSV
-output, including under parallel sweep execution — grid points are pure
-functions of the configuration and rows are written in grid order.
+output — grid points are pure functions of the configuration, a sweep row
+equals ``run_point`` on its configuration, and rows are written in grid
+order.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import itertools
 import json
@@ -19,9 +19,9 @@ import warnings
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import POINT_ERRORS
 from .params import default_config, from_config
-from .pipeline import ROUTES, evaluate_point
+from .pipeline import ROUTES, evaluate_point, evaluate_points
 
 CSV_COLUMNS = [
     "detuning_mhz", "rate_a_mhz", "rate_b_mhz", "density_per_m3",
@@ -41,16 +41,14 @@ SWEEP_PARAMS = {
 
 EXIT_OK, EXIT_COMPUTE, EXIT_USAGE = 0, 1, 2
 
-# Fewest grid points per pool worker.  Full-route sweeps on a 2-core Xeon
-# VM, in-process against a 2-worker pool (median of 7 alternating repeats):
-# 12 points 38 against 72 ms, 25 points 73 against 70 ms, 50 points 139
-# against 110 ms, 101 points 280 against 204 ms.  The pool pays from about
-# 16 points per worker; smaller grids run in-process.
-POINTS_PER_WORKER = 16
-
-# failures of one evaluation: typed model errors and untyped numerical ones
-# end a point in error JSON and a sweep grid point in its error row
-COMPUTE_ERRORS = (ModelError, ArithmeticError, np.linalg.LinAlgError)
+# Grid rows evaluated in one stacked pass, which bounds a sweep's memory:
+# without chunks a 201 x 201 grid would hold ~1.8 GB of tilted 16x16
+# stacks.  A 400-row full-route grid on a 2-core Xeon VM, by chunk size
+# (1, 10, 25, 50, 100, 200, 400 rows): CPU time per row 1.75, 0.81, 0.75,
+# 0.81, 0.72, 0.82, 0.84 ms (fastest of 6 runs); traced peak memory 0.6,
+# 1.5, 3.0, 5.5, 10.6, 20.7, 40.8 MiB.  Past ~25 rows the eigensolves,
+# whose cost per matrix stacking does not change, set the time.
+SWEEP_CHUNK = 100
 
 
 def _fmt(value) -> str:
@@ -121,26 +119,8 @@ def _grid(spec: str):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _evaluate_row(task):
-    """Worker entry: evaluate one grid point into a CSV row (dict)."""
-    config, route = task
-    row = {
-        "detuning_mhz": config["detuning_a_mhz"],
-        "rate_a_mhz": config["rate_a_mhz"],
-        "rate_b_mhz": config["rate_b_mhz"],
-        "density_per_m3": config["density_per_m3"],
-    }
-    try:
-        row.update(run_point(config, route), status="ok")
-    except COMPUTE_ERRORS as exc:  # one bad point cannot abort the sweep
-        row.update(dict.fromkeys(CSV_COLUMNS[4:12], float("nan")),
-                   regime="Unclassified", status=f"error:{type(exc).__name__}")
-    return row
-
-
-def run_point(config: dict, route: str) -> dict:
-    """Evaluate one configuration into a flat record."""
-    result = evaluate_point(from_config(config), route=route)
+def _record(result) -> dict:
+    """The flat record of one evaluated point."""
     report = result.report
     record = {
         "s_plus_m2": result.s_plus,
@@ -161,28 +141,62 @@ def run_point(config: dict, route: str) -> dict:
     return record
 
 
+def run_point(config: dict, route: str) -> dict:
+    """Evaluate one configuration into a flat record."""
+    return _record(evaluate_point(from_config(config), route=route))
+
+
+def _evaluate_rows(configs, route):
+    """CSV rows (dicts) of grid points, evaluated in one stacked pass; a
+    failed point ends in its error row, and cannot abort the sweep."""
+    outcomes = []
+    for config in configs:
+        try:
+            outcomes.append(from_config(config))
+        except POINT_ERRORS as exc:
+            outcomes.append(exc)
+    results = iter(evaluate_points([point for point in outcomes
+                                    if not isinstance(point, Exception)],
+                                   route))
+    rows = []
+    for config, outcome in zip(configs, outcomes):
+        if not isinstance(outcome, Exception):
+            outcome = next(results)
+        row = {
+            "detuning_mhz": config["detuning_a_mhz"],
+            "rate_a_mhz": config["rate_a_mhz"],
+            "rate_b_mhz": config["rate_b_mhz"],
+            "density_per_m3": config["density_per_m3"],
+        }
+        if isinstance(outcome, Exception):
+            row.update(dict.fromkeys(CSV_COLUMNS[4:12], float("nan")),
+                       regime="Unclassified",
+                       status=f"error:{type(outcome).__name__}")
+        else:
+            row.update(_record(outcome), status="ok")
+        rows.append(row)
+    return rows
+
+
 def run_sweep(config: dict, axes, route: str, workers: int | None = None):
-    """Evaluate a 1D or 2D grid; yields rows in deterministic grid order."""
+    """Evaluate a 1D or 2D grid; returns its rows in deterministic grid
+    order, evaluated ``SWEEP_CHUNK`` rows to a stacked pass.  ``workers``
+    has no effect; it is accepted for compatibility."""
     keys, values = zip(*(_grid(axis) for axis in axes))
     # a configuration error that no grid value overrides fails the sweep
     # once, here; failures of grid values stay in their rows
     swept = set(itertools.chain(*keys))
     from_config({k: v for k, v in config.items() if k not in swept})
-    tasks = []
+    configs = []
     for combo in itertools.product(*values):  # the last axis varies fastest
         point = dict(config)
         for names, value in zip(keys, combo):  # a later axis overrides
             point.update(dict.fromkeys(names, float(value)))
-        tasks.append((point, route))
-    cores = os.cpu_count() or 1
-    # fork starts every worker up front: no more than the cores, and no
-    # worker without POINTS_PER_WORKER points to pay for its start
-    workers = min(cores if workers is None else workers, cores,
-                  len(tasks) // POINTS_PER_WORKER)
-    if workers <= 1:
-        return [_evaluate_row(task) for task in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_row, tasks, chunksize=1))
+        configs.append(point)
+    rows = []
+    for start in range(0, len(configs), SWEEP_CHUNK):
+        rows += _evaluate_rows(configs[start:start + SWEEP_CHUNK], route)
+    return rows
 
 
 def _write_table(rows, stream, columns):
@@ -297,9 +311,9 @@ def _build_parser():
     figures.add_argument("figure_id", choices=FIGURE_IDS)
     for p in (sweep, figures):
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes, at most the CPU count and "
-                            f"one per {POINTS_PER_WORKER} grid points "
-                            "(default: the CPU count)")
+                       help="accepted for compatibility and without "
+                            "effect: grid rows are evaluated in-process, "
+                            f"{SWEEP_CHUNK} to a stacked pass")
     return parser
 
 
@@ -328,7 +342,7 @@ def main(argv=None) -> int:
                 warnings.simplefilter("always")
                 try:
                     record = run_point(config, args.route)
-                except COMPUTE_ERRORS as exc:
+                except POINT_ERRORS as exc:
                     print(_error_json(exc, warnings=_messages(caught)),
                           file=sys.stderr)
                     return EXIT_COMPUTE
@@ -341,7 +355,7 @@ def main(argv=None) -> int:
             axes = [args.axis1] + ([args.axis2] if args.axis2 else [])
             try:
                 rows = run_sweep(config, axes, args.route, args.workers)
-            except ValueError as exc:  # a bad axis spec; see _evaluate_row
+            except ValueError as exc:  # a bad axis spec; see _evaluate_rows
                 print(_error_json(exc), file=sys.stderr)
                 return EXIT_USAGE
             with _output(args.out) as stream:
@@ -351,7 +365,7 @@ def main(argv=None) -> int:
                                     args.route, args.workers)
         failed = any(row["status"] != "ok" for row in rows)
         return EXIT_COMPUTE if failed else EXIT_OK
-    except COMPUTE_ERRORS + (OSError,) as exc:
+    except POINT_ERRORS + (OSError,) as exc:
         print(_error_json(exc), file=sys.stderr)
         return EXIT_COMPUTE
 

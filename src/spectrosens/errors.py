@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class ModelError(Exception):
     """Base class for all package-specific errors."""
@@ -48,3 +50,8 @@ class InsufficientStatistics(ModelError):
 
 class StencilUnstable(ModelError):
     """Five-point derivative stencil failed its step-halving agreement test."""
+
+
+# The failures of one point: typed model errors and untyped numerical ones.
+# They end a point in error JSON and a sweep grid point in its error row.
+POINT_ERRORS = (ModelError, ArithmeticError, np.linalg.LinAlgError)

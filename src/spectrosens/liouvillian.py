@@ -12,6 +12,10 @@ elements within one chemical state (``WITHIN``, where the stationary state
 and every dL/ds_k act) and those between the states (``BETWEEN``).  Its
 entries between the sectors are exactly 0.0 at every chi and flux, so a
 solve or an eigensolve may run on the 8x8 sector blocks instead.
+
+Every builder broadcasts: parameters stacked by ``params.stack``, whose
+fields are (n, 1) arrays, and counting fields of shape (k,) or (n, k) give
+an (n, k, d, d) stack, one generator per point and tilt.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ DIM = 4
 
 # Fixed phase offsets of the two detector channels.
 PHASE_OFFSETS = (np.pi / 4.0, -np.pi / 4.0)
+
+_TWO_SQRT2 = 2.0 * np.sqrt(2.0)
 
 
 def block_hamiltonian(blocks, phases) -> np.ndarray:
@@ -41,12 +47,18 @@ def block_hamiltonian(blocks, phases) -> np.ndarray:
     raising, lowering = (np.exp(sign * 1j * (phases[0] + PHASE_OFFSETS[0]))
                          + np.exp(sign * 1j * (phases[1] + PHASE_OFFSETS[1]))
                          for sign in (1, -1))
-    h = np.zeros(np.shape(raising) + (2 * len(blocks),) * 2, dtype=complex)
-    for k, (detuning, amp) in enumerate(blocks):
+    entries = []
+    for detuning, amp in blocks:
+        coupling = amp / _TWO_SQRT2
+        entries.append((detuning, coupling * raising, coupling * lowering))
+    # a block's detuning has the shape of its drive amplitude
+    h = np.zeros(np.shape(entries[0][1]) + (2 * len(blocks),) * 2,
+                 dtype=complex)
+    for k, (detuning, up, down) in enumerate(entries):
         ground, excited = 2 * k, 2 * k + 1
         h[..., excited, excited] = detuning
-        h[..., excited, ground] = amp / (2.0 * np.sqrt(2.0)) * raising
-        h[..., ground, excited] = amp / (2.0 * np.sqrt(2.0)) * lowering
+        h[..., excited, ground] = up
+        h[..., ground, excited] = down
     return h
 
 
@@ -103,7 +115,9 @@ def dissipator_sum(params: ModelParams) -> np.ndarray:
     mol = params.molecule
     rates = np.array([mol.decay_gamma, mol.decay_gamma, mol.rate_a,
                       mol.rate_a, mol.rate_b, mol.rate_b])
-    return (rates[:, None, None] * UNIT_DISSIPATORS).sum(axis=0)
+    units = UNIT_DISSIPATORS.reshape((len(rates),) + (1,) * (rates.ndim - 1)
+                                     + UNIT_DISSIPATORS.shape[1:])
+    return (rates[..., None, None] * units).sum(axis=0)
 
 
 def two_sided(blocks, dissipator: np.ndarray, chi) -> np.ndarray:
@@ -111,7 +125,10 @@ def two_sided(blocks, dissipator: np.ndarray, chi) -> np.ndarray:
     left phases chi/2, right phases -chi/2, at any chi."""
     chi1, chi2 = chi
     h_left = block_hamiltonian(blocks, (chi1 / 2.0, chi2 / 2.0))
-    h_right = block_hamiltonian(blocks, (-chi1 / 2.0, -chi2 / 2.0))
+    if np.ndim(chi1) == np.ndim(chi2) == 0 and chi1 == chi2 == 0:
+        h_right = h_left   # untilted, both sides carry the same Hamiltonian
+    else:
+        h_right = block_hamiltonian(blocks, (-chi1 / 2.0, -chi2 / 2.0))
     return commutator(h_left, h_right) + dissipator
 
 
@@ -119,11 +136,17 @@ def generator_derivatives(blocks, dissipator: np.ndarray):
     """L at s = 0 and the stack of dL/ds_k (counting order) from one build.
     L is affine in e^{+-s_k/2}, 2 and 1/2 at s_k = +-ln 4, so (L(ln 4) -
     L(-ln 4)) / 3 is dL/ds_k exactly.  Mixed second derivatives vanish and
-    d2L/ds_k^2, a commutator, has a zero trace row: cumulants need neither."""
+    d2L/ds_k^2, a commutator, has a zero trace row: cumulants need neither.
+    The tilts run ahead of the axes of stacked points, so L keeps them and
+    each point's dL/ds_k stack sits where its L does."""
     t = 1j * np.log(4.0)   # chi = -i s
-    chi = (np.array([0.0, -t, t, 0.0, 0.0]), np.array([0.0, 0.0, 0.0, -t, t]))
+    points = (1,) * (dissipator.ndim - 2)
+    chi = (np.array([0.0, -t, t, 0.0, 0.0]).reshape((5,) + points),
+           np.array([0.0, 0.0, 0.0, -t, t]).reshape((5,) + points))
     stack = two_sided(blocks, dissipator, chi)
-    return stack[0], (stack[1::2] - stack[2::2]) / 3.0
+    first = (stack[1::2] - stack[2::2]) / 3.0
+    axes = tuple(range(1, first.ndim - 2))
+    return stack[0], first.transpose(axes + (0, -2, -1))
 
 
 def build_two_sided(params: ModelParams, chi,

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, replace
 
+import numpy as np
+
 from .errors import InvalidParam, ParseError
 
 MHZ = 2.0 * math.pi * 1.0e6  # angular rad/s per user-facing MHz
@@ -84,6 +86,27 @@ class ModelParams:
         return ModelParams(self.laser, self.molecule,
                            replace(self.sample, density_rho_m=density),
                            self.derived)
+
+
+def stack(points) -> ModelParams:
+    """The points as one ModelParams whose molecule and derived fields, all
+    that a generator build reads, are (n, 1) arrays over them: a leading
+    point axis, and a unit axis against which the tilts or fluxes of a
+    stacked build broadcast.  The laser and the sample are not stacked
+    (None)."""
+    values = np.array([tuple(vars(p.molecule).values())
+                       + tuple(vars(p.derived).values()) for p in points])
+    columns = values.T[..., None]
+    split = len(vars(points[0].molecule))
+    return ModelParams(None, MoleculeParams(*columns[:split]), None,
+                       DerivedQuantities(*columns[split:]))
+
+
+def take(batch: ModelParams, rows) -> ModelParams:
+    """The stacked points ``rows`` (indices) of a ``stack``."""
+    def pick(part):
+        return type(part)(*(values[rows] for values in vars(part).values()))
+    return ModelParams(None, pick(batch.molecule), None, pick(batch.derived))
 
 
 def derive(laser: LaserParams, molecule: MoleculeParams) -> DerivedQuantities:

@@ -1,5 +1,7 @@
-"""End-to-end evaluation of a parameter point: cross sections, diffusion
-expansion, transported covariance, and the sensitivity report.
+"""End-to-end evaluation of parameter points: cross sections, diffusion
+expansion, transported covariance, and the sensitivity report.  A list of
+points is evaluated in one stacked pass (``evaluate_points``), and a single
+point is that pass at one point (``evaluate_point``).
 
 Two routes are provided.  The ``full`` route extracts everything from the
 tilted superoperator of the chemical model; the ``adiabatic`` route is the
@@ -14,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import adiabatic, fcs
+from .errors import POINT_ERRORS
 from .estimation import SensitivityReport, sensitivity_report
 from .liouvillian import BETWEEN, WITHIN, build_two_sided, sector
-from .params import ModelParams
+from .params import ModelParams, stack
 from .propagation import covariance_closed_form, z_optimal
 
 ROUTES = ("full", "adiabatic", "both")
@@ -34,23 +37,26 @@ class PointResult:
     route_deviation: float | None
 
 
-def _spectral_gap(params: ModelParams) -> float:
-    """Gap between the top two real parts of the untilted generator's
-    spectrum, the union of its two sectors' spectra, from one stacked
-    eigensolve of the 8x8 sector blocks."""
-    liou = build_two_sided(params, (0.0, 0.0))
-    blocks = np.stack([sector(liou, WITHIN), sector(liou, BETWEEN)])
-    second, top = np.sort(np.linalg.eigvals(blocks).real, axis=None)[-2:]
-    return top - second
+def _spectral_gaps(batch) -> list:
+    """Per stacked point the gap between the top two real parts of the
+    untilted generator's spectrum, the union of its two sectors' spectra,
+    from one eigensolve of all points' 8x8 sector blocks."""
+    liou = build_two_sided(batch, (0.0, 0.0))             # (n, 1, 16, 16)
+    blocks = np.concatenate([sector(liou, WITHIN), sector(liou, BETWEEN)],
+                            axis=-3)
+    values = np.sort(np.linalg.eigvals(blocks).real.reshape(len(liou), -1))
+    return list(values[:, -1] - values[:, -2])
 
 
-def _route_quantities(params: ModelParams, route: str):
+def _full_quantities(batch) -> list:
+    """Per stacked point (S+, S-, DiffusionExpansion) of the full route, or
+    the error it ended in."""
     # looked up per call, so that wrappers installed on the modules apply
-    if route == "adiabatic":
-        return adiabatic.weak_field_expansion(params)
-    s1, s2 = fcs.cross_sections(params)
-    expansion = fcs.fit_diffusion_expansion(params, s_plus=s1 + s2)
-    return s1 + s2, s1 - s2, expansion
+    cross = fcs.cross_sections(batch)
+    s_plus = fcs.each(lambda c: c[0] + c[1], cross)
+    expansion = fcs.stacked(fcs.fit_diffusion_expansion, batch, s_plus)
+    return fcs.each(lambda c, e: (c[0] + c[1], c[0] - c[1], e), cross,
+                    expansion)
 
 
 def _relative_deviation(full, adia):
@@ -67,8 +73,64 @@ def _relative_deviation(full, adia):
     return float(max(devs))
 
 
-def evaluate_point(params: ModelParams, route: str = "full") -> PointResult:
-    """Run the complete pipeline at one parameter point.
+def _result(params, quantities, gap, route, deviation=None) -> PointResult:
+    s_plus, s_minus, expansion = quantities
+    z = params.sample.thickness
+    if z is None:
+        z = z_optimal(params, s_plus)
+    sigma2 = covariance_closed_form(params, s_plus, expansion.D1,
+                                    expansion.D2, z)
+    report = sensitivity_report(params, s_plus, s_minus, sigma2, z)
+    return PointResult(
+        s_plus=s_plus, s_minus=s_minus, expansion=expansion, sigma2=sigma2,
+        report=report, route=route, spectral_gap=gap,
+        route_deviation=deviation,
+    )
+
+
+def _evaluate(points, route) -> list:
+    batch = stack(points)
+    gaps = _spectral_gaps(batch)
+    if route == "adiabatic":
+        quantities = fcs.each(adiabatic.weak_field_expansion, points)
+    else:
+        quantities = _full_quantities(batch)
+    if route != "both":
+        return fcs.each(lambda *row: _result(*row, route), points,
+                        quantities, gaps)
+    # only the points whose full route succeeded take the adiabatic route
+    adia = fcs.each(lambda p, _: adiabatic.weak_field_expansion(p), points,
+                    quantities)
+    return fcs.each(lambda p, f, a, g: _result(p, f, g, route,
+                                                _relative_deviation(f, a)),
+                    points, quantities, adia, gaps)
+
+
+def _pointwise(fn, points) -> list:
+    """``fn(points)``, one outcome per point.  When the stacked call raises
+    one of ``POINT_ERRORS``, ``fn`` runs point by point, so that only
+    the points that raise end in that error."""
+    try:
+        return fn(points)
+    except POINT_ERRORS as exc:
+        if len(points) == 1:
+            return [exc]
+        return [_pointwise(fn, [point])[0] for point in points]
+
+
+def evaluate_points(points, route: str = "full") -> list:
+    """Run the complete pipeline at a list of parameter points in one
+    stacked pass; returns per point its ``PointResult`` or the error it
+    ended in (``POINT_ERRORS``).
+
+    The generators, eigensolves and bordered solves of the full route run
+    for all points at once along a leading point axis (``params.stack``):
+    five generator builds, three eigensolves (the gaps, the step choice and
+    the Richardson stencil) and the two bordered solves of the intensity
+    expansion.  The flux fit, the adiabatic route, the transport and the
+    report run point by point, and a point that fails a stage drops out of
+    the later ones.  When a stacked call raises, the pass is repeated point
+    by point, so that only the points that raise end in that error.
 
     This is the one place that sets numpy's floating-point error state.
     Far out in rate, detuning or density the arithmetic saturates to 0, inf
@@ -77,26 +139,17 @@ def evaluate_point(params: ModelParams, route: str = "full") -> PointResult:
     raises are physics warnings."""
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}")
+    if not points:
+        return []
     with np.errstate(all="ignore"):
-        gap = _spectral_gap(params)
+        return _pointwise(lambda pass_points: _evaluate(pass_points, route),
+                          list(points))
 
-        deviation = None
-        if route == "both":
-            full_q = _route_quantities(params, "full")
-            adia_q = _route_quantities(params, "adiabatic")
-            deviation = _relative_deviation(full_q, adia_q)
-            s_plus, s_minus, expansion = full_q
-        else:
-            s_plus, s_minus, expansion = _route_quantities(params, route)
 
-        z = params.sample.thickness
-        if z is None:
-            z = z_optimal(params, s_plus)
-        sigma2 = covariance_closed_form(params, s_plus, expansion.D1,
-                                        expansion.D2, z)
-        report = sensitivity_report(params, s_plus, s_minus, sigma2, z)
-    return PointResult(
-        s_plus=s_plus, s_minus=s_minus, expansion=expansion, sigma2=sigma2,
-        report=report, route=route, spectral_gap=gap,
-        route_deviation=deviation,
-    )
+def evaluate_point(params: ModelParams, route: str = "full") -> PointResult:
+    """Run the complete pipeline at one parameter point: ``evaluate_points``
+    at one point, raising the error it ended in."""
+    result, = evaluate_points([params], route)
+    if isinstance(result, Exception):
+        raise result
+    return result

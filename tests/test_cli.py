@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import spectrosens
 from spectrosens import cli, errors
-from spectrosens.params import default_config
+from spectrosens.params import default_config, mhz_to_angular
 
 
 def run(argv, capsys):
@@ -81,85 +81,16 @@ def test_sweep_symmetry(capsys):
 
 
 def test_sweep_determinism(capsys):
-    """3 points run in-process; 2 * POINTS_PER_WORKER points go through a
-    real two-worker pool.  Both write the bytes of the serial sweep."""
-    for count in (3, 2 * cli.POINTS_PER_WORKER):
-        if count > 3 and (os.cpu_count() or 1) < 2:
-            pytest.skip("a two-worker pool needs two cores")
-        args = ["sweep", "--axis1", f"rate,log,1e-4,1e-2,{count}",
-                "--workers", "2"]
-        code1, out1, _ = run(args, capsys)
-        code2, out2, _ = run(args, capsys)
-        assert code1 == code2 == 0
-        assert out1 == out2
-        # serial execution gives the same bytes
-        code3, out3, _ = run(args[:-2] + ["--workers", "1"], capsys)
-        assert code3 == 0
-        assert out3 == out1
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace the process pool by an in-process one; returns the list of
-    the pool sizes requested."""
-    requested = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
-                        InProcessPool)
-    return requested
-
-
-def test_sweep_forks_no_more_workers_than_points(pool_sizes, monkeypatch,
-                                                 capsys):
-    """Fork starts every pool worker up front, so a large --workers on a
-    small grid must not reach the pool unclipped."""
-    monkeypatch.setattr(cli, "POINTS_PER_WORKER", 1)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    args = ["sweep", "--axis1", "detuning,linear,-20,20,3"]
-    code1, serial, _ = run(args + ["--workers", "1"], capsys)
-    code2, pooled, _ = run(args + ["--workers", "64"], capsys)
-    assert pool_sizes == [3]
+    """Repeated sweeps write the same bytes, and --workers, which has no
+    effect, does not change them."""
+    args = ["sweep", "--axis1", "rate,log,1e-4,1e-2,3", "--workers", "2"]
+    code1, out1, _ = run(args, capsys)
+    code2, out2, _ = run(args, capsys)
     assert code1 == code2 == 0
-    assert pooled == serial
-
-
-def test_sweep_forks_no_more_workers_than_cores(pool_sizes, monkeypatch):
-    """A --workers above the CPU count, or none, gets a pool of the CPU
-    count."""
-    monkeypatch.setattr(cli, "POINTS_PER_WORKER", 1)
-    monkeypatch.setattr(cli, "_evaluate_row", lambda task: task)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    axis = ["detuning,linear,-20,20,5"]
-    for workers in (5000, None, 2):
-        assert len(cli.run_sweep(default_config(), axis, "full",
-                                 workers)) == 5
-    assert pool_sizes == [2, 2, 2]
-
-
-def test_small_sweep_opens_no_pool(pool_sizes, monkeypatch, capsys):
-    """A grid below POINTS_PER_WORKER points runs in-process whatever
-    --workers asks for, and writes the bytes of a serial sweep."""
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    count = cli.POINTS_PER_WORKER - 1
-    args = ["sweep", "--axis1", f"detuning,linear,-20,20,{count}"]
-    code1, serial, _ = run(args + ["--workers", "1"], capsys)
-    code2, pooled, _ = run(args + ["--workers", "64"], capsys)
-    assert pool_sizes == []
-    assert code1 == code2 == 0
-    assert pooled == serial
+    assert out1 == out2
+    code3, out3, _ = run(args[:-2] + ["--workers", "1"], capsys)
+    assert code3 == 0
+    assert out3 == out1
 
 
 def test_sweep_partial_failure(capsys):
@@ -271,15 +202,75 @@ def test_csv_cells_format_non_finite_values():
 
 
 def test_sweep_keeps_untyped_failure_in_row(monkeypatch, capsys):
-    def failing(params, route):
-        raise np.linalg.LinAlgError("SVD did not converge")
-    monkeypatch.setattr(cli, "evaluate_point", failing)
-    code, out, _ = run(["sweep", "--axis1", "detuning,linear,-10,10,2",
-                        "--workers", "1"], capsys)
+    """A point whose stacked linear algebra raises ends in its own
+    error:LinAlgError row: the pass is repeated point by point, and the
+    other rows equal run_point."""
+    eigvals, stacks = np.linalg.eigvals, []
+    # the 10 MHz point's optical coherences carry -+i * detuning
+    marker = -mhz_to_angular(10.0)
+
+    def failing(matrix):
+        stacks.append(len(matrix))
+        if np.any(np.asarray(matrix).imag == marker):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(matrix)
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    axis = "detuning,linear,0,20,3"
+    code, out, _ = run(["sweep", "--axis1", axis], capsys)
+    assert stacks[:2] == [3, 1]   # the stacked pass, then point by point
     assert code == 1
-    rows = out.splitlines()[1:]
-    assert len(rows) == 2
-    assert all(row.endswith(",error:LinAlgError") for row in rows)
+    assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == [
+        "ok", "error:LinAlgError", "ok"]
+    rows = cli.run_sweep(default_config(), [axis], "full")
+    for row in rows[::2]:
+        record = cli.run_point(dict(default_config(),
+                                    detuning_a_mhz=row["detuning_mhz"]),
+                               "full")
+        assert all(row[key] == value for key, value in record.items())
+
+
+# base configuration, axes, and the statuses of the grid's rows
+SWEEP_GRIDS = {
+    "gap": ({}, ["rate,log,1e-13,1e-1,12"], {"GapTooSmall"}),
+    "far-detuned": ({}, ["detuning,linear,500,1000,2",
+                         "rate,log,1e-4,1e-2,2"],
+                    {"FitResidualExceeded", "SingularCovariance"}),
+    "density-edge": ({}, ["density,log,1e-300,1e20,6"],
+                     {"DegenerateSignal", "SingularCovariance"}),
+    "thickness": ({"thickness_m": 0.01}, ["detuning,linear,-50,50,5"],
+                  {"DegenerateSignal"}),
+    # 105 rows, more than one stacked chunk
+    "long": ({}, ["detuning,linear,-100,100,21", "rate,log,1e-6,1,5"],
+             set()),
+}
+
+
+@pytest.mark.parametrize("route", ["full", "both"])
+@pytest.mark.parametrize("base,axes,failures", SWEEP_GRIDS.values(),
+                         ids=SWEEP_GRIDS.keys())
+def test_sweep_rows_equal_run_point(base, axes, failures, route):
+    """Every cell of a stacked sweep equals run_point on that row's
+    configuration, and every failed row ends in the error run_point
+    raises; the grids mix results with several kinds of failure."""
+    config = dict(default_config(), **base)
+    statuses = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for row in cli.run_sweep(config, axes, route):
+            point = dict(config, detuning_a_mhz=row["detuning_mhz"],
+                         rate_a_mhz=row["rate_a_mhz"],
+                         rate_b_mhz=row["rate_b_mhz"],
+                         density_per_m3=row["density_per_m3"])
+            try:
+                record = cli.run_point(point, route)
+            except errors.POINT_ERRORS as exc:
+                assert row["status"] == f"error:{type(exc).__name__}"
+            else:
+                assert row["status"] == "ok"
+                assert all(row[key] == value
+                           for key, value in record.items()), point
+            statuses.add(row["status"])
+    assert statuses == {"ok"} | {f"error:{name}" for name in failures}
 
 
 def test_point_untyped_failure_is_error_json(monkeypatch, capsys):
@@ -471,7 +462,8 @@ def test_sweep_grid_order_and_override(monkeypatch):
     """Every sweep axis sets exactly its own keys, axis 1 is the outer loop
     of a 2-D grid, and a later axis overrides the keys an earlier one
     set."""
-    monkeypatch.setattr(cli, "_evaluate_row", lambda task: task)
+    monkeypatch.setattr(cli, "_evaluate_rows", lambda configs, route: [
+        (config, route) for config in configs])
     config = default_config()
     for param, keys in cli.SWEEP_PARAMS.items():
         tasks = cli.run_sweep(config, [f"{param},linear,1.25,2.5,2"], "full",

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from spectrosens import adiabatic, fcs, pipeline
+from spectrosens import adiabatic, cli, fcs, pipeline
 from spectrosens.errors import FitResidualExceeded, GapTooSmall
 from spectrosens.liouvillian import (build_two_sided, dissipator_sum,
                                      generator_derivatives, model_blocks)
-from spectrosens.params import from_config
+from spectrosens.params import default_config, from_config, stack
 from spectrosens.pipeline import evaluate_point
 from stencils import hessian
 
@@ -18,15 +18,20 @@ def test_dominant_eigenvalue_zero_at_chi_zero(default_params):
 
 
 def test_gap_threshold(default_params):
-    liou = build_two_sided(default_params, (0.0, 0.0))
-    _, gap = fcs.dominant_eigenvalue(liou)
-    with pytest.raises(GapTooSmall):
-        fcs.dominant_eigenvalue(liou, min_gap=10 * gap)
+    """In a stack of points, the gap threshold ends only the point whose
+    tilts' gaps fall below it, with the error that point raises alone."""
+    slow = from_config({"rate_a_mhz": 1e-12, "rate_b_mhz": 1e-12})
+    outcomes = fcs.cross_sections(stack([default_params, slow,
+                                         default_params]))
+    assert outcomes[0] == outcomes[2] == fcs.cross_sections(default_params)
+    with pytest.raises(GapTooSmall) as alone:
+        fcs.cross_sections(slow)
+    assert type(outcomes[1]) is GapTooSmall
+    assert str(outcomes[1]) == str(alone.value)
 
 
 def test_stacked_dominant_eigenvalue_equals_single_solves(default_params):
-    """A stack gives each member's eigenvalue and gap; one member below the
-    threshold is enough to raise."""
+    """A stack gives each member's eigenvalue and gap."""
     slow = from_config({"rate_a_mhz": 1e-6, "rate_b_mhz": 3e-6})
     stack = np.stack([build_two_sided(default_params, (0.0, 0.0)),
                       build_two_sided(default_params, (-1e-3j, 0)),
@@ -36,10 +41,6 @@ def test_stacked_dominant_eigenvalue_equals_single_solves(default_params):
     assert np.array_equal(tops, [top for top, _ in singles])
     assert np.array_equal(gaps, [gap for _, gap in singles])
     assert gaps[2] < gaps[0]
-    threshold = 0.5 * (gaps[2] + min(gaps[:2]))
-    fcs.dominant_eigenvalue(stack[:2], min_gap=threshold)
-    with pytest.raises(GapTooSmall):
-        fcs.dominant_eigenvalue(stack, min_gap=threshold)
 
 
 def test_cross_sections_use_pipeline_gap_threshold():
@@ -159,7 +160,8 @@ def test_sector_gap_equals_full_gap(config):
     the 16x16 generator, down to the slow point's chemical mode."""
     params = from_config(config)
     _, full = fcs.dominant_eigenvalue(build_two_sided(params, (0.0, 0.0)))
-    assert pipeline._spectral_gap(params) == pytest.approx(full, rel=1e-8)
+    gap, = pipeline._spectral_gaps(stack([params]))
+    assert gap == pytest.approx(full, rel=1e-8)
 
 
 @pytest.mark.parametrize("config", FLUX_STACK_POINTS.values(),
@@ -196,8 +198,69 @@ def test_full_point_makes_one_stacked_rate_call(default_params, monkeypatch):
     monkeypatch.setattr(fcs, "diffusion_rate", counted)
     monkeypatch.setattr(fcs, "generator_derivatives", counted_build)
     evaluate_point(default_params, "full")
-    assert shapes == [(10,)]
+    assert shapes == [(1, 10)]   # one point, ten fluxes
     assert len(builds) == 1
+
+
+def _outcome(result):
+    """Every number of a point's result, or its error, for == comparison."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    report, expansion = result.report, result.expansion
+    return (result.s_plus, result.s_minus, result.spectral_gap,
+            result.route, result.route_deviation, expansion.fit_residual,
+            expansion.D1.tolist(), expansion.D2.tolist(),
+            result.sigma2.tolist(), report.rel_full, report.rel_intensity,
+            report.rel_phase, report.rel_psn, report.regime,
+            report.diagnostics)
+
+
+@pytest.mark.parametrize("route", pipeline.ROUTES)
+def test_evaluate_points_equals_evaluate_point(route):
+    """A stacked pass over points that end in results and in different
+    errors gives each point what evaluating it alone gives: the same
+    numbers, or the same error type and message."""
+    configs = [{}, {"rate_a_mhz": 1e-12, "rate_b_mhz": 1e-12},
+               {"detuning_a_mhz": 500.0}, {"detuning_a_mhz": 1000.0},
+               {"rate_a_mhz": 3.0, "rate_b_mhz": 60.0, "dipole_b_debye": 0.6},
+               {"density_per_m3": 1e-300}, {"detuning_a_mhz": -40.0},
+               # J0 so small that the cross sections' reference flux is 0
+               {"power_mw": 1e-300, "beam_diameter_cm": 3.6e20}]
+    points = [from_config(config) for config in configs]
+    singles = []
+    for params in points:
+        try:
+            singles.append(_outcome(evaluate_point(params, route)))
+        except Exception as exc:
+            singles.append(_outcome(exc))
+    results = pipeline.evaluate_points(points, route)
+    assert [_outcome(result) for result in results] == singles
+    errors = {type(r).__name__ for r in results if isinstance(r, Exception)}
+    assert errors == {
+        "full": {"GapTooSmall", "FitResidualExceeded", "SingularCovariance",
+                 "DegenerateAbsorption"},
+        "adiabatic": {"SingularCovariance", "FitResidualExceeded"},
+        "both": {"GapTooSmall", "FitResidualExceeded", "SingularCovariance"},
+    }[route]
+
+
+def test_sweep_makes_three_stacked_eigensolves(monkeypatch):
+    """A full-route sweep stacks its points: one eigensolve for the gaps,
+    one for the step choice and one for the Richardson tilts, however many
+    points there are (a point alone makes three too)."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigvals(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    rows = cli.run_sweep(default_config(), ["detuning,linear,-40,40,12"],
+                         "full")
+    assert [row["status"] for row in rows] == ["ok"] * 12
+    assert calls == [(12, 2, 8, 8), (12, 3, 16, 16), (12, 8, 16, 16)]
+    assert cli.SWEEP_CHUNK >= 12
 
 
 def test_strong_probe_warning():

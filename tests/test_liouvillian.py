@@ -8,9 +8,9 @@ from finite_time import stationary_state
 from spectrosens import liouvillian
 from spectrosens.liouvillian import (BETWEEN, UNIT_DECAY, WITHIN,
                                      block_hamiltonian, build_two_sided,
-                                     dissipator_sum, model_blocks,
-                                     trace_vector)
-from spectrosens.params import from_config
+                                     dissipator_sum, generator_derivatives,
+                                     model_blocks, trace_vector)
+from spectrosens.params import from_config, stack
 from spectrosens.pipeline import evaluate_point
 
 small_angle = st.floats(min_value=-0.09, max_value=0.09,
@@ -208,3 +208,31 @@ def test_stacked_generator_equals_scalar_builds(flux_scale):
     assert np.array_equal(stacked, np.stack(singles))
     assert not np.any(stacked[..., WITHIN[:, None], BETWEEN])
     assert not np.any(stacked[..., BETWEEN[:, None], WITHIN])
+
+
+def test_stacked_points_build_each_points_generator():
+    """Points stacked along a leading axis build, bit for bit, the stack of
+    their own generators: untilted, at tilts shared by all points, at tilts
+    of each point, and the flux-affine pair L, dL/ds_k."""
+    points = [from_config(config) for config in (
+        {}, {"rate_a_mhz": 3e-3, "rate_b_mhz": 1e-3, "dipole_b_debye": 0.6,
+             "detuning_b_mhz": -15.0}, {"gamma_mhz": 3.0, "rate_b_mhz": 0.0})]
+    batch = stack(points)
+    shared = (np.array([0.0, -0.03j, 0.02 - 0.05j]),
+              np.array([0.0, 0.01j, -0.07 + 0.01j]))
+    own = (np.array([[0.0, -1e-4j], [-2e-4j, 0.0], [3e-4j, 1e-4j]]),
+           np.array([[1e-4j, 0.0], [0.0, 5e-5j], [-1e-4j, 0.0]]))
+    assert np.array_equal(build_two_sided(batch, (0.0, 0.0)), np.stack(
+        [build_two_sided(p, (0.0, 0.0))[None] for p in points]))
+    assert np.array_equal(build_two_sided(batch, shared, 0.3), np.stack(
+        [build_two_sided(p, shared, 0.3) for p in points]))
+    assert np.array_equal(build_two_sided(batch, own, 0.3), np.stack(
+        [build_two_sided(p, (a, b), 0.3)
+         for p, a, b in zip(points, *own)]))
+    driven, first = generator_derivatives(model_blocks(batch, 1.0),
+                                          dissipator_sum(batch))
+    singles = [generator_derivatives(model_blocks(p, 1.0), dissipator_sum(p))
+               for p in points]
+    assert driven.shape == (3, 1, 16, 16) and first.shape == (3, 1, 2, 16, 16)
+    assert np.array_equal(driven[:, 0], np.stack([l for l, _ in singles]))
+    assert np.array_equal(first[:, 0], np.stack([d for _, d in singles]))

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from spectrosens.errors import InvalidParam, ParseError
 from spectrosens.params import (MHZ, angular_to_mhz, default_config,
-                                from_config, mhz_to_angular)
+                                from_config, mhz_to_angular, stack, take)
 
 
 def test_unit_scale():
@@ -129,3 +129,21 @@ def test_with_density_rejects_what_from_config_rejects(default_params,
         default_params.with_density(density)
     assert type(excinfo.value) is type(expected.value)
     assert str(excinfo.value) == str(expected.value)
+
+
+def test_stack_and_take():
+    """A stack holds each point's molecule and derived fields, bit for bit,
+    along its (n, 1) point axis; take picks points of it in order."""
+    points = [from_config({"detuning_a_mhz": d, "rate_a_mhz": r})
+              for d, r in ((-30.0, 1e-6), (0.0, 1e-4), (55.5, 3.0))]
+    batch = stack(points)
+    assert batch.laser is None and batch.sample is None
+    for part in ("molecule", "derived"):
+        for name, values in vars(getattr(batch, part)).items():
+            assert values.shape == (3, 1)
+            assert values[:, 0].tolist() == [
+                getattr(getattr(p, part), name) for p in points]
+    picked = take(batch, [2, 0])
+    assert picked.molecule.detuning_a[:, 0].tolist() == [
+        points[2].molecule.detuning_a, points[0].molecule.detuning_a]
+    assert picked.derived.photon_flux_j0.shape == (2, 1)
