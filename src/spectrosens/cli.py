@@ -231,15 +231,14 @@ _FIG2_COLUMNS = (("cross_section_plus", "s_plus_m2"),
                  ("sensitivity", "sens_full"))
 
 
-def emit_figure_pack(figure_id: str, config: dict, out_dir: str, route: str,
-                     workers: int | None = None):
+def emit_figure_pack(figure_id: str, config: dict, out_dir: str, route: str):
     """Write preset sweep CSVs plus a gnuplot script for one figure; returns
     the rows of every sweep run, failed ones included."""
     os.makedirs(out_dir, exist_ok=True)
     swept = []
 
     def sweep(point_config, axis):
-        rows = run_sweep(point_config, [axis], route, workers)
+        rows = run_sweep(point_config, [axis], route)
         swept.extend(rows)
         return rows
 
@@ -362,7 +361,7 @@ def main(argv=None) -> int:
                 write_csv(rows, stream)
         else:
             rows = emit_figure_pack(args.figure_id, config, args.out or ".",
-                                    args.route, args.workers)
+                                    args.route)
         failed = any(row["status"] != "ok" for row in rows)
         return EXIT_COMPUTE if failed else EXIT_OK
     except POINT_ERRORS + (OSError,) as exc:

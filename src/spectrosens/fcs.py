@@ -34,10 +34,10 @@ Conventions frozen here:
   take points stacked by ``params.stack``, whose generators they build,
   eigensolve and solve all at once along a leading point axis: the tilts
   of all points in one eigensolve per stencil, the fluxes of all points in
-  one pair of bordered solves.  Stacked points give one outcome per point,
-  its value or the error it ended in, so a point that fails a check does
-  not fail the others.  One point runs the same code as a stack of one
-  and raises that error.
+  one pair of bordered solves.  A stacked call raises as a single one
+  does, with the error of the first point that fails a check; the
+  pipeline then splits the stack in halves until the failing point is
+  alone.  One point runs the same code as a stack of one.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import POINT_ERRORS, FitResidualExceeded, GapTooSmall
+from .errors import FitResidualExceeded, GapTooSmall
 from .liouvillian import (WITHIN, bordered, build_two_sided, dissipator_sum,
                           generator_derivatives, model_blocks, sector,
                           trace_vector, two_sided)
-from .params import ModelParams, stack, take
+from .params import ModelParams, stack
 
 # Largest relative residual of the intensity-expansion fit.
 FIT_RESIDUAL_TOL = 1e-3
@@ -60,60 +60,6 @@ FIT_RESIDUAL_TOL = 1e-3
 # dominant branch is still tracked.  The chemical relaxation mode makes the
 # gap scale with r_A + r_B, far below the electronic scale at slow rates.
 GAP_FRACTION = 1e-10
-
-
-# ---------------------------------------------------------------------------
-# per-point outcomes of stacked points
-# ---------------------------------------------------------------------------
-
-# An outcome is a point's value, or the exception it ended in, which every
-# later stage passes on.
-
-def _failure(row):
-    for value in row:
-        if isinstance(value, Exception):
-            return value
-    return None
-
-
-def each(fn, *columns):
-    """``fn(*row)`` for each row of the equal-length ``columns``, or the
-    ``POINT_ERRORS`` it raised; a row holding an exception keeps it."""
-    out = []
-    for row in zip(*columns):
-        outcome = _failure(row)
-        if outcome is None:
-            try:
-                outcome = fn(*row)
-            except POINT_ERRORS as exc:
-                outcome = exc
-        out.append(outcome)
-    return out
-
-
-def stacked(fn, batch, *columns):
-    """``fn`` once on the stacked points of ``batch`` whose rows of
-    ``columns`` hold no exception, with those rows as one list per column;
-    it returns an outcome per point.  The other points keep their
-    exception."""
-    rows = list(zip(*columns))
-    out = [_failure(row) for row in rows]
-    live = [i for i, outcome in enumerate(out) if outcome is None]
-    if live:
-        if len(live) < len(rows):
-            batch = take(batch, live)
-        values = zip(*(rows[i] for i in live))
-        for i, outcome in zip(live, fn(batch, *map(list, values))):
-            out[i] = outcome
-    return out
-
-
-def _one(fn, params, *args):
-    """``fn`` on one point, stacked, raising the exception it ended in."""
-    outcome, = fn(stack([params]), *args)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 @dataclass(frozen=True)
@@ -140,16 +86,16 @@ def dominant_eigenvalue(matrix: np.ndarray):
     return top, top.real - second.real
 
 
-def _narrow_gaps(batch, gaps) -> list:
-    """Per stacked point the ``GapTooSmall`` of its tilts if a gap is below
-    the pipeline's threshold, a fraction of its decay rate, else None."""
+def _check_gaps(batch, gaps, tilted) -> None:
+    """Raise ``GapTooSmall`` for the first stacked point among the
+    ``tilted`` ones (a mask) with a tilt's gap below the pipeline's
+    threshold, a fraction of its decay rate."""
     min_gap = GAP_FRACTION * batch.molecule.decay_gamma
-    narrow = (gaps < min_gap).any(axis=-1)
-    if not narrow.any():
-        return [None] * len(gaps)
-    return [GapTooSmall(f"spectral gap {np.min(gap):.3e} below threshold "
-                        f"{threshold:.3e}") if low else None
-            for gap, threshold, low in zip(gaps, min_gap[:, 0], narrow)]
+    narrow = (gaps < min_gap).any(axis=-1) & tilted
+    if narrow.any():
+        i = narrow.argmax()
+        raise GapTooSmall(f"spectral gap {np.min(gaps[i]):.3e} below "
+                          f"threshold {min_gap[i, 0]:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +169,20 @@ def _lambda_s(params, s1, s2, flux_scale):
     return top.real, gap
 
 
-def _adaptive_steps(batch, flux_scale):
+def _adaptive_steps(batch, flux_scale, tilted) -> np.ndarray:
     """Per stacked point a finite-difference step below the chemical
     curvature scale of the CGF, which is of order gap/|c1| at slow reaction
-    rates, or the ``GapTooSmall`` of its tilts; all tilts in one
-    eigensolve."""
+    rates; all tilts in one eigensolve, whose gaps are checked for the
+    ``tilted`` points."""
     h1 = 1e-4
     values, gaps = _lambda_s(batch, [0.0, h1, 0.0], [0.0, 0.0, h1],
                              flux_scale)
-
-    def step(_, values, gaps):   # a narrow point has kept its GapTooSmall
-        c1_scale = max(abs(values[1]), abs(values[2])) / h1
-        return min(h1, 0.2 * gaps[0] / c1_scale) if c1_scale > 0 else h1
-    return each(step, _narrow_gaps(batch, gaps), values, gaps)
+    _check_gaps(batch, gaps, tilted)
+    steps = []
+    for value, gap in zip(values, gaps[:, 0]):
+        c1_scale = max(abs(value[1]), abs(value[2])) / h1
+        steps.append(min(h1, 0.2 * gap / c1_scale) if c1_scale > 0 else h1)
+    return np.array(steps)
 
 
 def first_cumulants(params: ModelParams, flux_scale: float, h):
@@ -299,46 +246,32 @@ def _warn_if_strong(rabi_a, rabi_b, gamma):
                       f"{saturation:.3g}", stacklevel=3)
 
 
-def _stencil_cumulants(batch, steps, flux_scale) -> list:
-    """Per stacked point its first cumulants from the Richardson stencil at
-    its step, or the ``GapTooSmall`` of its tilts; all tilts in one
-    eigensolve."""
-    c1, gaps = first_cumulants(batch, flux_scale, np.array(steps))
-    return each(lambda _, c1: c1, _narrow_gaps(batch, gaps), c1.T)
-
-
-def _cross_sections(batch) -> list:
+def cross_sections(params):
+    """(S1, S2) in m^2: photon flux removed from detector channel k per
+    molecule and unit intensity, in the linear-response (small-flux) limit.
+    Stacked points (``params.stack``) give arrays of each over the points,
+    or raise the ``GapTooSmall`` of the first point that ends in one; the
+    tilts of all points take one eigensolve for the step choice and one
+    for the Richardson stencil."""
+    if not isinstance(params.molecule.decay_gamma, np.ndarray):
+        s1, s2 = cross_sections(stack([params]))
+        return s1[0], s2[0]
     frac = CROSS_SECTION_FLUX_FRACTION
     flux_scale = np.sqrt(frac)
-    der, mol = batch.derived, batch.molecule
+    der, mol = params.derived, params.molecule
     for rabi_a, rabi_b, gamma in zip(der.rabi_a.flat, der.rabi_b.flat,
                                      mol.decay_gamma.flat):
         _warn_if_strong(rabi_a, rabi_b, gamma)
     j_ref = der.photon_flux_j0[:, 0] * frac
-    out = [(0.0, 0.0)] * len(j_ref)
-    # a reference flux that underflows to 0 leaves nothing to tilt
-    tilted = j_ref.nonzero()[0].tolist()
-    if tilted:
-        if len(tilted) < len(j_ref):
-            batch = take(batch, tilted)
-        c1 = stacked(lambda *row: _stencil_cumulants(*row, flux_scale),
-                     batch, _adaptive_steps(batch, flux_scale))
-        for i, c in zip(tilted, c1):
-            # counting index order -> physical detector order is reversed
-            out[i] = c if isinstance(c, Exception) else (c[1] / j_ref[i],
-                                                         c[0] / j_ref[i])
-    return out
-
-
-def cross_sections(params):
-    """(S1, S2) in m^2: photon flux removed from detector channel k per
-    molecule and unit intensity, in the linear-response (small-flux) limit.
-    Stacked points (``params.stack``) give per point (S1, S2) or the
-    ``GapTooSmall`` it ended in; the tilts of all points take one
-    eigensolve for the step choice and one for the Richardson stencil."""
-    if isinstance(params.molecule.decay_gamma, np.ndarray):
-        return _cross_sections(params)
-    return _one(_cross_sections, params)
+    # a reference flux that underflows to 0 leaves nothing to tilt: the
+    # point stays in the stack, unchecked, and gets (0, 0)
+    tilted = j_ref > 0
+    steps = _adaptive_steps(params, flux_scale, tilted)
+    c1, gaps = first_cumulants(params, flux_scale, steps)
+    _check_gaps(params, gaps, tilted)
+    # counting index order -> physical detector order is reversed
+    return tuple(np.divide(c1[::-1], j_ref, out=np.zeros_like(c1),
+                           where=tilted))
 
 
 def diffusion_rate(params: ModelParams, J) -> np.ndarray:
@@ -384,27 +317,15 @@ def _fit(j0, s_plus, x, rates, pin_linear):
     return DiffusionExpansion(D1=d1, D2=d2, fit_residual=float(residual))
 
 
-def _expansions(batch, s_plus, pin_linear) -> list:
-    j0 = batch.derived.photon_flux_j0
-    # one point per row (a C-ordered copy: geomspace is faster on axis 0)
-    J_grid = np.geomspace(j0[:, 0] / 10.0, j0[:, 0], 10).T.copy()
-    rates = diffusion_rate(batch, J_grid)                 # (n, m, 2, 2)
-    if s_plus is None:
-        s_plus = (each(lambda c: c[0] + c[1], _cross_sections(batch))
-                  if pin_linear else [None] * len(rates))
-    return each(lambda *row: _fit(*row, pin_linear), j0[:, 0].tolist(),
-                s_plus, J_grid / j0, rates)
-
-
 def fit_diffusion_expansion(params, s_plus=None, pin_linear: bool = True):
     """Least-squares fit of the per-molecule rate to D1*J + (1/2)*D2*J^2
     through the origin, on ten log-spaced fluxes spanning the decade below
     J0, all ten rates from one ``diffusion_rate`` call on the flux grid; a
     relative residual above ``FIT_RESIDUAL_TOL`` raises
-    ``FitResidualExceeded``.  Stacked points, with a list of their S_plus,
-    give per point its ``DiffusionExpansion`` or the error it ended in: the
-    rates of all points from one ``diffusion_rate`` call, the fits point by
-    point.
+    ``FitResidualExceeded``.  Stacked points, with their S_plus, give a
+    list of their ``DiffusionExpansion``s, or raise the error of the first
+    point whose fit fails: the rates of all points from one
+    ``diffusion_rate`` call, the fits point by point.
 
     At slow reaction rates the quadratic chemical term exceeds the linear
     coefficient by many orders of magnitude, and higher-order saturation
@@ -421,7 +342,16 @@ def fit_diffusion_expansion(params, s_plus=None, pin_linear: bool = True):
     only when chemical noise does not dwarf absorption (fast rates); it is
     retained as a consistency check on the pinned structure.
     """
-    if isinstance(params.molecule.decay_gamma, np.ndarray):
-        return _expansions(params, s_plus, pin_linear)
-    return _one(_expansions, params, None if s_plus is None else [s_plus],
-                pin_linear)
+    if not isinstance(params.molecule.decay_gamma, np.ndarray):
+        expansion, = fit_diffusion_expansion(
+            stack([params]), None if s_plus is None else [s_plus], pin_linear)
+        return expansion
+    j0 = params.derived.photon_flux_j0
+    # one point per row (a C-ordered copy: geomspace is faster on axis 0)
+    J_grid = np.geomspace(j0[:, 0] / 10.0, j0[:, 0], 10).T.copy()
+    rates = diffusion_rate(params, J_grid)                # (n, m, 2, 2)
+    if s_plus is None:
+        s_plus = (np.add(*cross_sections(params)) if pin_linear
+                  else [None] * len(rates))
+    return [_fit(*row, pin_linear) for row in zip(
+        j0[:, 0].tolist(), s_plus, J_grid / j0, rates)]

@@ -102,13 +102,6 @@ def stack(points) -> ModelParams:
                        DerivedQuantities(*columns[split:]))
 
 
-def take(batch: ModelParams, rows) -> ModelParams:
-    """The stacked points ``rows`` (indices) of a ``stack``."""
-    def pick(part):
-        return type(part)(*(values[rows] for values in vars(part).values()))
-    return ModelParams(None, pick(batch.molecule), None, pick(batch.derived))
-
-
 def derive(laser: LaserParams, molecule: MoleculeParams) -> DerivedQuantities:
     """Compute field amplitude, Rabi frequencies and photon bookkeeping from
     inputs ``from_config`` has range-checked.

@@ -203,8 +203,8 @@ def test_csv_cells_format_non_finite_values():
 
 def test_sweep_keeps_untyped_failure_in_row(monkeypatch, capsys):
     """A point whose stacked linear algebra raises ends in its own
-    error:LinAlgError row: the pass is repeated point by point, and the
-    other rows equal run_point."""
+    error:LinAlgError row: the pass is split in halves down to the failing
+    point, and the other rows equal run_point."""
     eigvals, stacks = np.linalg.eigvals, []
     # the 10 MHz point's optical coherences carry -+i * detuning
     marker = -mhz_to_angular(10.0)
@@ -217,7 +217,7 @@ def test_sweep_keeps_untyped_failure_in_row(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "eigvals", failing)
     axis = "detuning,linear,0,20,3"
     code, out, _ = run(["sweep", "--axis1", axis], capsys)
-    assert stacks[:2] == [3, 1]   # the stacked pass, then point by point
+    assert stacks[:2] == [3, 1]   # the stacked pass, then its first half
     assert code == 1
     assert [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]] == [
         "ok", "error:LinAlgError", "ok"]

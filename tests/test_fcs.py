@@ -1,3 +1,7 @@
+import contextlib
+import os
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,16 +22,19 @@ def test_dominant_eigenvalue_zero_at_chi_zero(default_params):
 
 
 def test_gap_threshold(default_params):
-    """In a stack of points, the gap threshold ends only the point whose
-    tilts' gaps fall below it, with the error that point raises alone."""
+    """A stack that holds a point whose tilts' gaps fall below the threshold
+    raises the error that point raises alone; a stack without it gives
+    each point what a single call gives."""
     slow = from_config({"rate_a_mhz": 1e-12, "rate_b_mhz": 1e-12})
-    outcomes = fcs.cross_sections(stack([default_params, slow,
-                                         default_params]))
-    assert outcomes[0] == outcomes[2] == fcs.cross_sections(default_params)
+    fast = from_config({"rate_a_mhz": 2.0, "rate_b_mhz": 3.0})
     with pytest.raises(GapTooSmall) as alone:
         fcs.cross_sections(slow)
-    assert type(outcomes[1]) is GapTooSmall
-    assert str(outcomes[1]) == str(alone.value)
+    with pytest.raises(GapTooSmall) as stacked:
+        fcs.cross_sections(stack([default_params, slow, fast]))
+    assert str(stacked.value) == str(alone.value)
+    s1, s2 = fcs.cross_sections(stack([default_params, fast]))
+    assert list(zip(s1, s2)) == [fcs.cross_sections(params)
+                                 for params in (default_params, fast)]
 
 
 def test_stacked_dominant_eigenvalue_equals_single_solves(default_params):
@@ -228,12 +235,15 @@ def test_evaluate_points_equals_evaluate_point(route):
                {"power_mw": 1e-300, "beam_diameter_cm": 3.6e20}]
     points = [from_config(config) for config in configs]
     singles = []
-    for params in points:
-        try:
-            singles.append(_outcome(evaluate_point(params, route)))
-        except Exception as exc:
-            singles.append(_outcome(exc))
-    results = pipeline.evaluate_points(points, route)
+    # the adiabatic route warns at the 3 and 60 MHz rates
+    with (pytest.warns(UserWarning, match="adiabatic factorization")
+          if route != "full" else contextlib.nullcontext()):
+        for params in points:
+            try:
+                singles.append(_outcome(evaluate_point(params, route)))
+            except Exception as exc:
+                singles.append(_outcome(exc))
+        results = pipeline.evaluate_points(points, route)
     assert [_outcome(result) for result in results] == singles
     errors = {type(r).__name__ for r in results if isinstance(r, Exception)}
     assert errors == {
@@ -242,6 +252,45 @@ def test_evaluate_points_equals_evaluate_point(route):
         "adiabatic": {"SingularCovariance", "FitResidualExceeded"},
         "both": {"GapTooSmall", "FitResidualExceeded", "SingularCovariance"},
     }[route]
+
+
+def test_failing_pass_is_bisected(monkeypatch):
+    """One failing point among 64 costs 13 stacked passes, the first and
+    two per halving, not one more pass per point: it ends in the error it
+    raises alone, and the other 63 keep the results they get alone."""
+    points = [from_config({"detuning_a_mhz": detuning})
+              for detuning in np.linspace(-100.0, 100.0, 64)]
+    points[37] = from_config({"rate_a_mhz": 1e-12, "rate_b_mhz": 1e-12})
+    passes, evaluate = [], pipeline._evaluate
+
+    def counted(pass_points, route):
+        passes.append(len(pass_points))
+        return evaluate(pass_points, route)
+
+    monkeypatch.setattr(pipeline, "_evaluate", counted)
+    outcomes = pipeline.evaluate_points(points, "full")
+    assert len(passes) == 13 and passes[0] == 64
+    with pytest.raises(GapTooSmall) as alone:
+        evaluate_point(points[37], "full")
+    assert _outcome(outcomes[37]) == _outcome(alone.value)
+    for params, outcome in zip(points[:37] + points[38:],
+                               outcomes[:37] + outcomes[38:]):
+        assert _outcome(outcome) == _outcome(evaluate_point(params, "full"))
+
+
+def test_physics_warnings_point_at_the_pipeline():
+    """The strong-probe and the adiabatic-factorization warnings of a
+    stacked pass are attributed to the pipeline, which evaluates the
+    point."""
+    params = from_config({"power_mw": 30.0, "rate_a_mhz": 3.0,
+                          "rate_b_mhz": 3.0})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evaluate_point(params, "both")
+    sources = {str(warning.message).split(":")[0]:
+               os.path.basename(warning.filename) for warning in caught}
+    assert sources == {"outside weak-probe regime": "pipeline.py",
+                       "adiabatic factorization unreliable": "pipeline.py"}
 
 
 def test_sweep_makes_three_stacked_eigensolves(monkeypatch):

@@ -1,3 +1,4 @@
+import contextlib
 import sys
 
 import numpy as np
@@ -185,8 +186,11 @@ def test_point_tilts_stay_small(rate_mhz, monkeypatch):
         if (name.startswith("spectrosens.") and module is not liouvillian
                 and hasattr(module, "build_two_sided")):
             monkeypatch.setattr(module, "build_two_sided", recording)
-    evaluate_point(from_config({"rate_a_mhz": rate_mhz,
-                                "rate_b_mhz": rate_mhz}), "both")
+    params = from_config({"rate_a_mhz": rate_mhz, "rate_b_mhz": rate_mhz})
+    # 3 MHz rates are beyond the adiabatic gate of the "both" route
+    with (pytest.warns(UserWarning, match="adiabatic factorization")
+          if rate_mhz > 1 else contextlib.nullcontext()):
+        evaluate_point(params, "both")
     largest = [np.max(size) for size in tilts]
     assert len(largest) > 1 and 0.0 < max(largest) <= 1e-4
 

@@ -183,3 +183,24 @@ def test_mc_validation_script_runs():
                          dtype=float)
         assert pulls.shape == (4,)
         assert np.all(np.isfinite(pulls)) and np.all(np.abs(pulls) < bound)
+
+
+def test_outcome_digest_script_runs():
+    """scripts/outcome_digest.py prints one sha256 over the point outcomes
+    and one per sweep grid and route."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable,
+                           str(ROOT / "scripts" / "outcome_digest.py")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [line[:-1] for line in lines] == [["points"]] + [
+        ["sweep", name, route] for name in ("gap", "gap-wide",
+                                            "detuning-rate", "density-edge",
+                                            "far-detuned", "fig-rate",
+                                            "thickness")
+        for route in ("full", "both")]
+    digests = [line[-1] for line in lines]
+    assert all(len(d) == 64 and set(d) <= set("0123456789abcdef")
+               for d in digests)
+    assert len(set(digests)) == len(digests)
