@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 import warnings
@@ -50,11 +51,26 @@ EXIT_OK, EXIT_COMPUTE, EXIT_USAGE = 0, 1, 2
 # whose cost per matrix stacking does not change, set the time.
 SWEEP_CHUNK = 100
 
+# Most rows (the product of the axis counts) a sweep accepts.  All of a
+# grid's configurations and rows are held at once, about 1.3 kB per row,
+# and a row takes about 1 ms on one core: 10^6 rows are ~1.3 GB and a
+# quarter of an hour.  A larger grid is a bad axis spec, found before any
+# axis is allocated, not numpy's allocation failure.
+_MAX_GRID_ROWS = 10**6
+
 
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
     return "%.12g" % value
+
+
+def _json_value(value):
+    """A point record value as strict JSON takes it: a non-finite number
+    in the spelling of a CSV cell."""
+    if isinstance(value, str) or np.isfinite(value):
+        return value
+    return _fmt(value)
 
 
 def _error_json(exc: Exception, **extra) -> str:
@@ -86,8 +102,10 @@ def _load_config(args) -> dict:
     return config
 
 
-def _grid(spec: str):
-    """Parse an axis spec 'param,scale,min,max,count' into (keys, values)."""
+def _axis(spec: str):
+    """Parse an axis spec 'param,scale,min,max,count' into (keys, spacing,
+    (min, max, count)), where ``spacing(min, max, count)`` makes the axis
+    values; nothing is allocated yet."""
     parts = spec.split(",")
     if len(parts) != 5:
         raise ValueError(
@@ -105,14 +123,14 @@ def _grid(spec: str):
     if not np.isfinite(high - low):
         raise ValueError("axis span must be finite")
     if scale == "linear":
-        values = np.linspace(low, high, count)
+        spacing = np.linspace
     elif scale == "log":
         if low <= 0:
             raise ValueError("log axis requires min > 0")
-        values = np.geomspace(low, high, count)
+        spacing = np.geomspace
     else:
         raise ValueError(f"axis scale must be linear or log, got {scale!r}")
-    return SWEEP_PARAMS[param], values
+    return SWEEP_PARAMS[param], spacing, (low, high, count)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +200,11 @@ def run_sweep(config: dict, axes, route: str, workers: int | None = None):
     """Evaluate a 1D or 2D grid; returns its rows in deterministic grid
     order, evaluated ``SWEEP_CHUNK`` rows to a stacked pass.  ``workers``
     has no effect; it is accepted for compatibility."""
-    keys, values = zip(*(_grid(axis) for axis in axes))
+    keys, spacings, bounds = zip(*(_axis(axis) for axis in axes))
+    size = math.prod(count for *_, count in bounds)
+    if size > _MAX_GRID_ROWS:
+        raise ValueError(f"grid of {size} rows exceeds {_MAX_GRID_ROWS}")
+    values = [spacing(*args) for spacing, args in zip(spacings, bounds)]
     # a configuration error that no grid value overrides fails the sweep
     # once, here; failures of grid values stay in their rows
     swept = set(itertools.chain(*keys))
@@ -345,9 +367,11 @@ def main(argv=None) -> int:
                     print(_error_json(exc, warnings=_messages(caught)),
                           file=sys.stderr)
                     return EXIT_COMPUTE
+            record = {key: _json_value(value) for key, value in record.items()}
             record["warnings"] = _messages(caught)
             with _output(args.out) as stream:
-                stream.write(json.dumps(record, indent=2, default=float) + "\n")
+                stream.write(json.dumps(record, indent=2, default=float,
+                                        allow_nan=False) + "\n")
             return EXIT_OK
 
         if args.command == "sweep":

@@ -99,35 +99,6 @@ def _check_gaps(batch, gaps, tilted) -> None:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference stencils in the two counting fields
-# ---------------------------------------------------------------------------
-
-# Each stencil evaluates ``fun(s1, s2)`` once, on arrays of all its tilts.
-# ``h`` is a step or an array of steps, over which the result's last axis runs.
-
-def gradient(fun, h) -> np.ndarray:
-    """Central-difference gradient of ``fun(s1, s2)`` at the origin.  An
-    (n, m) array of steps is n points at m steps each: a point's tilts run
-    along the last axis of the tilt arrays."""
-    h = np.asarray(h)
-    zero = np.zeros_like(h)
-    axis = -1 if h.ndim else None
-    f = fun(np.concatenate([h, -h, zero, zero], axis=axis),
-            np.concatenate([zero, zero, h, -h], axis=axis))
-    f = f.reshape(h.shape[:-1] + (4,) + h.shape[-1:])
-    if h.ndim > 1:   # the four tilt groups ahead of the points
-        f = f.swapaxes(0, 1)
-    return np.array([(f[0] - f[1]) / (2 * h), (f[2] - f[3]) / (2 * h)])
-
-
-def richardson(stencil, fun, h):
-    """One Richardson step on ``stencil(fun, step)`` from steps h and h/2 in
-    one call; an (n,) array of steps h gives n results."""
-    both = stencil(fun, np.array([h, h / 2]).T)
-    return (4 * both[..., 1] - both[..., 0]) / 3
-
-
-# ---------------------------------------------------------------------------
 # eigenvalue derivatives
 # ---------------------------------------------------------------------------
 
@@ -178,25 +149,29 @@ def _adaptive_steps(batch, flux_scale, tilted) -> np.ndarray:
     values, gaps = _lambda_s(batch, [0.0, h1, 0.0], [0.0, 0.0, h1],
                              flux_scale)
     _check_gaps(batch, gaps, tilted)
-    steps = []
-    for value, gap in zip(values, gaps[:, 0]):
-        c1_scale = max(abs(value[1]), abs(value[2])) / h1
-        steps.append(min(h1, 0.2 * gap / c1_scale) if c1_scale > 0 else h1)
-    return np.array(steps)
+    c1_scale = np.abs(values[:, 1:]).max(axis=-1) / h1
+    # h1 where c1_scale is 0 or the ratio is nan, as min(h1, ratio) gives
+    steps = np.divide(0.2 * gaps[:, 0], c1_scale,
+                      out=np.full_like(c1_scale, h1), where=c1_scale > 0)
+    return np.fmin(h1, steps)
 
 
 def first_cumulants(params: ModelParams, flux_scale: float, h):
-    """(c1_1, c1_2): plain d(lambda)/ds_k in counting-index order, units 1/s,
-    from central differences of step ``h``, and the spectral gaps of the
-    tilts.  Stacked points with an (n,) array of steps give c1 of shape
-    (2, n) and the gaps of shape (n, 8)."""
-    gaps = []
-
-    def fun(s1, s2):
-        values, gap = _lambda_s(params, s1, s2, flux_scale)
-        gaps.append(gap)
-        return values
-    return richardson(gradient, fun, h), gaps[0]
+    """(c1, gaps): plain d(lambda)/ds_k in counting-index order, units 1/s,
+    by one Richardson step on central differences at steps h and h/2, and
+    the spectral gaps of the eight tilts (+-h, +-h/2 on each field), all
+    from one eigensolve.  Stacked points with an (n,) array of steps give
+    c1 of shape (2, n) and the gaps of shape (n, 8)."""
+    h = np.stack([h, np.divide(h, 2)], axis=-1)           # (..., 2)
+    zero = np.zeros_like(h)
+    values, gaps = _lambda_s(params,
+                             np.concatenate([h, -h, zero, zero], axis=-1),
+                             np.concatenate([zero, zero, h, -h], axis=-1),
+                             flux_scale)
+    f = values.reshape(h.shape[:-1] + (4, 2))             # (..., tilt, step)
+    both = np.array([f[..., 0, :] - f[..., 1, :],
+                     f[..., 2, :] - f[..., 3, :]]) / (2 * h)
+    return (4 * both[..., 1] - both[..., 0]) / 3, gaps
 
 
 def second_cumulant_matrix(params: ModelParams, flux_scale):
@@ -237,13 +212,12 @@ CROSS_SECTION_FLUX_FRACTION = 1e-3  # linear-response reference flux J/J0
 
 
 def _warn_if_strong(rabi_a, rabi_b, gamma):
-    # numpy floats saturate to 0 or inf at extreme but finite rates, where
-    # Python floats would raise ZeroDivisionError or OverflowError
-    saturation = (np.float64(max(rabi_a, rabi_b)) ** 2
-                  / np.float64(gamma) ** 2)
-    if saturation > WEAK_PROBE_LIMIT:
+    """One warning per stacked point outside the weak-probe regime, in
+    point order, attributed to the caller of ``cross_sections``."""
+    saturation = np.maximum(rabi_a, rabi_b) ** 2 / gamma ** 2
+    for value in saturation[saturation > WEAK_PROBE_LIMIT]:
         warnings.warn(f"outside weak-probe regime: Omega^2/gamma^2 = "
-                      f"{saturation:.3g}", stacklevel=3)
+                      f"{value:.3g}", stacklevel=3)
 
 
 def cross_sections(params):
@@ -258,16 +232,14 @@ def cross_sections(params):
         return s1[0], s2[0]
     frac = CROSS_SECTION_FLUX_FRACTION
     flux_scale = np.sqrt(frac)
-    der, mol = params.derived, params.molecule
-    for rabi_a, rabi_b, gamma in zip(der.rabi_a.flat, der.rabi_b.flat,
-                                     mol.decay_gamma.flat):
-        _warn_if_strong(rabi_a, rabi_b, gamma)
+    der = params.derived
+    _warn_if_strong(der.rabi_a, der.rabi_b, params.molecule.decay_gamma)
     j_ref = der.photon_flux_j0[:, 0] * frac
     # a reference flux that underflows to 0 leaves nothing to tilt: the
     # point stays in the stack, unchecked, and gets (0, 0)
     tilted = j_ref > 0
-    steps = _adaptive_steps(params, flux_scale, tilted)
-    c1, gaps = first_cumulants(params, flux_scale, steps)
+    c1, gaps = first_cumulants(params, flux_scale,
+                               _adaptive_steps(params, flux_scale, tilted))
     _check_gaps(params, gaps, tilted)
     # counting index order -> physical detector order is reversed
     return tuple(np.divide(c1[::-1], j_ref, out=np.zeros_like(c1),

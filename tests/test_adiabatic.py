@@ -5,7 +5,7 @@ from spectrosens import adiabatic, fcs
 from spectrosens.errors import FitResidualExceeded
 from spectrosens.params import from_config
 from spectrosens.pipeline import evaluate_point
-from stencils import hessian
+from stencils import hessian, richardson
 
 
 def test_stationary_probabilities():
@@ -88,7 +88,7 @@ def test_weak_field_curvature_matches_exact(default_params):
     J = default_params.derived.photon_flux_j0 * 1e-2
     weak = adiabatic._curvature_weak_field(default_params, "A", J)
     fun = lambda a, b: adiabatic.conditioned_cgf(default_params, "A", a, b, J)
-    exact = fcs.richardson(hessian, fun, 1e-3)
+    exact = richardson(hessian, fun, 1e-3)
     assert np.max(np.abs(weak - exact)) < 1e-2 * np.max(np.abs(exact))
 
 
@@ -163,7 +163,7 @@ def test_chemical_term_is_two_state_curvature():
         return np.max(np.linalg.eigvals(generator).real, axis=-1)
 
     h = 1e-2 * (r_a + r_b) / np.max(np.abs(c1[0] - c1[1]))
-    curvature = fcs.richardson(hessian, top, h)
+    curvature = richardson(hessian, top, h)
     chemical = adiabatic.chemical_rate_term(params, J, method="weak_field")
     assert np.max(np.abs(curvature[::-1, ::-1] - chemical)) \
         <= 1e-4 * np.max(np.abs(chemical))

@@ -105,13 +105,36 @@ def test_sweep_partial_failure(capsys):
     assert all("error:" in line for line in lines)
 
 
-def test_bad_axis_spec(capsys):
+def test_bad_axis_spec(capsys, monkeypatch):
     code, _, err = run(["sweep", "--axis1", "bogus,linear,0,1,5"], capsys)
     assert code == 2
     code, _, err = run(["sweep", "--axis1", "rate,log,-1,1,5"], capsys)
     assert code == 2
     code, _, err = run(["sweep", "--axis1", "rate,linear,1,2,1"], capsys)
     assert code == 2
+    # a grid over the row bound, on one axis or on two, is refused before
+    # any axis is allocated
+    monkeypatch.setattr(np, "linspace", None)
+    monkeypatch.setattr(np, "geomspace", None)
+    for axes in (["--axis1", "detuning,linear,0,1,10000000000000"],
+                 ["--axis1", "detuning,linear,0,1,1001",
+                  "--axis2", "rate,log,1e-3,1,1000"]):
+        code, out, err = run(["sweep", *axes], capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].endswith(
+            f"rows exceeds {cli._MAX_GRID_ROWS}")
+
+
+def test_point_record_is_strict_json(capsys):
+    """A non-finite record value takes the spelling of a CSV cell, so the
+    record parses as strict JSON: on resonance the adiabatic route has no
+    phase signal, and an infinite phase-only bound."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    code, out, _ = run(["point", "--set", "detuning_a_mhz=0",
+                        "--route", "adiabatic"], capsys)
+    assert code == 0
+    assert json.loads(out, parse_constant=refuse)["sens_phase"] == "inf"
 
 
 def test_figures_pack(tmp_path, capsys):

@@ -11,7 +11,7 @@ from spectrosens.liouvillian import (build_two_sided, dissipator_sum,
                                      generator_derivatives, model_blocks)
 from spectrosens.params import default_config, from_config, stack
 from spectrosens.pipeline import evaluate_point
-from stencils import hessian
+from stencils import gradient, hessian, richardson
 
 
 def test_dominant_eigenvalue_zero_at_chi_zero(default_params):
@@ -340,14 +340,50 @@ def test_stencils_exact_on_quadratic_in_one_call():
     # tilts per call at one step and at the two Richardson steps; the
     # Hessian evaluates its origin once for both
     for stencil, expected, points, both in (
-            (fcs.gradient, np.array([2.0, -5.0]), 4, 8),
+            (gradient, np.array([2.0, -5.0]), 4, 8),
             (hessian, np.array([[8.0, 6.0], [6.0, -4.0]]), 9, 17)):
         fun, calls = _counted_quadratic()
         assert np.array_equal(stencil(fun, 0.25), expected)
         assert calls == [(points,)]
         fun, calls = _counted_quadratic()
-        assert np.array_equal(fcs.richardson(stencil, fun, 0.25), expected)
+        assert np.array_equal(richardson(stencil, fun, 0.25), expected)
         assert calls == [(both,)]
+
+
+def test_first_cumulants_equal_reference_stencil_per_point():
+    """The cross sections' stencil, stacked over points with a step each,
+    is bit for bit the reference Richardson gradient on each point's
+    dominant eigenvalue."""
+    points = [from_config({"detuning_a_mhz": eps, "rate_a_mhz": rate})
+              for eps, rate in ((-40.0, 1e-3), (0.0, 1.0), (25.0, 10.0))]
+    steps = np.array([1e-4, 3e-5, 7.5e-6])
+    flux_scale = np.sqrt(fcs.CROSS_SECTION_FLUX_FRACTION)
+    c1, gaps = fcs.first_cumulants(stack(points), flux_scale, steps)
+    assert c1.shape == (2, 3) and gaps.shape == (3, 8)
+    for i, (params, h) in enumerate(zip(points, steps)):
+        def fun(s1, s2):
+            return fcs._lambda_s(params, s1, s2, flux_scale)[0]
+        assert np.array_equal(c1[:, i], richardson(gradient, fun, h))
+
+
+def test_adaptive_steps_equal_pointwise_rule():
+    """The stacked step choice is, bit for bit, the rule point by point:
+    min(h1, 0.2 gap / c1_scale), and h1 where the tilts leave the
+    eigenvalue at 0 (a reference flux that underflows)."""
+    points = [from_config(config) for config in
+              ({}, {"rate_a_mhz": 1e-10, "rate_b_mhz": 1e-10},
+               {"power_mw": 1e-300})]
+    flux_scale, h1 = np.sqrt(fcs.CROSS_SECTION_FLUX_FRACTION), 1e-4
+    steps = fcs._adaptive_steps(stack(points), flux_scale, np.zeros(3, bool))
+    expected = []
+    for params in points:
+        values, gaps = fcs._lambda_s(params, [0.0, h1, 0.0], [0.0, 0.0, h1],
+                                     flux_scale)
+        c1_scale = max(abs(values[1]), abs(values[2])) / h1
+        expected.append(min(h1, 0.2 * gaps[0] / c1_scale)
+                        if c1_scale > 0 else h1)
+    assert np.array_equal(steps, expected)
+    assert steps[1] < h1 == steps[2]
 
 
 def _model_cumulants(rate_mhz, detuning_mhz):
@@ -379,8 +415,8 @@ def test_cumulants_match_eigenvalue_stencils(build, args):
     on the dominant eigenvalue, at fast rates and on the conditioned blocks,
     where the stencils are well conditioned."""
     (c1, c2), fun = build(*args)
-    stencil_c1 = fcs.richardson(fcs.gradient, fun, 1e-2)
-    stencil_c2 = fcs.richardson(hessian, fun, 1e-2)
+    stencil_c1 = richardson(gradient, fun, 1e-2)
+    stencil_c2 = richardson(hessian, fun, 1e-2)
     assert np.max(np.abs(c1 - stencil_c1)) <= 1e-7 * np.max(np.abs(c1))
     assert np.max(np.abs(c2 - stencil_c2)) <= 1e-5 * np.max(np.abs(c2))
 
