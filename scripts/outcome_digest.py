@@ -5,11 +5,14 @@ evaluation leaves every number bit for bit as it was.
 Prints one sha256 over the outcomes of 162 points (3 routes x 6 rate pairs
 x 9 detunings, one stacked pass per route): the ``float.hex`` of every
 number of a ``PointResult``, or the type and message of the error a point
-ends in.  Then one sha256 per sweep, over its CSV and every field of its
-rows (the route deviation of ``both`` too), for grids that mix results
-with several kinds of failure, on the ``full`` and ``both`` routes.  Run
-it on two versions of the code and compare the output; it takes a few
-seconds.
+ends in.  Then one sha256 over the adiabatic composition of the same
+rate pairs and detunings, with state B dark and with it absorbing:
+``conditioned_rate`` of A and B, ``chemical_rate_term`` and
+``adiabatic_rate`` by both methods at J0 and J0/10.  Then one sha256 per
+sweep, over its CSV and every field of its rows (the route deviation of
+``both`` too), for grids that mix results with several kinds of failure,
+on the ``full`` and ``both`` routes.  Run it on two versions of the code
+and compare the output; it takes a few seconds.
 
     PYTHONPATH=src python scripts/outcome_digest.py
 """
@@ -22,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from spectrosens import cli, pipeline
+from spectrosens import adiabatic, cli, pipeline
 from spectrosens.params import default_config, from_config
 
 # (rate_a_mhz, rate_b_mhz)
@@ -74,6 +77,29 @@ def point_digest() -> str:
     return digest.hexdigest()
 
 
+def adiabatic_digest() -> str:
+    digest = hashlib.sha256()
+    for dipole_b, (ra, rb), d in itertools.product((0.0, 0.6), RATE_PAIRS,
+                                                   DETUNINGS_MHZ):
+        params = from_config({"detuning_a_mhz": d, "rate_a_mhz": ra,
+                              "rate_b_mhz": rb, "dipole_b_debye": dipole_b})
+        j0 = params.derived.photon_flux_j0
+        for method, J in itertools.product(("exact", "weak_field"),
+                                           (j0, j0 / 10.0)):
+            calls = [(adiabatic.conditioned_rate, (params, "A", J, method)),
+                     (adiabatic.conditioned_rate, (params, "B", J, method)),
+                     (adiabatic.chemical_rate_term, (params, J, method)),
+                     (adiabatic.adiabatic_rate, (params, J, method))]
+            for function, args in calls:
+                try:
+                    outcome = function(*args)
+                except Exception as exc:   # an error is an outcome too
+                    outcome = exc
+                digest.update("\n".join(_flatten(outcome)).encode()
+                              + b"\n\n")
+    return digest.hexdigest()
+
+
 def sweep_digest(base, axes, route) -> str:
     rows = cli.run_sweep(dict(default_config(), **base), axes, route)
     stream = io.StringIO()
@@ -86,6 +112,7 @@ def sweep_digest(base, axes, route) -> str:
 def main():
     warnings.simplefilter("ignore")   # physics warnings are not outcomes
     print(f"points {point_digest()}")
+    print(f"adiabatic {adiabatic_digest()}")
     for name, base, axes in SWEEPS:
         for route in ("full", "both"):
             print(f"sweep {name} {route} {sweep_digest(base, axes, route)}")

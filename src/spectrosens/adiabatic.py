@@ -91,7 +91,7 @@ def conditioned_cgf(params: ModelParams, state: str, s1, s2, J: float):
     """Conditioned cumulant-generating rate K_state(s), elementwise in s."""
     chi = (-1j * np.asarray(s1), -1j * np.asarray(s2))
     matrix = two_sided(*_conditioned_model(params, state, J), chi)
-    return dominant_eigenvalue(matrix)[0].real
+    return dominant_eigenvalue(matrix)[0]
 
 
 def _conditioned_cumulants(params, state, J):
@@ -106,35 +106,27 @@ def conditioned_first_cumulants(params: ModelParams, state: str,
     return _conditioned_cumulants(params, state, J)[0]
 
 
-def _first_cumulants(params, state, J, method):
-    """The state's mean detector fluxes (counting order, 1/s) by ``method``:
-    "exact" from the conditioned generator, "weak_field" as J times the
+def _statistics(params, state, J, method):
+    """(c1, curvature) of the state at flux J (counting order, 1/s) by
+    ``method``: "exact" from one solve of the conditioned generator,
+    "weak_field" to leading order in the drive, c1 as J times the
     Lorentzian channels (S_plus - S_minus) / 2 and (S_plus + S_minus) / 2.
     This is the one place an unknown ``method`` raises ``ValueError``."""
     if method == "exact":
-        return conditioned_first_cumulants(params, state, J)
+        return _conditioned_cumulants(params, state, J)
     if method == "weak_field":
         s_plus, s_minus = conditioned_cross_sections(params, state)
-        return J * np.array([(s_plus - s_minus) / 2.0,
-                             (s_plus + s_minus) / 2.0])
+        c1 = J * np.array([(s_plus - s_minus) / 2.0,
+                           (s_plus + s_minus) / 2.0])
+        return c1, _curvature_weak_field(params, state, J)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _rate(params, state, J, c1, method):
-    """Conditioned rate (detector order, 1/s) from the state's first
-    cumulants ``c1`` of ``_first_cumulants``, which has checked ``method``."""
-    if method == "exact":
-        curvature = _conditioned_cumulants(params, state, J)[1]
-    else:
-        curvature = _curvature_weak_field(params, state, J)
-    return detector_rate(curvature, c1[0] + c1[1])
 
 
 def conditioned_rate(params: ModelParams, state: str, J: float,
                      method: str = "exact") -> np.ndarray:
     """Per-molecule conditioned second-cumulant rate (detector order, 1/s)."""
-    c1 = _first_cumulants(params, state, J, method)
-    return _rate(params, state, J, c1, method)
+    c1, curvature = _statistics(params, state, J, method)
+    return detector_rate(curvature, c1[0] + c1[1])
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +153,7 @@ def _telegraph_term(params, c1):
 def chemical_rate_term(params: ModelParams, J: float,
                        method: str = "exact") -> np.ndarray:
     """Telegraph contribution to the per-molecule rate: 2 t_R p_A p_B dS dS^T."""
-    c1 = [_first_cumulants(params, state, J, method) for state in "AB"]
+    c1 = [_statistics(params, state, J, method)[0] for state in "AB"]
     return _telegraph_term(params, c1)
 
 
@@ -170,9 +162,11 @@ def adiabatic_rate(params: ModelParams, J: float,
     """Per-molecule diffusion rate composed from conditioned statistics plus
     the telegraph term (detector order, 1/s)."""
     p_a, p_b = stationary_probabilities(params)
-    c1 = [_first_cumulants(params, state, J, method) for state in "AB"]
-    rates = [_rate(params, s, J, c, method) for s, c in zip("AB", c1)]
-    return p_a * rates[0] + p_b * rates[1] + _telegraph_term(params, c1)
+    (c1_a, curvature_a), (c1_b, curvature_b) = (
+        _statistics(params, state, J, method) for state in "AB")
+    return (p_a * detector_rate(curvature_a, c1_a[0] + c1_a[1])
+            + p_b * detector_rate(curvature_b, c1_b[0] + c1_b[1])
+            + _telegraph_term(params, (c1_a, c1_b)))
 
 
 def weak_field_expansion(params: ModelParams):

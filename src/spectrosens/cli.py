@@ -42,7 +42,7 @@ SWEEP_PARAMS = {
 
 EXIT_OK, EXIT_COMPUTE, EXIT_USAGE = 0, 1, 2
 
-# Grid rows evaluated in one stacked pass, which bounds a sweep's memory:
+# Grid rows evaluated in one stacked pass, which bounds a pass's memory:
 # without chunks a 201 x 201 grid would hold ~1.8 GB of tilted 16x16
 # stacks.  A 400-row full-route grid on a 2-core Xeon VM, by chunk size
 # (1, 10, 25, 50, 100, 200, 400 rows): CPU time per row 1.75, 0.81, 0.75,
@@ -52,10 +52,10 @@ EXIT_OK, EXIT_COMPUTE, EXIT_USAGE = 0, 1, 2
 SWEEP_CHUNK = 100
 
 # Most rows (the product of the axis counts) a sweep accepts.  All of a
-# grid's configurations and rows are held at once, about 1.3 kB per row,
-# and a row takes about 1 ms on one core: 10^6 rows are ~1.3 GB and a
-# quarter of an hour.  A larger grid is a bad axis spec, found before any
-# axis is allocated, not numpy's allocation failure.
+# grid's rows are held at once, about 0.9 kB per row, and a row takes
+# about 1 ms on one core: 10^6 rows are ~0.9 GB and a quarter of an hour.
+# A larger grid is a bad axis spec, found before any axis is allocated,
+# not numpy's allocation failure.
 _MAX_GRID_ROWS = 10**6
 
 
@@ -209,15 +209,15 @@ def run_sweep(config: dict, axes, route: str, workers: int | None = None):
     # once, here; failures of grid values stay in their rows
     swept = set(itertools.chain(*keys))
     from_config({k: v for k, v in config.items() if k not in swept})
-    configs = []
-    for combo in itertools.product(*values):  # the last axis varies fastest
-        point = dict(config)
-        for names, value in zip(keys, combo):  # a later axis overrides
-            point.update(dict.fromkeys(names, float(value)))
-        configs.append(point)
+    # the last axis varies fastest and a later axis overrides; a chunk's
+    # configurations are made when the chunk runs
+    configs = (dict(config, **{name: float(value)
+                               for names, value in zip(keys, combo)
+                               for name in names})
+               for combo in itertools.product(*values))
     rows = []
-    for start in range(0, len(configs), SWEEP_CHUNK):
-        rows += _evaluate_rows(configs[start:start + SWEEP_CHUNK], route)
+    while chunk := list(itertools.islice(configs, SWEEP_CHUNK)):
+        rows += _evaluate_rows(chunk, route)
     return rows
 
 
@@ -352,7 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(_error_json(exc), file=sys.stderr)
         return EXIT_USAGE
 

@@ -47,18 +47,15 @@ def block_hamiltonian(blocks, phases) -> np.ndarray:
     raising, lowering = (np.exp(sign * 1j * (phases[0] + PHASE_OFFSETS[0]))
                          + np.exp(sign * 1j * (phases[1] + PHASE_OFFSETS[1]))
                          for sign in (1, -1))
-    entries = []
-    for detuning, amp in blocks:
-        coupling = amp / _TWO_SQRT2
-        entries.append((detuning, coupling * raising, coupling * lowering))
     # a block's detuning has the shape of its drive amplitude
-    h = np.zeros(np.shape(entries[0][1]) + (2 * len(blocks),) * 2,
-                 dtype=complex)
-    for k, (detuning, up, down) in enumerate(entries):
+    shape = np.broadcast(raising, *(amp for _, amp in blocks)).shape
+    h = np.zeros(shape + (2 * len(blocks),) * 2, dtype=complex)
+    for k, (detuning, amp) in enumerate(blocks):
+        coupling = amp / _TWO_SQRT2
         ground, excited = 2 * k, 2 * k + 1
         h[..., excited, excited] = detuning
-        h[..., excited, ground] = up
-        h[..., ground, excited] = down
+        h[..., excited, ground] = coupling * raising
+        h[..., ground, excited] = coupling * lowering
     return h
 
 

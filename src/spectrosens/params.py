@@ -12,7 +12,7 @@ Unit conventions (frozen for the whole package):
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,7 +132,7 @@ def derive(laser: LaserParams, molecule: MoleculeParams) -> DerivedQuantities:
     except (OverflowError, ZeroDivisionError):
         derived = None
     # the intensity expansion also divides by J0^2
-    if (derived is None or not all(map(math.isfinite, astuple(derived)))
+    if (derived is None or not all(map(math.isfinite, vars(derived).values()))
             or math.isinf(derived.photon_flux_j0 * derived.photon_flux_j0)):
         raise InvalidParam("derived",
                            "derived quantities leave the float range")

@@ -151,7 +151,7 @@ def test_chemical_term_is_two_state_curvature():
                           "dipole_b_debye": 0.6, "detuning_b_mhz": -15.0})
     r_a, r_b = params.molecule.rate_a, params.molecule.rate_b
     J = params.derived.photon_flux_j0
-    c1 = [adiabatic._first_cumulants(params, state, J, "weak_field")
+    c1 = [adiabatic._statistics(params, state, J, "weak_field")[0]
           for state in "AB"]
 
     def top(s1, s2):
@@ -252,22 +252,27 @@ def test_conditioned_cgf_arrays_equal_scalar_calls():
 
 def test_exact_rate_computes_first_cumulants_once_per_state(default_params,
                                                             monkeypatch):
+    """The exact method solves each state's conditioned generator once, for
+    its first cumulants and its curvature together."""
     j0 = default_params.derived.photon_flux_j0
     p_a, p_b = adiabatic.stationary_probabilities(default_params)
     expected = (p_a * adiabatic.conditioned_rate(default_params, "A", j0)
                 + p_b * adiabatic.conditioned_rate(default_params, "B", j0)
                 + adiabatic.chemical_rate_term(default_params, j0))
     states = []
-    first = adiabatic.conditioned_first_cumulants
+    solve = adiabatic._conditioned_cumulants
 
     def counted(params, state, J):
         states.append(state)
-        return first(params, state, J)
+        return solve(params, state, J)
 
-    monkeypatch.setattr(adiabatic, "conditioned_first_cumulants", counted)
+    monkeypatch.setattr(adiabatic, "_conditioned_cumulants", counted)
     rate = adiabatic.adiabatic_rate(default_params, j0)
     assert sorted(states) == ["A", "B"]
     assert np.array_equal(rate, expected)
+    states.clear()
+    adiabatic.conditioned_rate(default_params, "A", j0)
+    assert states == ["A"]
 
 
 def test_route_deviation_on_resonance(resonant_params):

@@ -48,11 +48,29 @@ def test_point_error_json(capsys):
 
 
 def test_usage_error_on_bad_config(tmp_path, capsys):
+    """A config file that does not parse, or is not a JSON object, and a
+    ``--set`` without ``=`` are usage errors (exit 2); a ``--set`` value
+    that is not JSON stays a string, which the point rejects (exit 1)."""
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, _, err = run(["point", "--config", str(bad)], capsys)
-    assert code == 2
-    assert json.loads(err)["error"]
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for argv, expected, error in (
+            (["--config", str(bad)], 2, "JSONDecodeError"),
+            (["--config", str(listed)], 2, "ValueError"),
+            (["--set", "detuning_a_mhz"], 2, "ValueError"),
+            (["--set", "detuning_a_mhz=abc"], 1, "ParseError")):
+        code, out, err = run(["point", *argv], capsys)
+        assert (code, out) == (expected, "")
+        assert json.loads(err)["error"] == error
+    # a file that parses is merged under --set
+    good = tmp_path / "good.json"
+    good.write_text('{"detuning_a_mhz": 20.0, "dipole_b_debye": 0.6}')
+    merged = run(["point", "--config", str(good),
+                  "--set", "detuning_a_mhz=25"], capsys)
+    assert merged[0] == 0
+    assert merged == run(["point", "--set", "detuning_a_mhz=25",
+                          "--set", "dipole_b_debye=0.6"], capsys)
 
 
 def test_sweep_grid_shape(capsys):
@@ -105,6 +123,20 @@ def test_sweep_partial_failure(capsys):
     assert all("error:" in line for line in lines)
 
 
+def test_sweep_grid_value_failing_config(capsys):
+    """A grid value that the configuration check rejects ends in its error
+    row; the other rows are evaluated, and the sweep exits 1."""
+    code, out, _ = run(["sweep", "--axis1", "rate_A,linear,-1,1,3"], capsys)
+    assert code == 1
+    statuses = [line.split(",")[-1] for line in out.splitlines()[1:]]
+    assert statuses == ["error:InvalidParam", "error:DegenerateAbsorption",
+                        "ok"]
+    rows = cli.run_sweep(default_config(), ["rate_A,linear,-1,1,3"], "full")
+    record = cli.run_point(dict(default_config(), rate_a_mhz=1.0), "full")
+    assert [row["status"] for row in rows] == statuses
+    assert {key: rows[2][key] for key in record} == record
+
+
 def test_bad_axis_spec(capsys, monkeypatch):
     code, _, err = run(["sweep", "--axis1", "bogus,linear,0,1,5"], capsys)
     assert code == 2
@@ -112,6 +144,11 @@ def test_bad_axis_spec(capsys, monkeypatch):
     assert code == 2
     code, _, err = run(["sweep", "--axis1", "rate,linear,1,2,1"], capsys)
     assert code == 2
+    for spec in ("rate,log,1,2", "rate,log,2,1,3", "rate,log,2,2,3",
+                 "rate,cubic,1,2,3"):
+        code, out, err = run(["sweep", "--axis1", spec], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "ValueError"
     # a grid over the row bound, on one axis or on two, is refused before
     # any axis is allocated
     monkeypatch.setattr(np, "linspace", None)

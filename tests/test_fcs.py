@@ -15,10 +15,18 @@ from stencils import gradient, hessian, richardson
 
 
 def test_dominant_eigenvalue_zero_at_chi_zero(default_params):
+    """The top is the real 0 at chi = 0, and on a stack of tilts each
+    member's largest real part, bit for bit."""
     liou = build_two_sided(default_params, (0.0, 0.0))
     top, gap = fcs.dominant_eigenvalue(liou)
-    assert abs(top) < 1e-6
+    assert np.isrealobj(top) and abs(top) < 1e-6
     assert gap > 0
+    stack = build_two_sided(default_params, (np.array([0.0, -1e-3j, 2e-3j]),
+                                             np.array([0.0, 1e-3j, 0.0])))
+    tops, _ = fcs.dominant_eigenvalue(stack)
+    assert np.isrealobj(tops)
+    assert np.array_equal(tops,
+                          np.max(np.linalg.eigvals(stack).real, axis=-1))
 
 
 def test_gap_threshold(default_params):
@@ -252,6 +260,13 @@ def test_evaluate_points_equals_evaluate_point(route):
         "adiabatic": {"SingularCovariance", "FitResidualExceeded"},
         "both": {"GapTooSmall", "FitResidualExceeded", "SingularCovariance"},
     }[route]
+
+
+def test_evaluate_points_edge_inputs(default_params):
+    """An unknown route is refused, and no points give no outcomes."""
+    with pytest.raises(ValueError, match="route must be one of"):
+        pipeline.evaluate_points([default_params], "fast")
+    assert pipeline.evaluate_points([]) == []
 
 
 def test_failing_pass_is_bisected(monkeypatch):
