@@ -3,7 +3,7 @@ two-sided superoperator.
 
 The counting fields chi enter as channel phases: chi/2 on the left of the
 density matrix and -chi/2 on the right.  Basis order is frozen package-wide:
-|g_A>, |e_A>, |g_B>, |e_B| mapped to indices 0..3.  Vectorization is
+|g_A>, |e_A>, |g_B>, |e_B> mapped to indices 0..3.  Vectorization is
 row-major, vec(rho)[4*i+j] = rho_ij, so that vec(A rho B) = kron(A, B.T) @
 vec(rho) and the trace functional is the left vector vec(identity).
 
@@ -152,8 +152,9 @@ def build_two_sided(params: ModelParams, chi,
     phases -chi/2.
 
     ``chi`` is the pair of counting fields, scalars or equal-shape (n,)
-    arrays giving an (n, 16, 16) stack; complex values occur during
-    differentiation.
+    arrays giving an (n, 16, 16) stack, or (k,) arrays giving an
+    (n, k, 16, 16) stack with parameters stacked by ``params.stack``;
+    complex values occur during differentiation.
     """
     return two_sided(model_blocks(params, flux_scale), dissipator_sum(params),
                      chi)

@@ -5,7 +5,8 @@ and a finite-difference derivative baseline.
 These deliberately avoid the code paths they check: the quadrature does not
 use the closed-form covariance, the telegraph sampler does not use eigenvalue
 derivatives, and the stencil differentiates the pipeline as a black box.
-They are the only users of scipy in the package.
+Only the quadrature uses scipy, and imports it at its first call: the
+Monte-Carlo sampler, the stencil and the rest of the package need numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .adiabatic import (chemical_rate_term, conditioned_cross_sections,
                         reaction_time, stationary_probabilities)
@@ -38,6 +38,8 @@ def quadrature_covariance(params: ModelParams, rate_fn, s_plus: float,
     integrand is the rate at the locally attenuated flux, damped by the
     remaining two-pass attenuation, with line density rho_M * A * tau applied.
     """
+    import scipy.integrate
+
     der, sample, laser = params.derived, params.sample, params.laser
     rho, n_p0, j0 = sample.density_rho_m, der.n_p0, der.photon_flux_j0
     line_density = rho * der.beam_area * laser.measurement_time

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -507,15 +508,34 @@ def test_point_record_carries_warnings(capsys):
     assert json.loads(out)["warnings"] == []
 
 
+_IMPORT_ALL = """
+import importlib, pkgutil, sys
+import spectrosens.cli
+
+def loaded(package):
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == package)
+
+print(loaded("scipy"))
+for module in pkgutil.iter_modules(spectrosens.__path__):
+    importlib.import_module("spectrosens." + module.name)
+print(loaded("spectrosens"), loaded("scipy"))
+"""
+
+
 def test_cli_import_loads_no_scipy():
-    """scipy serves only the oracles; the pipeline and the CLI need numpy."""
-    src = os.path.dirname(os.path.dirname(spectrosens.__file__))
-    code = ("import sys, spectrosens.cli; print(sorted(name for name in "
-            "sys.modules if name.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    """scipy serves only the quadrature oracle, which imports it when it
+    runs: the CLI, and then every module of the package, oracles included,
+    import on numpy alone."""
+    package = pathlib.Path(spectrosens.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_ALL], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+    modules = sorted(["spectrosens"] + [
+        f"spectrosens.{path.stem}" for path in package.glob("*.py")
+        if path.stem != "__init__"])
+    assert "spectrosens.oracles" in modules
+    assert proc.stdout == f"[]\n{modules} []\n"
 
 
 def test_sweep_grid_order_and_override(monkeypatch):

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -291,3 +295,50 @@ def test_finite_time_cgf_matches_eigenvalue(default_params):
     # the chemical mode (~1e3 1/s) has not fully relaxed; modest tolerance
     assert cgf == pytest.approx(top.real, rel=2e-2)
 
+
+# scipy made unimportable before the package loads: importing it then raises
+# ModuleNotFoundError, an ImportError
+_BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None\n"
+_WITHOUT_SCIPY = _BLOCK_SCIPY + """
+import numpy as np
+from spectrosens import oracles
+from spectrosens.params import from_config
+
+params = from_config({})
+rate, stderr = oracles.telegraph_mc_diffusion(
+    params, oracles.McConfig(n_trajectories=1000, seed=42))
+print([float(x).hex() for x in np.concatenate([rate.ravel(), stderr.ravel()])])
+print(float(oracles.fd_pipeline_derivative(lambda x: x**2, 3.0)[0]).hex())
+try:
+    oracles.quadrature_covariance(params, lambda j: np.zeros((2, 2)), 5e-17,
+                                  0.01)
+except ImportError:
+    print("ImportError")
+"""
+
+
+def test_oracles_without_scipy(default_params):
+    """Without scipy the Monte-Carlo oracle gives the same bits as here, the
+    stencil and the Monte-Carlo script run, and only the quadrature fails,
+    with an ImportError at its call."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rate, stderr = oracles.telegraph_mc_diffusion(
+        default_params, oracles.McConfig(n_trajectories=1000, seed=42))
+    bits = [float(x).hex() for x in np.concatenate([rate.ravel(),
+                                                    stderr.ravel()])]
+    derivative = oracles.fd_pipeline_derivative(lambda x: x**2, 3.0)[0]
+    assert proc.stdout.splitlines() == [
+        str(bits), float(derivative).hex(), "ImportError"]
+
+    script = _BLOCK_SCIPY + ("import runpy; sys.argv = sys.argv[1:]; "
+                             "runpy.run_path(sys.argv[0], run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", script,
+                           str(root / "scripts" / "mc_validation.py"),
+                           "--trajectories", "1000", "--seed", "0"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "pulls (sigma):" in proc.stdout
