@@ -5,8 +5,8 @@ and a finite-difference derivative baseline.
 These deliberately avoid the code paths they check: the quadrature does not
 use the closed-form covariance, the telegraph sampler does not use eigenvalue
 derivatives, and the stencil differentiates the pipeline as a black box.
-Only the quadrature uses scipy, and imports it at its first call: the
-Monte-Carlo sampler, the stencil and the rest of the package need numpy alone.
+All three need numpy alone: the quadrature is QUADPACK's adaptive
+Gauss-Kronrod (10, 21) scheme, written out here.
 """
 
 from __future__ import annotations
@@ -28,18 +28,77 @@ from .params import ModelParams
 # ---------------------------------------------------------------------------
 
 QUADRATURE_RTOL = 1e-9
+# the most subintervals the adaptive rule may hold before it gives up
+QUADRATURE_MAX_INTERVALS = 200
+
+# Gauss-Kronrod (10, 21) rule on [-1, 1], QUADPACK's dqk21 (Piessens et
+# al., QUADPACK, Springer 1983): the 11 non-negative Kronrod nodes from the
+# outermost in, their Kronrod weights, and the 10-point Gauss weights of
+# every second node, 0.9739... to 0.1488...
+_KRONROD_NODES = (0.995657163025808080735527280689003,
+                  0.973906528517171720077964012084452,
+                  0.930157491355708226001207180059508,
+                  0.865063366688984510732096688423493,
+                  0.780817726586416897063717578345042,
+                  0.679409568299024406234327365114874,
+                  0.562757134668604683339000099272694,
+                  0.433395394129247190799265943165784,
+                  0.294392862701460198131126603103866,
+                  0.148874338981631210884826001129720,
+                  0.0)
+_KRONROD_WEIGHTS = (0.011694638867371874278064396062192,
+                    0.032558162307964727478818972459390,
+                    0.054755896574351996031381300244580,
+                    0.075039674810919952767043140916190,
+                    0.093125454583697605535065465083366,
+                    0.109387158802297641899210590325805,
+                    0.123491976262065851077958109831074,
+                    0.134709217311473325928054001771707,
+                    0.142775938577060080797094273138717,
+                    0.147739104901338491374841515972068,
+                    0.149445554002916905664936468389821)
+_GAUSS_WEIGHTS = (0.066671344308688137593568809893332,
+                  0.149451349150580593145776339657697,
+                  0.219086362515982043995534934228163,
+                  0.269266719309996355091226921569469,
+                  0.295524224714752870173892994651338)
+
+# the 21 nodes from -1 to 1 and the weights of both rules on them; the
+# Gauss rule gives the Kronrod-only nodes weight 0
+GK21_NODES = np.concatenate([-np.array(_KRONROD_NODES),
+                             _KRONROD_NODES[-2::-1]])
+GK21_KRONROD_WEIGHTS = np.concatenate([_KRONROD_WEIGHTS,
+                                       _KRONROD_WEIGHTS[-2::-1]])
+GK21_GAUSS_WEIGHTS = np.zeros(21)
+GK21_GAUSS_WEIGHTS[1::2] = _GAUSS_WEIGHTS + _GAUSS_WEIGHTS[::-1]
+
+
+def _gk21(integrand, a: float, b: float):
+    """The 21-point Kronrod value of the integral over [a, b] and its error
+    estimate, the largest entry of |K21 - G10|."""
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    values = np.array([integrand(center + half * x)
+                       for x in GK21_NODES.tolist()])
+    kronrod = half * np.tensordot(GK21_KRONROD_WEIGHTS, values, axes=1)
+    gauss = half * np.tensordot(GK21_GAUSS_WEIGHTS, values, axes=1)
+    return kronrod, float(np.max(np.abs(kronrod - gauss)))
 
 
 def quadrature_covariance(params: ModelParams, rate_fn, s_plus: float,
                           z: float) -> np.ndarray:
     """Covariance at depth z by adaptive quadrature of the transport integral.
 
-    ``rate_fn(J) -> 2x2`` is the per-molecule diffusion rate (1/s).  The
-    integrand is the rate at the locally attenuated flux, damped by the
-    remaining two-pass attenuation, with line density rho_M * A * tau applied.
+    ``rate_fn(J) -> 2x2`` is the per-molecule diffusion rate (1/s), called
+    with one scalar J at a time.  The integrand is the rate at the locally
+    attenuated flux, damped by the remaining two-pass attenuation, with line
+    density rho_M * A * tau applied.  The Gauss-Kronrod (10, 21) rule runs
+    on [0, z] and bisects the subinterval of largest error estimate until
+    the summed estimates are at most ``QUADRATURE_RTOL`` times the largest
+    entry of the integral; a non-finite value or more than
+    ``QUADRATURE_MAX_INTERVALS`` subintervals raise QuadratureNotConverged.
     """
-    import scipy.integrate
-
+    if not (math.isfinite(z) and z >= 0):
+        raise ValueError("z must be finite and non-negative")
     der, sample, laser = params.derived, params.sample, params.laser
     rho, n_p0, j0 = sample.density_rho_m, der.n_p0, der.photon_flux_j0
     line_density = rho * der.beam_area * laser.measurement_time
@@ -49,17 +108,23 @@ def quadrature_covariance(params: ModelParams, rate_fn, s_plus: float,
         damping = np.exp(-2.0 * rho * s_plus * (z - z_prime))
         return damping * line_density * np.asarray(rate_fn(j_local))
 
-    # the smallest positive epsabs leaves the relative rule in charge but
-    # lets an integrand that vanishes everywhere meet the stopping rule
-    result, error, info = scipy.integrate.quad_vec(
-        integrand, 0.0, z, epsrel=QUADRATURE_RTOL,
-        epsabs=np.finfo(float).tiny, full_output=True)
-    if not info.success:
-        raise QuadratureNotConverged(f"quadrature stopped: {info.message}")
-    scale = np.max(np.abs(result))
-    if scale > 0 and np.max(np.abs(error)) > 10.0 * QUADRATURE_RTOL * scale:
-        raise QuadratureNotConverged(
-            f"quadrature error {np.max(np.abs(error)):.2e} above tolerance")
+    intervals = [(0.0, z, *_gk21(integrand, 0.0, z))]
+    while True:
+        result = sum(value for _, _, value, _ in intervals)
+        error = sum(estimate for *_, estimate in intervals)
+        if not (np.all(np.isfinite(result)) and math.isfinite(error)):
+            raise QuadratureNotConverged("non-finite integrand or integral")
+        if error <= QUADRATURE_RTOL * np.max(np.abs(result)):
+            break
+        if len(intervals) == QUADRATURE_MAX_INTERVALS:
+            raise QuadratureNotConverged(
+                f"quadrature error {error:.2e} above tolerance after "
+                f"{QUADRATURE_MAX_INTERVALS} subintervals")
+        a, b, _, _ = intervals.pop(max(range(len(intervals)),
+                                       key=lambda i: intervals[i][3]))
+        middle = 0.5 * (a + b)
+        intervals += [(a, middle, *_gk21(integrand, a, middle)),
+                      (middle, b, *_gk21(integrand, middle, b))]
     return n_p0 * np.exp(-2.0 * rho * s_plus * z) * np.eye(2) + result
 
 

@@ -524,8 +524,7 @@ print(loaded("spectrosens"), loaded("scipy"))
 
 
 def test_cli_import_loads_no_scipy():
-    """scipy serves only the quadrature oracle, which imports it when it
-    runs: the CLI, and then every module of the package, oracles included,
+    """The CLI, and then every module of the package, oracles included,
     import on numpy alone."""
     package = pathlib.Path(spectrosens.__file__).parent
     env = dict(os.environ, PYTHONPATH=str(package.parent))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from finite_time import cgf_finite_time
-from spectrosens import adiabatic, fcs, oracles
+from spectrosens import adiabatic, fcs, oracles, propagation
 from spectrosens.errors import QuadratureNotConverged, StencilUnstable
 from spectrosens.liouvillian import build_two_sided
 from spectrosens.params import from_config
@@ -26,11 +26,19 @@ def test_quadrature_zero_diffusion(default_params):
 
 
 def test_quadrature_non_finite_integrand_raises(default_params):
-    """A failed integration is a typed error, not a NaN covariance."""
+    """A failed integration is a typed error, not a NaN covariance: also
+    for a rate that is NaN only below J0/2, which one attenuation length
+    reaches (J falls to J0/e)."""
     with pytest.raises(QuadratureNotConverged):
         oracles.quadrature_covariance(default_params,
                                       lambda j: np.full((2, 2), np.nan),
                                       5e-17, 0.01)
+    j0 = default_params.derived.photon_flux_j0
+    with pytest.raises(QuadratureNotConverged):
+        oracles.quadrature_covariance(
+            default_params,
+            lambda j: np.eye(2) if j >= 0.5 * j0 else np.full((2, 2), np.nan),
+            5e-17, 1.0 / (default_params.sample.density_rho_m * 5e-17))
 
 
 def test_quadrature_constant_diffusion(default_params):
@@ -47,6 +55,97 @@ def test_quadrature_constant_diffusion(default_params):
     expected = (der.n_p0 * att2 * np.eye(2)
                 + line * const * (1 - att2) / (2 * rho * s_plus))
     assert np.allclose(result, expected, rtol=1e-8)
+
+
+def test_quadrature_rejects_bad_depth(default_params):
+    """A negative or non-finite depth is refused, as by the closed form."""
+    for z in (-0.01, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            oracles.quadrature_covariance(default_params,
+                                          lambda j: np.eye(2), 5e-17, z)
+
+
+def test_gk21_rule_exactness():
+    """The Kronrod weights integrate x^k over [-1, 1] exactly to degree 31,
+    the Gauss weights to degree 19, and neither rule to the next even
+    degree: a wrong digit in a node or weight would show."""
+    x = oracles.GK21_NODES
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    assert np.count_nonzero(oracles.GK21_GAUSS_WEIGHTS) == 10
+    for weights, degree in ((oracles.GK21_KRONROD_WEIGHTS, 31),
+                            (oracles.GK21_GAUSS_WEIGHTS, 19)):
+        for k in range(degree + 2):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            error = abs(weights @ x**k - exact)
+            assert (error < 1e-15) == (k <= degree), (k, error)
+
+
+def _scipy_quadrature(params, rate_fn, s_plus, z):
+    """The same transport integral by scipy's quad_vec, to 1e-12."""
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    der, sample = params.derived, params.sample
+    rho, n_p0, j0 = sample.density_rho_m, der.n_p0, der.photon_flux_j0
+    line_density = rho * der.beam_area * params.laser.measurement_time
+
+    def integrand(z_prime):
+        return (np.exp(-2.0 * rho * s_plus * (z - z_prime)) * line_density
+                * np.asarray(rate_fn(j0 * np.exp(-rho * s_plus * z_prime))))
+    result, _ = scipy_integrate.quad_vec(integrand, 0.0, z, epsrel=1e-12,
+                                         epsabs=np.finfo(float).tiny)
+    return n_p0 * np.exp(-2.0 * rho * s_plus * z) * np.eye(2) + result
+
+
+def _assert_matches_scipy(params, rate_fn, s_plus, z):
+    result = oracles.quadrature_covariance(params, rate_fn, s_plus, z)
+    reference = _scipy_quadrature(params, rate_fn, s_plus, z)
+    assert np.max(np.abs(result - reference)) <= 1e-9 * np.max(
+        np.abs(reference))
+
+
+def test_quadrature_matches_scipy_on_fitted_expansions():
+    """The acceptance-9 grid of fitted expansions at the optimal depth."""
+    pytest.importorskip("scipy.integrate")
+    for eps in np.linspace(0.0, 80.0, 5):
+        for rate in np.geomspace(1e-5, 1e-1, 5):
+            p = from_config({"detuning_a_mhz": float(eps),
+                             "rate_a_mhz": float(rate),
+                             "rate_b_mhz": float(rate)})
+            exp = fcs.fit_diffusion_expansion(p)
+            s_plus = sum(fcs.cross_sections(p))
+            _assert_matches_scipy(
+                p, lambda j: exp.D1 * j + 0.5 * exp.D2 * j * j, s_plus,
+                propagation.z_optimal(p, s_plus))
+
+
+def test_quadrature_matches_scipy_deep_and_kinked(default_params):
+    """Ten attenuation lengths deep, and a rate with a kink in J that the
+    rule must bisect towards; rate_fn sees one scalar J per call."""
+    p = default_params
+    j0, rho = p.derived.photon_flux_j0, p.sample.density_rho_m
+    s_plus, _ = adiabatic.effective_cross_sections(p)
+    base = adiabatic.adiabatic_rate(p, j0, method="weak_field")
+    calls = []
+
+    def weak_field(j):
+        calls.append(np.ndim(j))
+        return adiabatic.adiabatic_rate(p, j, method="weak_field")
+    oracles.quadrature_covariance(p, weak_field, s_plus,
+                                  propagation.z_optimal(p, s_plus))
+    # one 21-point rule meets the tolerance on the smooth integrand
+    assert calls == [0] * 21
+    _assert_matches_scipy(p, weak_field, s_plus, 10.0 / (rho * s_plus))
+    _assert_matches_scipy(p, lambda j: base * (1.0 + abs(j / j0 - 0.8)),
+                          s_plus, 1.0 / (rho * s_plus))
+
+
+def test_quadrature_spent_budget_raises(default_params):
+    """A square wave in J with ~10^6 jumps, which no budget of subintervals
+    resolves, is a typed error."""
+    j0 = default_params.derived.photon_flux_j0
+    with pytest.raises(QuadratureNotConverged, match="subintervals"):
+        oracles.quadrature_covariance(
+            default_params, lambda j: np.eye(2) * (int(1e6 * j / j0) % 2),
+            5e-17, 1.0 / (default_params.sample.density_rho_m * 5e-17))
 
 
 def test_mc_determinism(default_params):
@@ -299,7 +398,8 @@ def test_finite_time_cgf_matches_eigenvalue(default_params):
 # scipy made unimportable before the package loads: importing it then raises
 # ModuleNotFoundError, an ImportError
 _BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None\n"
-_WITHOUT_SCIPY = _BLOCK_SCIPY + """
+_ORACLES = """
+import sys
 import numpy as np
 from spectrosens import oracles
 from spectrosens.params import from_config
@@ -309,30 +409,35 @@ rate, stderr = oracles.telegraph_mc_diffusion(
     params, oracles.McConfig(n_trajectories=1000, seed=42))
 print([float(x).hex() for x in np.concatenate([rate.ravel(), stderr.ravel()])])
 print(float(oracles.fd_pipeline_derivative(lambda x: x**2, 3.0)[0]).hex())
-try:
-    oracles.quadrature_covariance(params, lambda j: np.zeros((2, 2)), 5e-17,
-                                  0.01)
-except ImportError:
-    print("ImportError")
+print([float(x).hex() for x in oracles.quadrature_covariance(
+    params, lambda j: 1e-20 * j * np.ones((2, 2)), 5e-17, 0.01).ravel()])
+print(sorted(name for name, module in sys.modules.items()
+             if name.split(".")[0] == "scipy" and module is not None))
 """
 
 
 def test_oracles_without_scipy(default_params):
-    """Without scipy the Monte-Carlo oracle gives the same bits as here, the
-    stencil and the Monte-Carlo script run, and only the quadrature fails,
-    with an ImportError at its call."""
+    """Without scipy the Monte-Carlo oracle and the quadrature give the same
+    bits as here, the stencil and the Monte-Carlo script run, and with or
+    without scipy installed running the oracles loads no scipy module."""
     root = pathlib.Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    outputs = []
+    for script in (_BLOCK_SCIPY + _ORACLES, _ORACLES):
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
     rate, stderr = oracles.telegraph_mc_diffusion(
         default_params, oracles.McConfig(n_trajectories=1000, seed=42))
     bits = [float(x).hex() for x in np.concatenate([rate.ravel(),
                                                     stderr.ravel()])]
     derivative = oracles.fd_pipeline_derivative(lambda x: x**2, 3.0)[0]
-    assert proc.stdout.splitlines() == [
-        str(bits), float(derivative).hex(), "ImportError"]
+    quad = oracles.quadrature_covariance(
+        default_params, lambda j: 1e-20 * j * np.ones((2, 2)), 5e-17, 0.01)
+    expected = [str(bits), float(derivative).hex(),
+                str([float(x).hex() for x in quad.ravel()]), "[]"]
+    assert outputs == [expected, expected]
 
     script = _BLOCK_SCIPY + ("import runpy; sys.argv = sys.argv[1:]; "
                              "runpy.run_path(sys.argv[0], run_name='__main__')")
