@@ -11,8 +11,13 @@ rate pairs and detunings, with state B dark and with it absorbing:
 ``adiabatic_rate`` by both methods at J0 and J0/10.  Then one sha256 per
 sweep, over its CSV and every field of its rows (the route deviation of
 ``both`` too), for grids that mix results with several kinds of failure,
-on the ``full`` and ``both`` routes.  Run it on two versions of the code
-and compare the output; it takes a few seconds.
+on the ``full`` and ``both`` routes.  Last, one sha256 over the
+standalone ``fcs`` calls on single (unstacked) points at the same rate
+pairs and detunings: ``cross_sections``, ``diffusion_rate`` at J0 and at
+three fluxes, ``second_cumulant_matrix`` at a scalar and an array flux
+scale, and ``fit_diffusion_expansion`` with the linear coefficient pinned
+and free.  Run it on two versions of the code and compare the output; it
+takes a few seconds.
 
     PYTHONPATH=src python scripts/outcome_digest.py
 """
@@ -25,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from spectrosens import adiabatic, cli, pipeline
+from spectrosens import adiabatic, cli, fcs, pipeline
 from spectrosens.params import default_config, from_config
 
 # (rate_a_mhz, rate_b_mhz)
@@ -100,6 +105,34 @@ def adiabatic_digest() -> str:
     return digest.hexdigest()
 
 
+def fcs_digest() -> str:
+    digest = hashlib.sha256()
+    for (ra, rb), d in itertools.product(RATE_PAIRS, DETUNINGS_MHZ):
+        params = from_config({"detuning_a_mhz": d, "rate_a_mhz": ra,
+                              "rate_b_mhz": rb})
+        j0 = params.derived.photon_flux_j0
+        calls = [(fcs.cross_sections, (params,)),
+                 (fcs.diffusion_rate, (params, j0)),
+                 (fcs.diffusion_rate,
+                  (params, j0 * np.array([0.1, 0.5, 1.0]))),
+                 (fcs.second_cumulant_matrix, (params, 0.5)),
+                 (fcs.second_cumulant_matrix,
+                  (params, np.array([0.0, 0.3, 1.0, 2.5]))),
+                 (fcs.fit_diffusion_expansion, (params, None, True)),
+                 (fcs.fit_diffusion_expansion, (params, None, False))]
+        for function, args in calls:
+            try:
+                outcome = function(*args)
+            except Exception as exc:   # an error is an outcome too
+                outcome = exc
+            # the cross sections and cumulants are tuples of numbers
+            parts = outcome if isinstance(outcome, tuple) else (outcome,)
+            digest.update("\n".join(token for part in parts
+                                     for token in _flatten(part)).encode()
+                          + b"\n\n")
+    return digest.hexdigest()
+
+
 def sweep_digest(base, axes, route) -> str:
     rows = cli.run_sweep(dict(default_config(), **base), axes, route)
     stream = io.StringIO()
@@ -116,6 +149,7 @@ def main():
     for name, base, axes in SWEEPS:
         for route in ("full", "both"):
             print(f"sweep {name} {route} {sweep_digest(base, axes, route)}")
+    print(f"fcs {fcs_digest()}")
 
 
 if __name__ == "__main__":

@@ -20,10 +20,13 @@ Conventions frozen here:
   come from finite differences of the dominant eigenvalue.
 * The generator is affine in the flux scale f = sqrt(J/J0): the undriven
   part holds the detunings and dissipators, and the drive, through which
-  alone the counting fields enter, scales with f.  Two builds, at f = 0 and
-  f = 1, give the generator and its s-derivatives at any flux, and
+  alone the counting fields enter, scales with f.  Its builds at f = 0 and
+  f = 1 give the generator and its s-derivatives at any flux, and
   ``cumulants`` solves a leading stack axis of fluxes at once, so the ten
   fluxes of the intensity expansion are one stacked solve.
+* Every generator a pass needs before its first eigensolve is a member of
+  one ``reference_build`` per batch; only the Richardson stencil, whose
+  tilts depend on the step, builds again.
 * The generator is block-diagonal: it never mixes the matrix elements
   within one chemical state with those between the states (see
   ``liouvillian``).  The stationary state and every dL/ds_k live within the
@@ -43,14 +46,14 @@ Conventions frozen here:
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FitResidualExceeded, GapTooSmall
-from .liouvillian import (WITHIN, bordered, build_two_sided, dissipator_sum,
-                          generator_derivatives, model_blocks, sector,
-                          trace_vector, two_sided)
+from .liouvillian import (WITHIN, bordered, build_two_sided, sector,
+                          trace_vector)
 from .params import ModelParams, stack
 
 # Largest relative residual of the intensity-expansion fit.
@@ -60,6 +63,29 @@ FIT_RESIDUAL_TOL = 1e-3
 # dominant branch is still tracked.  The chemical relaxation mode makes the
 # gap scale with r_A + r_B, far below the electronic scale at slow rates.
 GAP_FRACTION = 1e-10
+
+CROSS_SECTION_FLUX_FRACTION = 1e-3  # linear-response reference flux J/J0
+
+# The step choice's tilt, the largest finite-difference tilt.
+STEP_TILT = 1e-4
+
+# (s1, s2, flux scale) of the members of a pass's reference build:
+#   0     L(1), the generator of the spectral gap and the intensity expansion
+#   1-4   L(1) at s_1 = ln 4, -ln 4 and s_2 = ln 4, -ln 4, whose differences
+#         are dL/ds_k exactly (see ``liouvillian.generator_derivatives``)
+#   5     L_u = L(0), the undriven generator
+#   6-8   the step choice's tilts at the cross sections' reference flux
+_LN4, _F_REF = np.log(4.0), np.sqrt(CROSS_SECTION_FLUX_FRACTION)
+REFERENCE_TILTS = np.array([
+    (0.0, 0.0, 1.0),
+    (_LN4, 0.0, 1.0), (-_LN4, 0.0, 1.0), (0.0, _LN4, 1.0), (0.0, -_LN4, 1.0),
+    (0.0, 0.0, 0.0),
+    (0.0, 0.0, _F_REF), (STEP_TILT, 0.0, _F_REF), (0.0, STEP_TILT, _F_REF),
+]).T
+
+# The reference build of the last batch, (weak reference to it, build),
+# read and replaced as one tuple, so concurrent passes never mix builds.
+_reference = (lambda: None, None)
 
 
 @dataclass(frozen=True)
@@ -91,6 +117,25 @@ def _check_gaps(batch, gaps, tilted) -> None:
         i = narrow.argmax()
         raise GapTooSmall(f"spectral gap {np.min(gaps[i]):.3e} below "
                           f"threshold {min_gap[i, 0]:.3e}")
+
+
+def _forget(key) -> None:
+    """Drop the memo of a batch that died, so no build outlives its pass."""
+    global _reference
+    if _reference[0] is key:
+        _reference = (lambda: None, None)
+
+
+def reference_build(batch) -> np.ndarray:
+    """The (n, 9, 16, 16) stack of stacked points' generators at the
+    members of ``REFERENCE_TILTS``, from one build per batch."""
+    global _reference
+    key, built = _reference
+    if key() is not batch:
+        s1, s2, flux_scale = REFERENCE_TILTS
+        built = build_two_sided(batch, (-1j * s1, -1j * s2), flux_scale)
+        _reference = (weakref.ref(batch, _forget), built)
+    return built
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +179,19 @@ def _lambda_s(params, s1, s2, flux_scale):
         build_two_sided(params, chi, flux_scale=flux_scale))
 
 
-def _adaptive_steps(batch, flux_scale, tilted) -> np.ndarray:
+def _adaptive_steps(batch, tilted) -> np.ndarray:
     """Per stacked point a finite-difference step below the chemical
     curvature scale of the CGF, which is of order gap/|c1| at slow reaction
-    rates; all tilts in one eigensolve, whose gaps are checked for the
-    ``tilted`` points."""
-    h1 = 1e-4
-    values, gaps = _lambda_s(batch, [0.0, h1, 0.0], [0.0, 0.0, h1],
-                             flux_scale)
+    rates; the step tilts of the reference build in one eigensolve, whose
+    gaps are checked for the ``tilted`` points."""
+    values, gaps = dominant_eigenvalue(reference_build(batch)[:, 6:])
     _check_gaps(batch, gaps, tilted)
-    c1_scale = np.abs(values[:, 1:]).max(axis=-1) / h1
-    # h1 where c1_scale is 0 or the ratio is nan, as min(h1, ratio) gives
+    c1_scale = np.abs(values[:, 1:]).max(axis=-1) / STEP_TILT
+    # the tilt where c1_scale is 0 or the ratio is nan, as min() gives
     steps = np.divide(0.2 * gaps[:, 0], c1_scale,
-                      out=np.full_like(c1_scale, h1), where=c1_scale > 0)
-    return np.fmin(h1, steps)
+                      out=np.full_like(c1_scale, STEP_TILT),
+                      where=c1_scale > 0)
+    return np.fmin(STEP_TILT, steps)
 
 
 def first_cumulants(params: ModelParams, flux_scale: float, h):
@@ -173,15 +217,16 @@ def second_cumulant_matrix(params: ModelParams, flux_scale):
     matrix of d2(lambda)/ds_k ds_l (counting-index order), units 1/s, at a
     scalar ``flux_scale`` f or an (m,) array of them (both results gain the
     axis), or for stacked points at an (n, m) array of them.
-    L(f) = L_u + f (L(1) - L_u) and dL/ds_k(f) = f dL/ds_k(1).
-    The stationary state and every dL/ds_k act within the chemical states,
-    so the solves run on that 8x8 sector."""
-    dissipator = dissipator_sum(params)
-    undriven = two_sided(model_blocks(params, 0.0), dissipator, (0.0, 0.0))
-    driven, first = generator_derivatives(model_blocks(params, 1.0),
-                                          dissipator)
-    undriven, driven, first = (sector(m, WITHIN)
-                               for m in (undriven, driven, first))
+    L(f) = L_u + f (L(1) - L_u) and dL/ds_k(f) = f dL/ds_k(1), all from
+    the reference build.  The stationary state and every dL/ds_k act within
+    the chemical states, so the solves run on that 8x8 sector."""
+    if not isinstance(params.molecule.decay_gamma, np.ndarray):
+        f = np.asarray(flux_scale)
+        c1, c2 = second_cumulant_matrix(stack([params]), f.reshape(1, -1))
+        return c1.reshape(f.shape + (2,)), c2.reshape(f.shape + (2, 2))
+    built = sector(reference_build(params), WITHIN)
+    driven, undriven = built[:, :1], built[:, 5:6]
+    first = (built[:, None, 1:5:2] - built[:, None, 2:5:2]) / 3.0
     f = np.asarray(flux_scale)[..., None, None]
     return cumulants(undriven + f * (driven - undriven),
                      f[..., None, :, :] * first, trace_vector()[WITHIN])
@@ -201,8 +246,6 @@ def detector_rate(curvature: np.ndarray, absorbed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 WEAK_PROBE_LIMIT = 0.25  # warn above this Omega^2/gamma^2
-
-CROSS_SECTION_FLUX_FRACTION = 1e-3  # linear-response reference flux J/J0
 
 
 def _warn_if_strong(rabi_a, rabi_b, gamma):
@@ -224,16 +267,14 @@ def cross_sections(params):
     if not isinstance(params.molecule.decay_gamma, np.ndarray):
         s1, s2 = cross_sections(stack([params]))
         return s1[0], s2[0]
-    frac = CROSS_SECTION_FLUX_FRACTION
-    flux_scale = np.sqrt(frac)
     der = params.derived
     _warn_if_strong(der.rabi_a, der.rabi_b, params.molecule.decay_gamma)
-    j_ref = der.photon_flux_j0[:, 0] * frac
+    j_ref = der.photon_flux_j0[:, 0] * CROSS_SECTION_FLUX_FRACTION
     # a reference flux that underflows to 0 leaves nothing to tilt: the
     # point stays in the stack, unchecked, and gets (0, 0)
     tilted = j_ref > 0
-    c1, gaps = first_cumulants(params, flux_scale,
-                               _adaptive_steps(params, flux_scale, tilted))
+    c1, gaps = first_cumulants(params, _F_REF,
+                               _adaptive_steps(params, tilted))
     _check_gaps(params, gaps, tilted)
     # counting index order -> physical detector order is reversed
     return tuple(np.divide(c1[::-1], j_ref, out=np.zeros_like(c1),

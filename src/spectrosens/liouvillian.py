@@ -59,9 +59,10 @@ def block_hamiltonian(blocks, phases) -> np.ndarray:
     return h
 
 
-def model_blocks(params: ModelParams, flux_scale: float):
+def model_blocks(params: ModelParams, flux_scale):
     """(detuning, drive amplitude) blocks of states A and B, the drive
-    rescaled by ``flux_scale`` = sqrt(J/J0) to photon-number intensity J."""
+    rescaled by ``flux_scale`` = sqrt(J/J0) to photon-number intensity J.
+    A (k,) array of flux scales broadcasts against (k,) tilts."""
     mol, der = params.molecule, params.derived
     return ((mol.detuning_a, der.rabi_a * flux_scale),
             (mol.detuning_b, der.rabi_b * flux_scale))
@@ -146,15 +147,15 @@ def generator_derivatives(blocks, dissipator: np.ndarray):
     return stack[0], first.transpose(axes + (0, -2, -1))
 
 
-def build_two_sided(params: ModelParams, chi,
-                    flux_scale: float = 1.0) -> np.ndarray:
+def build_two_sided(params: ModelParams, chi, flux_scale=1.0) -> np.ndarray:
     """Two-sided 16x16 superoperator of the model: left phases chi/2, right
     phases -chi/2.
 
     ``chi`` is the pair of counting fields, scalars or equal-shape (n,)
     arrays giving an (n, 16, 16) stack, or (k,) arrays giving an
     (n, k, 16, 16) stack with parameters stacked by ``params.stack``;
-    complex values occur during differentiation.
+    complex values occur during differentiation.  ``flux_scale`` is a
+    scalar or, as in ``fcs.reference_build``, one per tilt.
     """
     return two_sided(model_blocks(params, flux_scale), dissipator_sum(params),
                      chi)

@@ -11,12 +11,13 @@ chemical rates.  ``both`` runs the two and records their relative deviation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import adiabatic, fcs
-from .errors import POINT_ERRORS
+from .errors import POINT_ERRORS, SingularCovariance
 from .estimation import SensitivityReport, sensitivity_report
 from .liouvillian import BETWEEN, WITHIN, build_two_sided, sector
 from .params import ModelParams, stack
@@ -37,11 +38,11 @@ class PointResult:
     route_deviation: float | None
 
 
-def _spectral_gaps(batch) -> list:
-    """Per stacked point the gap between the top two real parts of the
-    untilted generator's spectrum, the union of its two sectors' spectra,
-    from one eigensolve of all points' 8x8 sector blocks."""
-    liou = build_two_sided(batch, (0.0, 0.0))             # (n, 1, 16, 16)
+def _spectral_gaps(liou) -> list:
+    """Per stacked point the gap between the top two real parts of its
+    untilted generator's spectrum (``liou``, of shape (n, 1, 16, 16)), the
+    union of its two sectors' spectra, from one eigensolve of all points'
+    8x8 sector blocks."""
     blocks = np.concatenate([sector(liou, WITHIN), sector(liou, BETWEEN)],
                             axis=-3)
     values = np.sort(np.linalg.eigvals(blocks).real.reshape(len(liou), -1))
@@ -76,6 +77,10 @@ def _result(params, quantities, gap, route, deviation=None) -> PointResult:
     z = params.sample.thickness
     if z is None:
         z = z_optimal(params, s_plus)
+    if not math.isfinite(z):
+        # rho_M S+ underflows (density 1e-300): the optimal depth, and the
+        # covariance transported that far, leave the float range
+        raise SingularCovariance("covariance has non-finite entries")
     sigma2 = covariance_closed_form(params, s_plus, expansion.D1,
                                     expansion.D2, z)
     report = sensitivity_report(params, s_plus, s_minus, sigma2, z)
@@ -88,10 +93,13 @@ def _result(params, quantities, gap, route, deviation=None) -> PointResult:
 
 def _evaluate(points, route) -> list:
     batch = stack(points)
-    gaps = _spectral_gaps(batch)
     if route == "adiabatic":
+        gaps = _spectral_gaps(build_two_sided(batch, (0.0, 0.0)))
         quantities = [adiabatic.weak_field_expansion(p) for p in points]
     else:
+        # the untilted generator is the first member of the reference build
+        # that the full route's cross sections and expansion share
+        gaps = _spectral_gaps(fcs.reference_build(batch)[:, :1])
         quantities = _full_quantities(batch)
     if route != "both":
         return [_result(p, q, g, route)
@@ -122,8 +130,10 @@ def evaluate_points(points, route: str = "full") -> list:
 
     The generators, eigensolves and bordered solves of the full route run
     for all points at once along a leading point axis (``params.stack``):
-    five generator builds, three eigensolves (the gaps, the step choice and
-    the Richardson stencil) and the two bordered solves of the intensity
+    two generator builds (``fcs.reference_build``, whose members serve the
+    gaps, the step choice and the intensity expansion, and the Richardson
+    stencil's), three eigensolves (the gaps, the step choice and the
+    Richardson stencil) and the two bordered solves of the intensity
     expansion.  The flux fit, the adiabatic route, the transport and the
     report run point by point.  Any stage that fails for a point raises for
     the whole pass, which then runs again on each half of the points, down

@@ -9,6 +9,8 @@ numerical quadrature of the same integral (see oracles) checks it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateAbsorption
@@ -29,11 +31,15 @@ def z_optimal(params: ModelParams, s_plus: float) -> float:
     return 1.0 / (params.sample.density_rho_m * s_plus)
 
 
+def _check_depth(z) -> None:
+    if not (math.isfinite(z) and z >= 0):
+        raise ValueError("z must be finite and non-negative")
+
+
 def propagate_mean(params: ModelParams, s_plus: float, s_minus: float,
                    z: float):
     """Attenuated mean photon number and accumulated phase at depth z."""
-    if z < 0:
-        raise ValueError("z must be non-negative")
+    _check_depth(z)
     rho = params.sample.density_rho_m
     n_p = params.derived.n_p0 * np.exp(-rho * s_plus * z)
     phase = rho * s_minus * z
@@ -54,8 +60,7 @@ def covariance_closed_form(params: ModelParams, s_plus: float,
     int_0^z e^{-2 rho S+ (z-z')} rho A tau (1/2) D2 J0^2 e^{-2 rho S+ z'} dz'
     = (1/2) att^2 n_p0 J0 rho D2 z.
     """
-    if z < 0:
-        raise ValueError("z must be non-negative")
+    _check_depth(z)
     der, sample = params.derived, params.sample
     rho, n_p0, j0 = sample.density_rho_m, der.n_p0, der.photon_flux_j0
     att = np.exp(-rho * s_plus * z)

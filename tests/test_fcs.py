@@ -1,14 +1,19 @@
 import contextlib
+import gc
 import os
+import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from spectrosens import adiabatic, cli, fcs, pipeline
+from spectrosens import adiabatic, cli, fcs, liouvillian, pipeline
 from spectrosens.errors import FitResidualExceeded, GapTooSmall
 from spectrosens.liouvillian import (build_two_sided, dissipator_sum,
-                                     generator_derivatives, model_blocks)
+                                     generator_derivatives, model_blocks,
+                                     two_sided)
 from spectrosens.params import default_config, from_config, stack
 from spectrosens.pipeline import evaluate_point
 from stencils import gradient, hessian, richardson
@@ -175,7 +180,7 @@ def test_sector_gap_equals_full_gap(config):
     the 16x16 generator, down to the slow point's chemical mode."""
     params = from_config(config)
     _, full = fcs.dominant_eigenvalue(build_two_sided(params, (0.0, 0.0)))
-    gap, = pipeline._spectral_gaps(stack([params]))
+    gap, = pipeline._spectral_gaps(fcs.reference_build(stack([params]))[:, :1])
     assert gap == pytest.approx(full, rel=1e-8)
 
 
@@ -197,24 +202,140 @@ def test_flux_affine_cumulants_match_direct_builds(config):
 
 
 def test_full_point_makes_one_stacked_rate_call(default_params, monkeypatch):
-    """The intensity expansion takes all its fluxes from one call, and
-    differentiates one generator: the undriven part has no tilts to build."""
+    """The intensity expansion takes all its fluxes from one call, and the
+    pass makes one reference build, whose nine members serve the gap, the
+    step choice and the expansion, and then the Richardson stencil's."""
     shapes, builds = [], []
-    rate, derivatives = fcs.diffusion_rate, fcs.generator_derivatives
+    rate, build = fcs.diffusion_rate, fcs.build_two_sided
 
     def counted(params, J):
         shapes.append(np.shape(J))
         return rate(params, J)
 
-    def counted_build(*args):
-        builds.append(args)
-        return derivatives(*args)
+    def counted_build(params, chi, flux_scale=1.0):
+        builds.append(np.shape(chi[0]))
+        return build(params, chi, flux_scale)
 
     monkeypatch.setattr(fcs, "diffusion_rate", counted)
-    monkeypatch.setattr(fcs, "generator_derivatives", counted_build)
+    monkeypatch.setattr(fcs, "build_two_sided", counted_build)
     evaluate_point(default_params, "full")
     assert shapes == [(1, 10)]   # one point, ten fluxes
-    assert len(builds) == 1
+    assert builds == [(9,), (1, 8)]
+
+
+@pytest.mark.parametrize("route, two_sided_calls",
+                         [("full", 2), ("adiabatic", 1)])
+def test_pass_build_counts(default_params, monkeypatch, route,
+                           two_sided_calls):
+    """A one-point full pass builds the model generator twice, the
+    reference build and the Richardson stencil's, and the dissipator at most
+    twice; the adiabatic route builds only its gap's generator."""
+    calls = {"build_two_sided": 0, "two_sided": 0, "dissipator_sum": 0}
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        original = getattr(liouvillian, name)
+        wrapper = counting(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if (module_name.startswith("spectrosens")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, wrapper)
+    evaluate_point(default_params, route)
+    assert calls["two_sided"] == calls["build_two_sided"] == two_sided_calls
+    assert calls["dissipator_sum"] <= two_sided_calls
+
+
+def test_reference_build_lives_with_its_batch():
+    """The same stacked batch reuses its reference build, a new batch
+    builds its own, and once the batch is gone the memo holds no arrays."""
+    points = [from_config({}), from_config({"detuning_a_mhz": 25.0})]
+    batch = stack(points)
+    built = fcs.reference_build(batch)
+    assert fcs.reference_build(batch) is built
+    other = stack(points)
+    rebuilt = fcs.reference_build(other)
+    assert rebuilt is not built and rebuilt.tobytes() == built.tobytes()
+    assert fcs.reference_build(batch) is not rebuilt
+    gone = weakref.ref(fcs.reference_build(batch))
+    del batch, other, built, rebuilt
+    gc.collect()
+    assert fcs._reference[1] is None and gone() is None
+
+
+def test_concurrent_batches_never_mix_reference_builds():
+    """Threads that ask for the builds of different batches at once, each
+    in its own order and switching often, get each batch's own build."""
+    batches = [stack([from_config({"detuning_a_mhz": 10.0 * k}),
+                      from_config({"rate_a_mhz": 1e-3 * (k + 1)})])
+               for k in range(6)]
+    expected = [fcs.reference_build(batch).tobytes() for batch in batches]
+    start, mixed = threading.Barrier(len(batches)), []
+
+    def work(first):
+        start.wait(timeout=60)
+        for i in range(first, first + 200):
+            built = fcs.reference_build(batches[i % len(batches)])
+            if not (isinstance(built, np.ndarray)
+                    and built.tobytes() == expected[i % len(batches)]):
+                mixed.append(i)
+
+    threads = [threading.Thread(target=work, args=(k,))
+               for k in range(len(batches))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mixed == []
+
+
+REFERENCE_POINTS = [{}, {"rate_a_mhz": 1e-12, "rate_b_mhz": 1e-12},
+                    {"detuning_a_mhz": 1000.0},
+                    {"dipole_b_debye": 0.6, "rate_a_mhz": 3e-3,
+                     "detuning_b_mhz": -15.0}]
+
+
+def _separate_builds(params):
+    """The builds that the reference build replaces, each made alone:
+    L(1), dL/ds_k, L_u and the step choice's tilts."""
+    dissipator = dissipator_sum(params)
+    driven, first = generator_derivatives(model_blocks(params, 1.0),
+                                          dissipator)
+    h1 = 1e-4
+    return (build_two_sided(params, (0.0, 0.0)), driven, first,
+            two_sided(model_blocks(params, 0.0), dissipator, (0.0, 0.0)),
+            build_two_sided(params, (-1j * np.array([0.0, h1, 0.0]),
+                                     -1j * np.array([0.0, 0.0, h1])),
+                            np.sqrt(fcs.CROSS_SECTION_FLUX_FRACTION)))
+
+
+def _reference_slices(batch):
+    built = fcs.reference_build(batch)
+    first = (built[:, None, 1:5:2] - built[:, None, 2:5:2]) / 3.0
+    return (built[:, :1], built[:, :1], first, built[:, 5:6], built[:, 6:])
+
+
+def test_reference_build_equals_separate_builds():
+    """Each slice of the reference build is, byte for byte, the separate
+    build it replaces, at single points (built unstacked) and at a stack."""
+    points = [from_config(config) for config in REFERENCE_POINTS]
+    for params in points:
+        for got, want in zip(_reference_slices(stack([params])),
+                             _separate_builds(params)):
+            assert got.tobytes() == want.tobytes()
+    batch = stack(points)
+    for got, want in zip(_reference_slices(batch), _separate_builds(batch)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _outcome(result):
@@ -389,7 +510,7 @@ def test_adaptive_steps_equal_pointwise_rule():
               ({}, {"rate_a_mhz": 1e-10, "rate_b_mhz": 1e-10},
                {"power_mw": 1e-300})]
     flux_scale, h1 = np.sqrt(fcs.CROSS_SECTION_FLUX_FRACTION), 1e-4
-    steps = fcs._adaptive_steps(stack(points), flux_scale, np.zeros(3, bool))
+    steps = fcs._adaptive_steps(stack(points), np.zeros(3, bool))
     expected = []
     for params in points:
         values, gaps = fcs._lambda_s(params, [0.0, h1, 0.0], [0.0, 0.0, h1],

@@ -39,6 +39,18 @@ def test_propagate_mean(default_params):
     assert phase_res == 0.0
 
 
+@pytest.mark.parametrize("z", [-0.01, math.nan, math.inf])
+def test_depth_must_be_finite_and_non_negative(default_params, z):
+    """A negative or non-finite depth is refused, not turned into NaN
+    means and covariances."""
+    s_plus, zero = 5e-17, np.zeros((2, 2))
+    with pytest.raises(ValueError, match="z must be finite and non-negative"):
+        propagation.propagate_mean(default_params, s_plus, 2e-16, z)
+    with pytest.raises(ValueError, match="z must be finite and non-negative"):
+        propagation.covariance_closed_form(default_params, s_plus, zero,
+                                           zero, z)
+
+
 def test_monotone_attenuation(default_params):
     s_plus = 5e-17
     zs = np.linspace(0.0, 3 / (default_params.sample.density_rho_m * s_plus), 40)

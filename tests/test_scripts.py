@@ -187,7 +187,8 @@ def test_mc_validation_script_runs():
 
 def test_outcome_digest_script_runs():
     """scripts/outcome_digest.py prints one sha256 over the point outcomes,
-    one over the adiabatic composition and one per sweep grid and route."""
+    one over the adiabatic composition, one per sweep grid and route, and
+    one over the standalone fcs calls on single points."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable,
                            str(ROOT / "scripts" / "outcome_digest.py")],
@@ -199,7 +200,7 @@ def test_outcome_digest_script_runs():
                                             "detuning-rate", "density-edge",
                                             "far-detuned", "fig-rate",
                                             "thickness")
-        for route in ("full", "both")]
+        for route in ("full", "both")] + [["fcs"]]
     digests = [line[-1] for line in lines]
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef")
                for d in digests)
