@@ -25,8 +25,8 @@ Conventions frozen here:
   ``cumulants`` solves a leading stack axis of fluxes at once, so the ten
   fluxes of the intensity expansion are one stacked solve.
 * Every generator a pass needs before its first eigensolve is a member of
-  one ``reference_build`` per batch; only the Richardson stencil, whose
-  tilts depend on the step, builds again.
+  its ``Batch``'s one build at ``REFERENCE_TILTS``; only the Richardson
+  stencil, whose tilts depend on the step, builds again.
 * The generator is block-diagonal: it never mixes the matrix elements
   within one chemical state with those between the states (see
   ``liouvillian``).  The stationary state and every dL/ds_k live within the
@@ -34,19 +34,18 @@ Conventions frozen here:
   of the trace row.  The finite-difference tilts of the cross sections
   still eigensolve the full 16x16 generator.
 * Points stack.  ``cross_sections`` and ``fit_diffusion_expansion`` also
-  take points stacked by ``params.stack``, whose generators they build,
+  take a ``Batch`` of points (``batch``), whose generators they build,
   eigensolve and solve all at once along a leading point axis: the tilts
   of all points in one eigensolve per stencil, the fluxes of all points in
   one pair of bordered solves.  A stacked call raises as a single one
   does, with the error of the first point that fails a check; the
   pipeline then splits the stack in halves until the failing point is
-  alone.  One point runs the same code as a stack of one.
+  alone.  One point runs the same code as a batch of one.
 """
 
 from __future__ import annotations
 
 import warnings
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +53,7 @@ import numpy as np
 from .errors import FitResidualExceeded, GapTooSmall
 from .liouvillian import (WITHIN, bordered, build_two_sided, sector,
                           trace_vector)
-from .params import ModelParams, stack
+from .params import DerivedQuantities, ModelParams, MoleculeParams, stack
 
 # Largest relative residual of the intensity-expansion fit.
 FIT_RESIDUAL_TOL = 1e-3
@@ -83,9 +82,24 @@ REFERENCE_TILTS = np.array([
     (0.0, 0.0, _F_REF), (STEP_TILT, 0.0, _F_REF), (0.0, STEP_TILT, _F_REF),
 ]).T
 
-# The reference build of the last batch, (weak reference to it, build),
-# read and replaced as one tuple, so concurrent passes never mix builds.
-_reference = (lambda: None, None)
+
+@dataclass(frozen=True)
+class Batch:
+    """The points of one stacked pass: their ``molecule`` and ``derived``
+    fields as ``params.stack`` gives them, (n, 1) arrays over the points,
+    and ``built``, their (n, 9, 16, 16) generators at the members of
+    ``REFERENCE_TILTS``."""
+    molecule: MoleculeParams
+    derived: DerivedQuantities
+    built: np.ndarray = field(repr=False)
+
+
+def batch(points) -> Batch:
+    """The points stacked, with their reference build from one call."""
+    stacked = stack(points)
+    s1, s2, flux_scale = REFERENCE_TILTS
+    return Batch(stacked.molecule, stacked.derived,
+                 build_two_sided(stacked, (-1j * s1, -1j * s2), flux_scale))
 
 
 @dataclass(frozen=True)
@@ -117,25 +131,6 @@ def _check_gaps(batch, gaps, tilted) -> None:
         i = narrow.argmax()
         raise GapTooSmall(f"spectral gap {np.min(gaps[i]):.3e} below "
                           f"threshold {min_gap[i, 0]:.3e}")
-
-
-def _forget(key) -> None:
-    """Drop the memo of a batch that died, so no build outlives its pass."""
-    global _reference
-    if _reference[0] is key:
-        _reference = (lambda: None, None)
-
-
-def reference_build(batch) -> np.ndarray:
-    """The (n, 9, 16, 16) stack of stacked points' generators at the
-    members of ``REFERENCE_TILTS``, from one build per batch."""
-    global _reference
-    key, built = _reference
-    if key() is not batch:
-        s1, s2, flux_scale = REFERENCE_TILTS
-        built = build_two_sided(batch, (-1j * s1, -1j * s2), flux_scale)
-        _reference = (weakref.ref(batch, _forget), built)
-    return built
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +179,7 @@ def _adaptive_steps(batch, tilted) -> np.ndarray:
     curvature scale of the CGF, which is of order gap/|c1| at slow reaction
     rates; the step tilts of the reference build in one eigensolve, whose
     gaps are checked for the ``tilted`` points."""
-    values, gaps = dominant_eigenvalue(reference_build(batch)[:, 6:])
+    values, gaps = dominant_eigenvalue(batch.built[:, 6:])
     _check_gaps(batch, gaps, tilted)
     c1_scale = np.abs(values[:, 1:]).max(axis=-1) / STEP_TILT
     # the tilt where c1_scale is 0 or the ratio is nan, as min() gives
@@ -216,15 +211,15 @@ def second_cumulant_matrix(params: ModelParams, flux_scale):
     """Exact (c1, c2) of the 4-level model: d(lambda)/ds_k and the 2x2
     matrix of d2(lambda)/ds_k ds_l (counting-index order), units 1/s, at a
     scalar ``flux_scale`` f or an (m,) array of them (both results gain the
-    axis), or for stacked points at an (n, m) array of them.
+    axis), or for a ``Batch`` at an (n, m) array of them.
     L(f) = L_u + f (L(1) - L_u) and dL/ds_k(f) = f dL/ds_k(1), all from
-    the reference build.  The stationary state and every dL/ds_k act within
-    the chemical states, so the solves run on that 8x8 sector."""
-    if not isinstance(params.molecule.decay_gamma, np.ndarray):
+    the batch's reference build.  The stationary state and every dL/ds_k
+    act within the chemical states, so the solves run on that 8x8 sector."""
+    if not isinstance(params, Batch):
         f = np.asarray(flux_scale)
-        c1, c2 = second_cumulant_matrix(stack([params]), f.reshape(1, -1))
+        c1, c2 = second_cumulant_matrix(batch([params]), f.reshape(1, -1))
         return c1.reshape(f.shape + (2,)), c2.reshape(f.shape + (2, 2))
-    built = sector(reference_build(params), WITHIN)
+    built = sector(params.built, WITHIN)
     driven, undriven = built[:, :1], built[:, 5:6]
     first = (built[:, None, 1:5:2] - built[:, None, 2:5:2]) / 3.0
     f = np.asarray(flux_scale)[..., None, None]
@@ -260,12 +255,12 @@ def _warn_if_strong(rabi_a, rabi_b, gamma):
 def cross_sections(params):
     """(S1, S2) in m^2: photon flux removed from detector channel k per
     molecule and unit intensity, in the linear-response (small-flux) limit.
-    Stacked points (``params.stack``) give arrays of each over the points,
-    or raise the ``GapTooSmall`` of the first point that ends in one; the
-    tilts of all points take one eigensolve for the step choice and one
-    for the Richardson stencil."""
-    if not isinstance(params.molecule.decay_gamma, np.ndarray):
-        s1, s2 = cross_sections(stack([params]))
+    A ``Batch`` of points gives arrays of each over the points, or raises
+    the ``GapTooSmall`` of the first point that ends in one; the tilts of
+    all points take one eigensolve for the step choice and one for the
+    Richardson stencil."""
+    if not isinstance(params, Batch):
+        s1, s2 = cross_sections(batch([params]))
         return s1[0], s2[0]
     der = params.derived
     _warn_if_strong(der.rabi_a, der.rabi_b, params.molecule.decay_gamma)
@@ -284,8 +279,8 @@ def cross_sections(params):
 def diffusion_rate(params: ModelParams, J) -> np.ndarray:
     """Per-molecule second-cumulant rate matrix at flux J (detector order).
     An (m,) array of fluxes gives the (m, 2, 2) stack of rates from one
-    stacked solve of the flux-affine generator; stacked points with an
-    (n, m) array of fluxes give (n, m, 2, 2)."""
+    stacked solve of the flux-affine generator; a ``Batch`` with an (n, m)
+    array of fluxes gives (n, m, 2, 2)."""
     flux_scale = np.sqrt(np.asarray(J) / params.derived.photon_flux_j0)
     c1, c2 = second_cumulant_matrix(params, flux_scale)
     return detector_rate(c2, c1[..., 0] + c1[..., 1])
@@ -329,9 +324,9 @@ def fit_diffusion_expansion(params, s_plus=None, pin_linear: bool = True):
     through the origin, on ten log-spaced fluxes spanning the decade below
     J0, all ten rates from one ``diffusion_rate`` call on the flux grid; a
     relative residual above ``FIT_RESIDUAL_TOL`` raises
-    ``FitResidualExceeded``.  Stacked points, with their S_plus, give a
-    list of their ``DiffusionExpansion``s, or raise the error of the first
-    point whose fit fails: the rates of all points from one
+    ``FitResidualExceeded``.  A ``Batch``, with its points' S_plus, gives
+    a list of their ``DiffusionExpansion``s, or raises the error of the
+    first point whose fit fails: the rates of all points from one
     ``diffusion_rate`` call, the fits point by point.
 
     At slow reaction rates the quadratic chemical term exceeds the linear
@@ -349,9 +344,9 @@ def fit_diffusion_expansion(params, s_plus=None, pin_linear: bool = True):
     only when chemical noise does not dwarf absorption (fast rates); it is
     retained as a consistency check on the pinned structure.
     """
-    if not isinstance(params.molecule.decay_gamma, np.ndarray):
+    if not isinstance(params, Batch):
         expansion, = fit_diffusion_expansion(
-            stack([params]), None if s_plus is None else [s_plus], pin_linear)
+            batch([params]), None if s_plus is None else [s_plus], pin_linear)
         return expansion
     j0 = params.derived.photon_flux_j0
     # one point per row (a C-ordered copy: geomspace is faster on axis 0)

@@ -135,16 +135,13 @@ def generator_derivatives(blocks, dissipator: np.ndarray):
     L is affine in e^{+-s_k/2}, 2 and 1/2 at s_k = +-ln 4, so (L(ln 4) -
     L(-ln 4)) / 3 is dL/ds_k exactly.  Mixed second derivatives vanish and
     d2L/ds_k^2, a commutator, has a zero trace row: cumulants need neither.
-    The tilts run ahead of the axes of stacked points, so L keeps them and
-    each point's dL/ds_k stack sits where its L does."""
+    The five tilts follow the axes of stacked points, as in every build."""
     t = 1j * np.log(4.0)   # chi = -i s
-    points = (1,) * (dissipator.ndim - 2)
-    chi = (np.array([0.0, -t, t, 0.0, 0.0]).reshape((5,) + points),
-           np.array([0.0, 0.0, 0.0, -t, t]).reshape((5,) + points))
-    stack = two_sided(blocks, dissipator, chi)
-    first = (stack[1::2] - stack[2::2]) / 3.0
-    axes = tuple(range(1, first.ndim - 2))
-    return stack[0], first.transpose(axes + (0, -2, -1))
+    stack = two_sided(blocks, dissipator,
+                      (np.array([0.0, -t, t, 0.0, 0.0]),
+                       np.array([0.0, 0.0, 0.0, -t, t])))
+    return (stack[..., 0, :, :],
+            (stack[..., 1::2, :, :] - stack[..., 2::2, :, :]) / 3.0)
 
 
 def build_two_sided(params: ModelParams, chi, flux_scale=1.0) -> np.ndarray:
@@ -155,7 +152,7 @@ def build_two_sided(params: ModelParams, chi, flux_scale=1.0) -> np.ndarray:
     arrays giving an (n, 16, 16) stack, or (k,) arrays giving an
     (n, k, 16, 16) stack with parameters stacked by ``params.stack``;
     complex values occur during differentiation.  ``flux_scale`` is a
-    scalar or, as in ``fcs.reference_build``, one per tilt.
+    scalar or, as in ``fcs.batch``'s reference build, one per tilt.
     """
     return two_sided(model_blocks(params, flux_scale), dissipator_sum(params),
                      chi)

@@ -21,6 +21,7 @@ from .adiabatic import (chemical_rate_term, conditioned_cross_sections,
 from .errors import (InsufficientStatistics, QuadratureNotConverged,
                      StencilUnstable)
 from .params import ModelParams
+from .propagation import _check_depth
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +98,7 @@ def quadrature_covariance(params: ModelParams, rate_fn, s_plus: float,
     entry of the integral; a non-finite value or more than
     ``QUADRATURE_MAX_INTERVALS`` subintervals raise QuadratureNotConverged.
     """
-    if not (math.isfinite(z) and z >= 0):
-        raise ValueError("z must be finite and non-negative")
+    _check_depth(z)
     der, sample, laser = params.derived, params.sample, params.laser
     rho, n_p0, j0 = sample.density_rho_m, der.n_p0, der.photon_flux_j0
     line_density = rho * der.beam_area * laser.measurement_time

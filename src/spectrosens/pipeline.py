@@ -92,14 +92,14 @@ def _result(params, quantities, gap, route, deviation=None) -> PointResult:
 
 
 def _evaluate(points, route) -> list:
-    batch = stack(points)
     if route == "adiabatic":
-        gaps = _spectral_gaps(build_two_sided(batch, (0.0, 0.0)))
+        gaps = _spectral_gaps(build_two_sided(stack(points), (0.0, 0.0)))
         quantities = [adiabatic.weak_field_expansion(p) for p in points]
     else:
         # the untilted generator is the first member of the reference build
         # that the full route's cross sections and expansion share
-        gaps = _spectral_gaps(fcs.reference_build(batch)[:, :1])
+        batch = fcs.batch(points)
+        gaps = _spectral_gaps(batch.built[:, :1])
         quantities = _full_quantities(batch)
     if route != "both":
         return [_result(p, q, g, route)
@@ -124,13 +124,13 @@ def _pointwise(fn, points) -> list:
 
 
 def evaluate_points(points, route: str = "full") -> list:
-    """Run the complete pipeline at a list of parameter points in one
-    stacked pass; returns per point its ``PointResult`` or the error it
-    ended in (``POINT_ERRORS``).
+    """Run the complete pipeline at parameter points, any iterable of them,
+    in one stacked pass; returns per point its ``PointResult`` or the error
+    it ended in (``POINT_ERRORS``).
 
     The generators, eigensolves and bordered solves of the full route run
-    for all points at once along a leading point axis (``params.stack``):
-    two generator builds (``fcs.reference_build``, whose members serve the
+    for all points at once along a leading point axis (``fcs.batch``): two
+    generator builds (the batch's reference build, whose members serve the
     gaps, the step choice and the intensity expansion, and the Richardson
     stencil's), three eigensolves (the gaps, the step choice and the
     Richardson stencil) and the two bordered solves of the intensity
@@ -151,11 +151,12 @@ def evaluate_points(points, route: str = "full") -> list:
     raises are physics warnings."""
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}")
+    points = list(points)
     if not points:
         return []
     with np.errstate(all="ignore"):
         return _pointwise(lambda pass_points: _evaluate(pass_points, route),
-                          list(points))
+                          points)
 
 
 def evaluate_point(params: ModelParams, route: str = "full") -> PointResult:

@@ -1,10 +1,7 @@
 import contextlib
-import gc
 import os
 import sys
-import threading
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -43,9 +40,9 @@ def test_gap_threshold(default_params):
     with pytest.raises(GapTooSmall) as alone:
         fcs.cross_sections(slow)
     with pytest.raises(GapTooSmall) as stacked:
-        fcs.cross_sections(stack([default_params, slow, fast]))
+        fcs.cross_sections(fcs.batch([default_params, slow, fast]))
     assert str(stacked.value) == str(alone.value)
-    s1, s2 = fcs.cross_sections(stack([default_params, fast]))
+    s1, s2 = fcs.cross_sections(fcs.batch([default_params, fast]))
     assert list(zip(s1, s2)) == [fcs.cross_sections(params)
                                  for params in (default_params, fast)]
 
@@ -180,7 +177,7 @@ def test_sector_gap_equals_full_gap(config):
     the 16x16 generator, down to the slow point's chemical mode."""
     params = from_config(config)
     _, full = fcs.dominant_eigenvalue(build_two_sided(params, (0.0, 0.0)))
-    gap, = pipeline._spectral_gaps(fcs.reference_build(stack([params]))[:, :1])
+    gap, = pipeline._spectral_gaps(fcs.batch([params]).built[:, :1])
     assert gap == pytest.approx(full, rel=1e-8)
 
 
@@ -250,53 +247,37 @@ def test_pass_build_counts(default_params, monkeypatch, route,
     assert calls["dissipator_sum"] <= two_sided_calls
 
 
-def test_reference_build_lives_with_its_batch():
-    """The same stacked batch reuses its reference build, a new batch
-    builds its own, and once the batch is gone the memo holds no arrays."""
-    points = [from_config({}), from_config({"detuning_a_mhz": 25.0})]
-    batch = stack(points)
-    built = fcs.reference_build(batch)
-    assert fcs.reference_build(batch) is built
-    other = stack(points)
-    rebuilt = fcs.reference_build(other)
-    assert rebuilt is not built and rebuilt.tobytes() == built.tobytes()
-    assert fcs.reference_build(batch) is not rebuilt
-    gone = weakref.ref(fcs.reference_build(batch))
-    del batch, other, built, rebuilt
-    gc.collect()
-    assert fcs._reference[1] is None and gone() is None
+def test_batch_stages_share_its_build(monkeypatch):
+    """The cross sections and the expansion of a ``Batch`` build no
+    generator but the Richardson stencil's, and two batches whose stages
+    run interleaved each give the bytes they give alone."""
+    groups = [[from_config({}), from_config({"detuning_a_mhz": 25.0})],
+              [from_config({"rate_a_mhz": 3e-3, "dipole_b_debye": 0.6}),
+               from_config({"detuning_a_mhz": -60.0})]]
 
+    def digest(sections, expansions):
+        return ([part.tobytes() for part in sections],
+                [(e.D1.tobytes(), e.D2.tobytes(), e.fit_residual)
+                 for e in expansions])
 
-def test_concurrent_batches_never_mix_reference_builds():
-    """Threads that ask for the builds of different batches at once, each
-    in its own order and switching often, get each batch's own build."""
-    batches = [stack([from_config({"detuning_a_mhz": 10.0 * k}),
-                      from_config({"rate_a_mhz": 1e-3 * (k + 1)})])
-               for k in range(6)]
-    expected = [fcs.reference_build(batch).tobytes() for batch in batches]
-    start, mixed = threading.Barrier(len(batches)), []
+    alone = []
+    for points in groups:
+        batch = fcs.batch(points)
+        alone.append(digest(fcs.cross_sections(batch),
+                            fcs.fit_diffusion_expansion(batch)))
+    batches = [fcs.batch(points) for points in groups]
+    builds, build = [], fcs.build_two_sided
 
-    def work(first):
-        start.wait(timeout=60)
-        for i in range(first, first + 200):
-            built = fcs.reference_build(batches[i % len(batches)])
-            if not (isinstance(built, np.ndarray)
-                    and built.tobytes() == expected[i % len(batches)]):
-                mixed.append(i)
+    def counted_build(params, chi, flux_scale=1.0):
+        builds.append(np.shape(chi[0]))
+        return build(params, chi, flux_scale)
 
-    threads = [threading.Thread(target=work, args=(k,))
-               for k in range(len(batches))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert mixed == []
+    monkeypatch.setattr(fcs, "build_two_sided", counted_build)
+    sections = [fcs.cross_sections(batch) for batch in batches]
+    expansions = [fcs.fit_diffusion_expansion(batch) for batch in batches]
+    # the expansion's own cross sections make the last two stencil builds
+    assert builds == [(2, 8)] * 4
+    assert [digest(*pair) for pair in zip(sections, expansions)] == alone
 
 
 REFERENCE_POINTS = [{}, {"rate_a_mhz": 1e-12, "rate_b_mhz": 1e-12},
@@ -320,9 +301,9 @@ def _separate_builds(params):
 
 
 def _reference_slices(batch):
-    built = fcs.reference_build(batch)
-    first = (built[:, None, 1:5:2] - built[:, None, 2:5:2]) / 3.0
-    return (built[:, :1], built[:, :1], first, built[:, 5:6], built[:, 6:])
+    built = batch.built
+    first = (built[:, 1:5:2] - built[:, 2:5:2]) / 3.0
+    return (built[:, :1], built[:, 0], first, built[:, 5:6], built[:, 6:])
 
 
 def test_reference_build_equals_separate_builds():
@@ -330,11 +311,12 @@ def test_reference_build_equals_separate_builds():
     build it replaces, at single points (built unstacked) and at a stack."""
     points = [from_config(config) for config in REFERENCE_POINTS]
     for params in points:
-        for got, want in zip(_reference_slices(stack([params])),
+        for got, want in zip(_reference_slices(fcs.batch([params])),
                              _separate_builds(params)):
             assert got.tobytes() == want.tobytes()
-    batch = stack(points)
-    for got, want in zip(_reference_slices(batch), _separate_builds(batch)):
+    batch = fcs.batch(points)
+    for got, want in zip(_reference_slices(batch),
+                         _separate_builds(stack(points))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -384,10 +366,18 @@ def test_evaluate_points_equals_evaluate_point(route):
 
 
 def test_evaluate_points_edge_inputs(default_params):
-    """An unknown route is refused, and no points give no outcomes."""
+    """An unknown route is refused, no points (a list or an iterator)
+    give no outcomes, and a generator of points gives what their list
+    gives."""
     with pytest.raises(ValueError, match="route must be one of"):
         pipeline.evaluate_points([default_params], "fast")
     assert pipeline.evaluate_points([]) == []
+    assert pipeline.evaluate_points(iter([])) == []
+    points = [default_params, from_config({"detuning_a_mhz": -40.0})]
+    assert ([_outcome(result) for result in
+             pipeline.evaluate_points(params for params in points)]
+            == [_outcome(result) for result in
+                pipeline.evaluate_points(points)])
 
 
 def test_failing_pass_is_bisected(monkeypatch):
@@ -510,7 +500,7 @@ def test_adaptive_steps_equal_pointwise_rule():
               ({}, {"rate_a_mhz": 1e-10, "rate_b_mhz": 1e-10},
                {"power_mw": 1e-300})]
     flux_scale, h1 = np.sqrt(fcs.CROSS_SECTION_FLUX_FRACTION), 1e-4
-    steps = fcs._adaptive_steps(stack(points), np.zeros(3, bool))
+    steps = fcs._adaptive_steps(fcs.batch(points), np.zeros(3, bool))
     expected = []
     for params in points:
         values, gaps = fcs._lambda_s(params, [0.0, h1, 0.0], [0.0, 0.0, h1],

@@ -241,6 +241,6 @@ def test_stacked_points_build_each_points_generator():
                                           dissipator_sum(batch))
     singles = [generator_derivatives(model_blocks(p, 1.0), dissipator_sum(p))
                for p in points]
-    assert driven.shape == (3, 1, 16, 16) and first.shape == (3, 1, 2, 16, 16)
-    assert np.array_equal(driven[:, 0], np.stack([l for l, _ in singles]))
-    assert np.array_equal(first[:, 0], np.stack([d for _, d in singles]))
+    assert driven.shape == (3, 16, 16) and first.shape == (3, 2, 16, 16)
+    assert np.array_equal(driven, np.stack([l for l, _ in singles]))
+    assert np.array_equal(first, np.stack([d for _, d in singles]))
