@@ -2,13 +2,14 @@
 """Digests of the pipeline's outcomes, for checking that a change to the
 evaluation leaves every number bit for bit as it was.
 
-Prints one sha256 over the outcomes of 162 points (3 routes x 6 rate pairs
-x 9 detunings, one stacked pass per route): the ``float.hex`` of every
-number of a ``PointResult``, or the type and message of the error a point
-ends in.  Then one sha256 over the adiabatic composition of the same
-rate pairs and detunings, with state B dark and with it absorbing:
-``conditioned_rate`` of A and B, ``chemical_rate_term`` and
-``adiabatic_rate`` by both methods at J0 and J0/10.  Then one sha256 per
+Prints, per route, one sha256 over the outcomes of 54 points (6 rate pairs
+x 9 detunings, one stacked pass), so that a change to one route shows
+which lines move: the ``float.hex`` of every number of a ``PointResult``,
+or the type and message of the error a point ends in.  Then one sha256
+over the adiabatic composition of the same rate pairs and detunings, with
+state B dark and with it absorbing: ``conditioned_rate`` of A and B,
+``chemical_rate_term`` and ``adiabatic_rate`` by both methods at J0 and
+J0/10.  Then one sha256 per
 sweep, over its CSV and every field of its rows (the route deviation of
 ``both`` too), for grids that mix results with several kinds of failure,
 on the ``full`` and ``both`` routes.  Last, one sha256 over the
@@ -70,15 +71,13 @@ def _flatten(value):
     return [repr(value)]
 
 
-def point_digest() -> str:
+def point_digest(route) -> str:
     digest = hashlib.sha256()
-    for route in pipeline.ROUTES:
-        points = [from_config({"detuning_a_mhz": d, "rate_a_mhz": ra,
-                               "rate_b_mhz": rb})
-                  for (ra, rb), d in itertools.product(RATE_PAIRS,
-                                                       DETUNINGS_MHZ)]
-        for outcome in pipeline.evaluate_points(points, route):
-            digest.update("\n".join(_flatten(outcome)).encode() + b"\n\n")
+    points = [from_config({"detuning_a_mhz": d, "rate_a_mhz": ra,
+                           "rate_b_mhz": rb})
+              for (ra, rb), d in itertools.product(RATE_PAIRS, DETUNINGS_MHZ)]
+    for outcome in pipeline.evaluate_points(points, route):
+        digest.update("\n".join(_flatten(outcome)).encode() + b"\n\n")
     return digest.hexdigest()
 
 
@@ -144,7 +143,8 @@ def sweep_digest(base, axes, route) -> str:
 
 def main():
     warnings.simplefilter("ignore")   # physics warnings are not outcomes
-    print(f"points {point_digest()}")
+    for route in pipeline.ROUTES:
+        print(f"points {route} {point_digest(route)}")
     print(f"adiabatic {adiabatic_digest()}")
     for name, base, axes in SWEEPS:
         for route in ("full", "both"):

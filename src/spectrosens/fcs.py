@@ -34,6 +34,8 @@ Conventions frozen here:
   take a ``Batch`` of points (``batch``), whose generators, eigensolves and
   solves run along a leading point axis; every generator a pass needs
   before its first eigensolve is a member of the batch's reference build.
+  The expansion is fitted on one normalized flux grid (``FIT_FLUXES``), so
+  one least-squares projector, built at import, fits every point at once.
   A stacked call raises the error of the first point that fails a check.
 """
 
@@ -48,10 +50,21 @@ from .errors import FitResidualExceeded, GapTooSmall
 from .liouvillian import (WITHIN, bordered, build_two_sided, dissipator_sum,
                           sector, trace_vector)
 from .params import (DerivedQuantities, ModelParams, MoleculeParams,
-                     SampleParams, stack)
+                     SampleParams, coefficient, stack)
 
 # Largest relative residual of the intensity-expansion fit.
 FIT_RESIDUAL_TOL = 1e-3
+
+# The intensity expansion's fluxes x = J/J0, ten log-spaced over the decade
+# below J0, and the least-squares projectors (pseudo-inverses) of its two
+# designs in x: pinned (x^2, x^3, x^4 after the known linear term) and free
+# (x, x^2, x^3).  The normal equations and one Newton-Schulz step give them
+# to 1e-15, without the LAPACK code an SVD (``pinv``) would load.
+FIT_FLUXES = np.geomspace(0.1, 1.0, 10)
+_DESIGNS = {pin: FIT_FLUXES[:, None] ** np.array(powers)
+            for pin, powers in ((True, [2, 3, 4]), (False, [1, 2, 3]))}
+_PROJECTORS = {pin: 2 * p - p @ design @ p for pin, design in _DESIGNS.items()
+               for p in [np.linalg.solve(design.T @ design, design.T)]}
 
 # Smallest spectral gap, as a fraction of the decay rate, at which the
 # dominant branch is still tracked.  The chemical relaxation mode makes the
@@ -102,6 +115,7 @@ def batch(points) -> Batch:
 
 @dataclass(frozen=True)
 class DiffusionExpansion:
+    """One point's expansion, or a stack's with a leading point axis."""
     D1: np.ndarray = field(repr=False)  # 2x2, m^2 (order-J coefficient)
     D2: np.ndarray = field(repr=False)  # 2x2, m^4 s (order-J^2 coefficient)
     fit_residual: float
@@ -284,48 +298,15 @@ def diffusion_rate(params: ModelParams, J) -> np.ndarray:
     return detector_rate(c2, c1[..., 0] + c1[..., 1])
 
 
-def _fit(j0, s_plus, x, rates, pin_linear):
-    """The intensity expansion of one point from its rates (m, 2, 2) at
-    the fluxes x * J0; see ``fit_diffusion_expansion``."""
-    flat = rates.reshape(len(x), 4)
-    norm = np.linalg.norm(flat)
-
-    if pin_linear:
-        d1 = s_plus * np.eye(2)
-        linear = np.outer(x, (s_plus * j0) * np.eye(2).ravel())
-        design = np.vstack([x**2, x**3, x**4]).T  # normalized flux
-        coeffs, *_ = np.linalg.lstsq(design, flat - linear, rcond=None)
-        model = linear + design @ coeffs
-        d2 = 2.0 * coeffs[0].reshape(2, 2) / j0**2
-    else:
-        design = np.vstack([x, x**2, x**3]).T
-        coeffs, *_ = np.linalg.lstsq(design, flat, rcond=None)
-        model = design @ coeffs
-        d1 = coeffs[0].reshape(2, 2) / j0
-        d2 = 2.0 * coeffs[1].reshape(2, 2) / j0**2
-
-    # Judge adequacy against the fitted polynomial family including the
-    # nuisance columns: near resonance the saturation corrections to the
-    # dominant chemical term are real (few 1e-3 relative) and must not abort
-    # sweeps that traverse resonance, while noisy or non-polynomial data
-    # still trips the threshold.
-    residual = np.linalg.norm(model - flat) / norm if norm > 0 else 0.0
-    if residual > FIT_RESIDUAL_TOL:
-        raise FitResidualExceeded(
-            f"intensity expansion residual {residual:.2e} "
-            f"exceeds {FIT_RESIDUAL_TOL:.0e}")
-    return DiffusionExpansion(D1=d1, D2=d2, fit_residual=float(residual))
-
-
 def fit_diffusion_expansion(params, s_plus=None, pin_linear: bool = True):
     """Least-squares fit of the per-molecule rate to D1*J + (1/2)*D2*J^2
-    through the origin, on ten log-spaced fluxes spanning the decade below
-    J0, all ten rates from one ``diffusion_rate`` call on the flux grid; a
-    relative residual above ``FIT_RESIDUAL_TOL`` raises
-    ``FitResidualExceeded``.  A ``Batch``, with its points' S_plus, gives
-    a list of their ``DiffusionExpansion``s, or raises the error of the
-    first point whose fit fails: the rates of all points from one
-    ``diffusion_rate`` call, the fits point by point.
+    through the origin, on the fluxes ``FIT_FLUXES`` * J0, all ten rates
+    from one ``diffusion_rate`` call; a relative residual above
+    ``FIT_RESIDUAL_TOL`` raises ``FitResidualExceeded``.  A ``Batch``, with
+    its points' S_plus, gives one ``DiffusionExpansion`` of stacked fields,
+    (n, 2, 2) coefficients and (n,) residuals, or raises the error of the
+    first point whose fit fails: every point's coefficients come from one
+    product of the design's projector with the stacked rates.
 
     At slow reaction rates the quadratic chemical term exceeds the linear
     coefficient by many orders of magnitude, and higher-order saturation
@@ -343,15 +324,35 @@ def fit_diffusion_expansion(params, s_plus=None, pin_linear: bool = True):
     retained as a consistency check on the pinned structure.
     """
     if not isinstance(params, Batch):
-        expansion, = fit_diffusion_expansion(
+        stacked = fit_diffusion_expansion(
             batch([params]), None if s_plus is None else [s_plus], pin_linear)
-        return expansion
-    j0 = params.derived.photon_flux_j0
-    # one point per row (a C-ordered copy: geomspace is faster on axis 0)
-    J_grid = np.geomspace(j0[:, 0] / 10.0, j0[:, 0], 10).T.copy()
-    rates = diffusion_rate(params, J_grid)                # (n, m, 2, 2)
-    if s_plus is None:
-        s_plus = (np.add(*cross_sections(params)) if pin_linear
-                  else [None] * len(rates))
-    return [_fit(*row, pin_linear) for row in zip(
-        j0[:, 0].tolist(), s_plus, J_grid / j0, rates)]
+        return DiffusionExpansion(stacked.D1[0], stacked.D2[0],
+                                  float(stacked.fit_residual[0]))
+    j0 = params.derived.photon_flux_j0[..., None]         # (n, 1, 1)
+    rates = diffusion_rate(params, j0[..., 0] * FIT_FLUXES).reshape(-1, 10, 4)
+    fitted = rates
+    if pin_linear:
+        if s_plus is None:
+            s_plus = np.add(*cross_sections(params))
+        d1 = coefficient(s_plus) * np.eye(2)
+        fitted = rates - FIT_FLUXES[:, None] * (d1 * j0).reshape(-1, 1, 4)
+    coeffs = _PROJECTORS[pin_linear] @ fitted             # (n, 3, 4)
+    if not pin_linear:
+        d1 = coeffs[:, 0].reshape(-1, 2, 2) / j0
+    d2 = 2.0 * coeffs[:, int(not pin_linear)].reshape(-1, 2, 2) / j0**2
+
+    # Judge adequacy against the fitted polynomial family including the
+    # nuisance columns: near resonance the saturation corrections to the
+    # dominant chemical term are real (few 1e-3 relative) and must not abort
+    # sweeps that traverse resonance, while noisy or non-polynomial data
+    # still trips the threshold.
+    norm = np.linalg.norm(rates, axis=(1, 2))
+    residual = np.divide(
+        np.linalg.norm(_DESIGNS[pin_linear] @ coeffs - fitted, axis=(1, 2)),
+        norm, out=np.zeros_like(norm), where=norm > 0)
+    failed = residual > FIT_RESIDUAL_TOL
+    if failed.any():
+        raise FitResidualExceeded(
+            f"intensity expansion residual {residual[failed.argmax()]:.2e} "
+            f"exceeds {FIT_RESIDUAL_TOL:.0e}")
+    return DiffusionExpansion(D1=d1, D2=d2, fit_residual=residual)

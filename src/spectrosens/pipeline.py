@@ -53,10 +53,9 @@ def _full_quantities(batch):
     shape of the stacked fields."""
     # looked up per call, so that wrappers installed on the modules apply
     s1, s2 = fcs.cross_sections(batch)
-    expansions = fcs.fit_diffusion_expansion(batch, s1 + s2)
-    return ((s1 + s2)[:, None], (s1 - s2)[:, None],
-            *(np.array([getattr(e, name) for e in expansions])[:, None]
-              for name in ("D1", "D2", "fit_residual")))
+    expansion = fcs.fit_diffusion_expansion(batch, s1 + s2)
+    return ((s1 + s2)[:, None], (s1 - s2)[:, None], expansion.D1[:, None],
+            expansion.D2[:, None], expansion.fit_residual[:, None])
 
 
 def _adiabatic_quantities(params):
@@ -166,10 +165,9 @@ def evaluate_points(points, route: str = "full") -> list:
 
     Every stage runs for all points at once, on arrays along a leading
     point axis: the full route's two generator builds (``fcs.batch``'s
-    reference build and the Richardson stencil's), its eigensolves and
-    bordered solves, the adiabatic route's closed forms, the transport and
-    the report.  Only the flux fit of ``fcs.fit_diffusion_expansion`` runs
-    point by point, and a pass of one point runs the closed forms on numpy
+    reference build and the Richardson stencil's), its eigensolves, bordered
+    solves and flux fit, the adiabatic route's closed forms, the transport
+    and the report.  Only a pass of one point runs the closed forms on numpy
     scalars.  A stage raises the error of its first failing point; the pass
     then runs again on each half of its points, down to single points, so
     that a failing point ends in the error it raises alone and each other

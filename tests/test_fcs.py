@@ -13,6 +13,7 @@ from spectrosens.liouvillian import (build_two_sided, dissipator_sum,
                                      two_sided)
 from spectrosens.params import default_config, from_config, stack
 from spectrosens.pipeline import evaluate_point
+from fits import lstsq_expansion
 from stencils import gradient, hessian, richardson
 
 
@@ -155,6 +156,64 @@ FLUX_STACK_POINTS = {
 }
 
 
+@pytest.mark.parametrize("pin_linear", [True, False], ids=["pinned", "free"])
+@pytest.mark.parametrize("config", FLUX_STACK_POINTS.values(),
+                         ids=FLUX_STACK_POINTS.keys())
+def test_expansion_equals_lstsq_reference(config, pin_linear):
+    """The projector gives the D2 of a per-point least-squares fit on the
+    same design and rates."""
+    params = from_config(config)
+    j0 = params.derived.photon_flux_j0
+    rates = fcs.diffusion_rate(params, j0 * fcs.FIT_FLUXES)
+    s_plus = sum(fcs.cross_sections(params)) if pin_linear else None
+    expansion = fcs.fit_diffusion_expansion(params, s_plus, pin_linear)
+    d2, _ = lstsq_expansion(fcs.FIT_FLUXES, rates, j0, s_plus)
+    assert np.max(np.abs(expansion.D2 - d2)) <= 1e-10 * np.max(np.abs(d2))
+
+
+def test_fit_residual_guard_names_the_failing_point(monkeypatch):
+    """In a stack whose middle point gets noisy rates, the fit raises for
+    that point, with its residual in the message."""
+    batch = fcs.batch([from_config({}), from_config({"detuning_a_mhz": 25.0}),
+                       from_config({"rate_a_mhz": 3.0, "rate_b_mhz": 60.0})])
+    rate = fcs.diffusion_rate
+
+    def noisy(params, J):
+        rates = rate(params, J)
+        x = J / params.derived.photon_flux_j0
+        rates[1] *= (1 + 0.05 * np.sin(x[1] * 37))[:, None, None]
+        return rates
+
+    j0 = batch.derived.photon_flux_j0[1, 0]
+    s_plus = np.add(*fcs.cross_sections(batch))
+    _, residual = lstsq_expansion(
+        fcs.FIT_FLUXES, noisy(batch, j0 * fcs.FIT_FLUXES)[1], j0, s_plus[1])
+    monkeypatch.setattr(fcs, "diffusion_rate", noisy)
+    with pytest.raises(FitResidualExceeded) as info:
+        fcs.fit_diffusion_expansion(batch, s_plus)
+    assert residual > fcs.FIT_RESIDUAL_TOL
+    assert float(str(info.value).split()[3]) == pytest.approx(residual,
+                                                               rel=1e-2)
+
+
+@pytest.mark.parametrize("pin_linear", [True, False], ids=["pinned", "free"])
+def test_zero_rates_fit_with_zero_residual(monkeypatch, pin_linear):
+    """A point whose rates are all zero has nothing to judge the fit by:
+    its residual is 0, beside a point whose residual is not."""
+    batch = fcs.batch([from_config({}), from_config({"detuning_a_mhz": 25.0})])
+    rate = fcs.diffusion_rate
+
+    def zeroed(params, J):
+        rates = rate(params, J)
+        rates[0] = 0.0
+        return rates
+
+    monkeypatch.setattr(fcs, "diffusion_rate", zeroed)
+    residual = fcs.fit_diffusion_expansion(batch,
+                                           pin_linear=pin_linear).fit_residual
+    assert residual[0] == 0.0 and 0.0 < residual[1] < fcs.FIT_RESIDUAL_TOL
+
+
 @pytest.mark.parametrize("config", FLUX_STACK_POINTS.values(),
                          ids=FLUX_STACK_POINTS.keys())
 def test_stacked_diffusion_rate_equals_scalar_calls(config):
@@ -255,10 +314,10 @@ def test_batch_stages_share_its_build(monkeypatch):
               [from_config({"rate_a_mhz": 3e-3, "dipole_b_debye": 0.6}),
                from_config({"detuning_a_mhz": -60.0})]]
 
-    def digest(sections, expansions):
-        return ([part.tobytes() for part in sections],
-                [(e.D1.tobytes(), e.D2.tobytes(), e.fit_residual)
-                 for e in expansions])
+    def digest(sections, expansion):
+        return [part.tobytes() for part in (*sections, expansion.D1,
+                                            expansion.D2,
+                                            expansion.fit_residual)]
 
     alone = []
     for points in groups:

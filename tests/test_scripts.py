@@ -186,16 +186,18 @@ def test_mc_validation_script_runs():
 
 
 def test_outcome_digest_script_runs():
-    """scripts/outcome_digest.py prints one sha256 over the point outcomes,
-    one over the adiabatic composition, one per sweep grid and route, and
-    one over the standalone fcs calls on single points."""
+    """scripts/outcome_digest.py prints one sha256 per route over the point
+    outcomes, one over the adiabatic composition, one per sweep grid and
+    route, and one over the standalone fcs calls on single points."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable,
                            str(ROOT / "scripts" / "outcome_digest.py")],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = [line.split() for line in proc.stdout.splitlines()]
-    assert [line[:-1] for line in lines] == [["points"], ["adiabatic"]] + [
+    assert [line[:-1] for line in lines] == [
+        ["points", route] for route in ("full", "adiabatic", "both")] + [
+        ["adiabatic"]] + [
         ["sweep", name, route] for name in ("gap", "gap-wide",
                                             "detuning-rate", "density-edge",
                                             "far-detuned", "fig-rate",

@@ -1,5 +1,6 @@
 """The stacked closed forms of a pass (the weak-field expansion, the
-transport and the report) against per-point scalar calls, byte for byte."""
+transport and the report) and the stacked intensity-expansion fit against
+per-point calls, byte for byte."""
 
 import dataclasses
 import re
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spectrosens import adiabatic, estimation, pipeline, propagation
+from spectrosens import adiabatic, estimation, fcs, pipeline, propagation
 from spectrosens.params import from_config, stack
 
 
@@ -115,6 +116,33 @@ def test_stacked_transport_and_report_equal_each_point():
             diagnostics={key: value[row, 0]
                          for key, value in report.diagnostics.items()}))
     assert np.isinf(report.rel_phase).any() and keep[6]
+
+
+@pytest.mark.parametrize("pin_linear", [True, False], ids=["pinned", "free"])
+def test_expansion_bytes_do_not_depend_on_the_stack(pin_linear):
+    """A point's fitted D1, D2 and residual are the same bytes in passes of
+    1, 2, 12 and 100 points and from the single-point call, so the
+    projector product and the residual norms act on each point alone."""
+    rng = np.random.default_rng(20261020)
+    points = []
+    for _ in range(100):
+        rate = float(10.0 ** rng.uniform(-6.0, 0.5))
+        points.append(from_config({
+            "detuning_a_mhz": float(rng.uniform(-80.0, 80.0)),
+            "rate_a_mhz": rate,
+            "rate_b_mhz": float(rate * rng.uniform(0.5, 3.0)),
+            "dipole_b_debye": float(rng.choice([0.0, 0.5]))}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        singles = [_bytes(fcs.fit_diffusion_expansion(
+            p, pin_linear=pin_linear)) for p in points]
+        for n in (1, 2, 12, 100):
+            stacked = fcs.fit_diffusion_expansion(fcs.batch(points[:n]),
+                                                  pin_linear=pin_linear)
+            assert [_bytes(dataclasses.replace(
+                stacked, **{f.name: getattr(stacked, f.name)[i]
+                            for f in dataclasses.fields(stacked)}))
+                for i in range(n)] == singles[:n]
 
 
 @pytest.mark.parametrize("route", pipeline.ROUTES)
