@@ -6,8 +6,9 @@ dissipation) the counting statistics factorize into statistics conditioned on
 the chemical state plus a telegraph-noise term.  The telegraph term carries a
 factor 2*t_R (second derivative of the two-state eigenvalue; equivalently the
 stationary variance of a time-integrated telegraph signal).
-The closed forms (the weak-field method) are elementwise in the fields of
-points stacked by ``params.stack``: vectors and matrices gain the last axes.
+The closed forms (the weak-field method) are one expression for both
+chemical states, on a leading state axis (A, B), and elementwise in the fields
+of points stacked by ``params.stack``: vectors and matrices gain last axes.
 """
 
 from __future__ import annotations
@@ -39,18 +40,22 @@ def reaction_time(params: ModelParams) -> float:
     return 1.0 / (mol.rate_a + mol.rate_b)
 
 
-def _state_constants(params: ModelParams, state: str):
-    """(Rabi frequency, detuning, beta^2, decay rate) of the state as numpy
-    floats, whose squares saturate to inf where Python floats would raise
-    OverflowError."""
+def _constants(params: ModelParams):
+    """(Rabi frequency, detuning, beta^2, decay rate) of states A and B on a
+    leading axis, as numpy floats, whose squares saturate to inf where
+    Python floats would raise OverflowError."""
     mol, der = params.molecule, params.derived
-    if state == "A":
-        constants = der.rabi_a, mol.detuning_a, der.beta_sq_a
-    elif state == "B":
-        constants = der.rabi_b, mol.detuning_b, der.beta_sq_b
-    else:
+    return np.float64(((der.rabi_a, der.rabi_b),
+                       (mol.detuning_a, mol.detuning_b),
+                       (der.beta_sq_a, der.beta_sq_b),
+                       (mol.decay_gamma, mol.decay_gamma)))
+
+
+def _index(state: str) -> int:
+    """The position of a chemical state on the state axis."""
+    if state not in ("A", "B"):
         raise ValueError(f"unknown chemical state {state!r}")
-    return np.float64((*constants, mol.decay_gamma))
+    return "AB".index(state)
 
 
 def warn_if_nonadiabatic(params):
@@ -65,19 +70,26 @@ def warn_if_nonadiabatic(params):
 # conditioned quantities
 # ---------------------------------------------------------------------------
 
-def conditioned_cross_sections(params: ModelParams, state: str):
-    """(S_plus|state, S_minus|state) in m^2, weak-field Lorentzian forms."""
-    _, eps, beta_sq, gamma = _state_constants(params, state)
+def _cross_sections(constants):
+    """(S_plus, S_minus) in m^2 from the states' ``_constants``,
+    weak-field Lorentzian forms."""
+    _, eps, beta_sq, gamma = constants
     denom = 4.0 * power(eps, 2) + power(gamma, 2)
     return 0.5 * gamma * beta_sq / denom, eps * beta_sq / denom
 
 
-def _curvature_weak_field(params, state, J):
-    """Second-derivative matrix of the conditioned eigenvalue to leading
-    order in the drive (counting order, 1/s), from the characteristic
-    polynomial of the conditioned tilted generator."""
-    rabi, eps, _, gamma = _state_constants(params, state)
-    w = power(rabi, 2) * (J / params.derived.photon_flux_j0)
+def conditioned_cross_sections(params: ModelParams, state: str):
+    """(S_plus|state, S_minus|state) in m^2, weak-field Lorentzian forms."""
+    return _cross_sections(_constants(params)[:, _index(state)])
+
+
+def _curvature_weak_field(constants, x):
+    """Second-derivative matrices of the conditioned eigenvalues, from the
+    states' ``_constants``, at the flux x = J/J0, to leading order in the
+    drive (counting order, 1/s), from the characteristic polynomial of the
+    conditioned tilted generator."""
+    rabi, eps, _, gamma = constants
+    w = power(rabi, 2) * x
     u = (gamma / 8.0)[..., None] + (eps / 4.0)[..., None] * _SIGNS
     eps_sq, w_sq = power(eps, 2), power(w, 2)
     a1 = eps_sq + power(gamma, 2) / 4.0
@@ -91,7 +103,7 @@ def _curvature_weak_field(params, state, J):
 
 def _conditioned_model(params, state, J):
     """The state's driven two-level block at flux J and its decay."""
-    rabi, eps, _, gamma = _state_constants(params, state)
+    rabi, eps, _, gamma = _constants(params)[:, _index(state)]
     scale = np.sqrt(J / params.derived.photon_flux_j0)
     return ((eps, rabi * scale),), gamma * UNIT_DECAY
 
@@ -115,28 +127,35 @@ def conditioned_first_cumulants(params: ModelParams, state: str,
     return _conditioned_cumulants(params, state, J)[0]
 
 
-def _statistics(params, state, J, method):
-    """(c1, curvature) of the state at flux J (counting order, 1/s) by
-    ``method``: "exact" from one solve of the conditioned generator,
+def _statistics(params, J, method, states=slice(None)):
+    """(c1, curvature) of states A and B at flux J on a leading state axis,
+    or of the ``states`` slice of them (counting order, 1/s), by ``method``:
+    "exact" from one solve of each state's conditioned generator,
     "weak_field" to leading order in the drive, c1 as J times the
     Lorentzian channels (S_plus - S_minus) / 2 and (S_plus + S_minus) / 2.
     This is the one place an unknown ``method`` raises ``ValueError``."""
     if method == "exact":
-        return _conditioned_cumulants(params, state, J)
+        c1, c2 = zip(*(_conditioned_cumulants(params, state, J)
+                       for state in "AB"[states]))
+        return np.stack(c1), np.stack(c2)
     if method == "weak_field":
-        s_plus, s_minus = conditioned_cross_sections(params, state)
+        constants = _constants(params)
+        s_plus, s_minus = _cross_sections(constants)
         # (S_plus - S_minus) / 2 and (S_plus + S_minus) / 2
         c1 = np.asarray(J)[..., None] * (
             (s_plus[..., None] + s_minus[..., None] * _SIGNS) / 2.0)
-        return c1, _curvature_weak_field(params, state, J)
+        curvature = _curvature_weak_field(
+            constants, J / params.derived.photon_flux_j0)
+        return c1[states], curvature[states]
     raise ValueError(f"unknown method {method!r}")
 
 
 def conditioned_rate(params: ModelParams, state: str, J: float,
                      method: str = "exact") -> np.ndarray:
     """Per-molecule conditioned second-cumulant rate (detector order, 1/s)."""
-    c1, curvature = _statistics(params, state, J, method)
-    return detector_rate(curvature, c1[..., 0] + c1[..., 1])
+    i = _index(state)
+    c1, curvature = _statistics(params, J, method, slice(i, i + 1))
+    return detector_rate(curvature[0], c1[0, ..., 0] + c1[0, ..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +165,9 @@ def conditioned_rate(params: ModelParams, state: str, J: float,
 def effective_cross_sections(params: ModelParams):
     """(S_plus, S_minus): stationary-probability weighted cross sections."""
     p_a, p_b = stationary_probabilities(params)
-    sa = conditioned_cross_sections(params, "A")
-    sb = conditioned_cross_sections(params, "B")
-    return (p_a * sa[0] + p_b * sb[0], p_a * sa[1] + p_b * sb[1])
+    s_plus, s_minus = _cross_sections(_constants(params))
+    return (p_a * s_plus[0] + p_b * s_plus[1],
+            p_a * s_minus[0] + p_b * s_minus[1])
 
 
 def _telegraph_term(params, c1):
@@ -164,8 +183,7 @@ def _telegraph_term(params, c1):
 def chemical_rate_term(params: ModelParams, J: float,
                        method: str = "exact") -> np.ndarray:
     """Telegraph contribution to the per-molecule rate: 2 t_R p_A p_B dS dS^T."""
-    c1 = [_statistics(params, state, J, method)[0] for state in "AB"]
-    return _telegraph_term(params, c1)
+    return _telegraph_term(params, _statistics(params, J, method)[0])
 
 
 def adiabatic_rate(params: ModelParams, J: float,
@@ -173,13 +191,10 @@ def adiabatic_rate(params: ModelParams, J: float,
     """Per-molecule diffusion rate composed from conditioned statistics plus
     the telegraph term (detector order, 1/s)."""
     p_a, p_b = stationary_probabilities(params)
-    (c1_a, curvature_a), (c1_b, curvature_b) = (
-        _statistics(params, state, J, method) for state in "AB")
-    return (coefficient(p_a) * detector_rate(curvature_a,
-                                         c1_a[..., 0] + c1_a[..., 1])
-            + coefficient(p_b) * detector_rate(curvature_b,
-                                           c1_b[..., 0] + c1_b[..., 1])
-            + _telegraph_term(params, (c1_a, c1_b)))
+    c1, curvature = _statistics(params, J, method)
+    rates = detector_rate(curvature, c1[..., 0] + c1[..., 1])
+    return (coefficient(p_a) * rates[0] + coefficient(p_b) * rates[1]
+            + _telegraph_term(params, c1))
 
 
 def weak_field_expansion(params: ModelParams):

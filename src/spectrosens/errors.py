@@ -61,9 +61,9 @@ POINT_ERRORS = (ModelError, ArithmeticError, np.linalg.LinAlgError)
 
 
 def some(mask) -> bool:
-    """Whether a mask over stacked points (a scalar at one point) is true
-    anywhere, without ``np.any``'s cost on a numpy scalar."""
-    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+    """Whether a mask over stacked points (or at one point) is true
+    anywhere, without ``np.any``'s cost on a small array."""
+    return bool(np.count_nonzero(mask))
 
 
 def raise_first(*checks) -> None:

@@ -33,6 +33,7 @@ REGIME_PSNL = "PSNL"
 REGIME_CL = "CL"
 REGIME_IR = "IR"
 REGIME_UNCLASSIFIED = "Unclassified"
+_LABELS = np.array([REGIME_UNCLASSIFIED, REGIME_PSNL, REGIME_CL, REGIME_IR])
 
 
 @dataclass(frozen=True)
@@ -115,18 +116,15 @@ def cramer_rao_full(signal: np.ndarray, sigma2: np.ndarray, checks=None):
 
 
 def classify_regime(sigma_plus_ratio, sigma_minus_ratio):
-    """Label the noise regime from the variance-to-shot-noise ratios."""
+    """Label the noise regime from the variance-to-shot-noise ratios, of
+    one point or of stacked points."""
     near_shot = 1.0 + REGIME_DELTA
     plus_low = sigma_plus_ratio < near_shot
     minus_high = sigma_minus_ratio > REGIME_THETA
-    # the labelled regimes exclude each other
-    labelled = ((plus_low & (sigma_minus_ratio < near_shot), REGIME_PSNL),
-                ((sigma_plus_ratio > REGIME_THETA) & minus_high, REGIME_CL),
-                (plus_low & minus_high, REGIME_IR))
-    if isinstance(plus_low, np.ndarray):
-        return np.select(*zip(*labelled), REGIME_UNCLASSIFIED)
-    return next((label for mask, label in labelled if mask),
-                REGIME_UNCLASSIFIED)
+    # the labelled regimes exclude each other, so at most one term is set
+    return _LABELS[(plus_low & (sigma_minus_ratio < near_shot))
+                   + 2 * ((sigma_plus_ratio > REGIME_THETA) & minus_high)
+                   + 3 * (plus_low & minus_high)]
 
 
 def sensitivity_report(params: ModelParams, s_plus, s_minus,
@@ -146,20 +144,21 @@ def sensitivity_report(params: ModelParams, s_plus, s_minus,
     n_p, dn_drho, dphi_drho, signal = _transported_signal(
         params, s_plus, s_minus, z)
     # V_PLUS @ sigma2 @ V_PLUS and V_MINUS @ sigma2 @ V_MINUS
-    sigma_plus_sq = ((sigma2[..., 0, 0] + sigma2[..., 1, 0])
-                     + (sigma2[..., 0, 1] + sigma2[..., 1, 1]))
-    sigma_minus_sq = ((sigma2[..., 0, 0] - sigma2[..., 1, 0])
-                      - (sigma2[..., 0, 1] - sigma2[..., 1, 1]))
+    sums = sigma2[..., 0, :] + sigma2[..., 1, :]
+    differences = sigma2[..., 0, :] - sigma2[..., 1, :]
+    sigma_plus_sq = sums[..., 0] + sums[..., 1]
+    sigma_minus_sq = differences[..., 0] - differences[..., 1]
     psn = 2.0 * n_p
     checks = [_zero_signal(signal)]
     rel_full = cramer_rao_full(signal, sigma2, checks) / rho
 
     variance = sigma_plus_sq - n_p
-    rel_intensity = np.sqrt(variance) / np.abs(dn_drho) / rho
+    intensity_slope = np.abs(dn_drho)
+    rel_intensity = np.sqrt(variance) / intensity_slope / rho
 
-    phase_slope = n_p * dphi_drho
-    flat = np.abs(phase_slope) < SIGNAL_FLOOR
-    rel_phase = np.divide(np.sqrt(sigma_minus_sq), np.abs(phase_slope),
+    phase_slope = np.abs(n_p * dphi_drho)
+    flat = phase_slope < SIGNAL_FLOOR
+    rel_phase = np.divide(np.sqrt(sigma_minus_sq), phase_slope,
                           out=np.full(np.shape(flat), np.inf),
                           where=~flat) / rho
 
@@ -169,7 +168,7 @@ def sensitivity_report(params: ModelParams, s_plus, s_minus,
 
     raise_first(
         *checks,
-        (np.abs(dn_drho) < SIGNAL_FLOOR, DegenerateSignal,
+        (intensity_slope < SIGNAL_FLOOR, DegenerateSignal,
          "intensity signal derivative is zero"),
         (variance <= 0, SingularCovariance,
          "non-positive direct-detection variance"),

@@ -1,7 +1,8 @@
 """End-to-end evaluation of parameter points: cross sections, diffusion
 expansion, transported covariance, and the sensitivity report.  A list of
 points is evaluated in one stacked pass (``evaluate_points``), and a single
-point is that pass at one point (``evaluate_point``).
+point is that pass at one point (``evaluate_point``): a stack of one, which
+runs the same code as any other pass.
 
 Two routes are provided.  The ``full`` route extracts everything from the
 tilted superoperator of the chemical model; the ``adiabatic`` route is the
@@ -83,15 +84,11 @@ def _relative_deviation(full, adia):
 def _result(params, s_plus, s_minus, d1, d2):
     """(sigma2, report) at each point's fixed depth or, where it has none
     (nan), at z_opt."""
-    z = params.sample.thickness
-    if isinstance(z, np.ndarray):
-        optimal = np.isnan(z)
-        # a fixed-depth point needs no optimal depth: an infinite S+ passes
-        # the threshold and gives depth 0, which its thickness replaces
-        z = np.where(optimal, z_optimal(params, np.where(optimal, s_plus,
-                                                         np.inf)), z)
-    elif z is None:
-        z = z_optimal(params, s_plus)
+    optimal = np.isnan(params.sample.thickness)
+    # a fixed-depth point needs no optimal depth: an infinite S+ passes the
+    # threshold and gives depth 0, which its thickness replaces
+    z = np.where(optimal, z_optimal(params, np.where(optimal, s_plus, np.inf)),
+                 params.sample.thickness)
     if some(~np.isfinite(z)):
         # rho_M S+ underflows (density 1e-300): the optimal depth, and the
         # covariance transported that far, leave the float range
@@ -101,33 +98,21 @@ def _result(params, s_plus, s_minus, d1, d2):
 
 
 def _evaluate(points, route) -> list:
-    n = len(points)
     if route == "adiabatic":
         stacked = stack(points)
         gaps = _spectral_gaps(build_two_sided(stacked, (0.0, 0.0)))
+        quantities = _adiabatic_quantities(stacked)
     else:
         # the untilted generator is the first member of the reference build
         # that the full route's cross sections and expansion share
         stacked = fcs.batch(points)
         gaps = _spectral_gaps(stacked.built[:, :1])
-    # one point runs the closed forms on its own parameters, in numpy
-    # scalars, which are several times cheaper than arrays of one
-    params = points[0] if n == 1 else stacked
-    if route == "adiabatic":
-        quantities = _adiabatic_quantities(params)
-    else:
         quantities = _full_quantities(stacked)
-        if n == 1:
-            quantities = [value[0, 0] for value in quantities]
-    deviations = [None] * n
+    deviations = [None] * len(points)
     if route == "both":
-        deviations = np.reshape(_relative_deviation(
-            quantities, _adiabatic_quantities(params)), n).tolist()
-    sigma2, report = _result(params, *quantities[:4])
-    if n == 1:
-        return [PointResult(*quantities[:2],
-                            fcs.DiffusionExpansion(*quantities[2:]), sigma2,
-                            report, route, gaps[0], deviations[0])]
+        deviations = _relative_deviation(
+            quantities, _adiabatic_quantities(stacked)).ravel().tolist()
+    sigma2, report = _result(stacked, *quantities[:4])
     numbers = [value.ravel().tolist() for value in (
         *quantities[:2], quantities[4], report.rel_full,
         report.rel_intensity, report.rel_phase, report.rel_psn,
@@ -164,15 +149,14 @@ def evaluate_points(points, route: str = "full") -> list:
     it ended in (``POINT_ERRORS``).
 
     Every stage runs for all points at once, on arrays along a leading
-    point axis: the full route's two generator builds (``fcs.batch``'s
-    reference build and the Richardson stencil's), its eigensolves, bordered
-    solves and flux fit, the adiabatic route's closed forms, the transport
-    and the report.  Only a pass of one point runs the closed forms on numpy
-    scalars.  A stage raises the error of its first failing point; the pass
-    then runs again on each half of its points, down to single points, so
-    that a failing point ends in the error it raises alone and each other
-    point keeps its result from a stacked pass.  One failing point among
-    n = 2^k costs 2k + 1 passes.
+    point axis, a pass of one point too: the full route's two generator
+    builds (``fcs.batch``'s reference build and the Richardson stencil's),
+    its eigensolves, bordered solves and flux fit, the adiabatic route's
+    closed forms, the transport and the report.  A stage raises the error
+    of its first failing point; the pass then runs again on each half of
+    its points, down to single points, so that a failing point ends in the
+    error it raises alone and each other point keeps its result from a
+    stacked pass.  One failing point among n = 2^k costs 2k + 1 passes.
 
     This is the one place that sets numpy's floating-point error state.
     Far out in rate, detuning or density the arithmetic saturates to 0, inf

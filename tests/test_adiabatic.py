@@ -86,7 +86,9 @@ def test_weak_field_curvature_matches_exact(default_params):
     does not), so the comparison is made at 1% of the reference flux where
     saturation corrections are still below 1%."""
     J = default_params.derived.photon_flux_j0 * 1e-2
-    weak = adiabatic._curvature_weak_field(default_params, "A", J)
+    weak = adiabatic._curvature_weak_field(
+        adiabatic._constants(default_params),
+        J / default_params.derived.photon_flux_j0)[0]
     fun = lambda a, b: adiabatic.conditioned_cgf(default_params, "A", a, b, J)
     exact = richardson(hessian, fun, 1e-3)
     assert np.max(np.abs(weak - exact)) < 1e-2 * np.max(np.abs(exact))
@@ -138,7 +140,9 @@ def test_weak_field_closed_form_matches_table(state, eps_mhz, flux):
     params = from_config({"dipole_b_debye": 0.6, "detuning_a_mhz": eps_mhz,
                           "detuning_b_mhz": eps_mhz})
     J = flux * params.derived.photon_flux_j0
-    closed = adiabatic._curvature_weak_field(params, state, J)
+    closed = adiabatic._curvature_weak_field(
+        adiabatic._constants(params),
+        J / params.derived.photon_flux_j0)["AB".index(state)]
     table = _table_curvature(params, state, J)
     assert np.max(np.abs(closed - table)) <= 1e-14 * np.max(np.abs(table))
 
@@ -151,8 +155,7 @@ def test_chemical_term_is_two_state_curvature():
                           "dipole_b_debye": 0.6, "detuning_b_mhz": -15.0})
     r_a, r_b = params.molecule.rate_a, params.molecule.rate_b
     J = params.derived.photon_flux_j0
-    c1 = [adiabatic._statistics(params, state, J, "weak_field")[0]
-          for state in "AB"]
+    c1 = adiabatic._statistics(params, J, "weak_field")[0]
 
     def top(s1, s2):
         s = np.stack([s1, s2], axis=-1)
@@ -178,6 +181,21 @@ def test_unknown_method_rejected(default_params, function):
     J = default_params.derived.photon_flux_j0
     with pytest.raises(ValueError, match="unknown method"):
         function(default_params, J, method="weakfield")
+
+
+@pytest.mark.parametrize("function", [
+    lambda p, J: adiabatic.conditioned_cross_sections(p, "C"),
+    lambda p, J: adiabatic.conditioned_first_cumulants(p, "C", J),
+    lambda p, J: adiabatic.conditioned_rate(p, "C", J, method="exact"),
+    lambda p, J: adiabatic.conditioned_rate(p, "C", J, method="weak_field"),
+], ids=["cross_sections", "first_cumulants", "rate_exact",
+        "rate_weak_field"])
+def test_unknown_state_rejected(default_params, function):
+    """A state off the state axis (A, B) raises ValueError, by either
+    method, instead of reading another state's constants."""
+    J = default_params.derived.photon_flux_j0
+    with pytest.raises(ValueError, match="unknown chemical state 'C'"):
+        function(default_params, J)
 
 
 @pytest.mark.parametrize("config", [

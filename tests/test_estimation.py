@@ -148,6 +148,20 @@ def test_classify_regime():
     assert estimation.classify_regime(1.5, 1.5) == "Unclassified"
 
 
+def test_classify_regime_labels_a_stack_as_each_point():
+    """One label-table lookup labels stacked ratios as it labels each
+    point; the thresholds are strict, and a nan ratio is Unclassified."""
+    plus = np.array([[1.0], [50.0], [1.05], [1.5], [np.nan], [1.1], [2.0]])
+    minus = np.array([[1.0], [400.0], [30.0], [1.5], [30.0], [30.0], [2.0]])
+    labels = estimation.classify_regime(plus, minus)
+    assert labels.shape == (7, 1)
+    assert labels.ravel().tolist() == [
+        estimation.classify_regime(a, b)
+        for a, b in zip(plus.ravel().tolist(), minus.ravel().tolist())]
+    assert labels.ravel().tolist() == ["PSNL", "CL", "IR"] + [
+        "Unclassified"] * 4
+
+
 def test_report_invariants(default_params):
     report = evaluate_point(default_params).report
     assert report.rel_full <= min(report.rel_intensity,

@@ -147,9 +147,9 @@ def test_expansion_bytes_do_not_depend_on_the_stack(pin_linear):
 
 @pytest.mark.parametrize("route", pipeline.ROUTES)
 def test_one_point_pass_equals_its_stacked_pass(route):
-    """A pass of one point, which runs the closed forms on numpy scalars,
-    gives each point's stacked outcome, bit for bit, the errors of
-    underflowing densities included."""
+    """A pass of one point, a stack of one on the same code path, gives
+    each point's outcome in the stacked pass of all of them, bit for bit,
+    the errors of underflowing densities included."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         stacked = pipeline.evaluate_points(POINTS, route)
