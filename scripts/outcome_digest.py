@@ -17,8 +17,12 @@ standalone ``fcs`` calls on single (unstacked) points at the same rate
 pairs and detunings: ``cross_sections``, ``diffusion_rate`` at J0 and at
 three fluxes, ``second_cumulant_matrix`` at a scalar and an array flux
 scale, and ``fit_diffusion_expansion`` with the linear coefficient pinned
-and free.  Run it on two versions of the code and compare the output; it
-takes a few seconds.
+and free.  Then one sha256 over the bytes of the telegraph Monte Carlo's
+``(rate, stderr)``, or its error, at seeds 0 and 2**64 - 1, 1000 and
+MC_CHUNK + 88 trajectories, with state B never entered (``rate_b = 0``),
+state A never entered (``rate_a = 0``) and rates 50:1 either way.  Run it
+on two versions of the code and compare the output; it takes a few
+seconds.
 
     PYTHONPATH=src python scripts/outcome_digest.py
 """
@@ -31,13 +35,17 @@ import warnings
 
 import numpy as np
 
-from spectrosens import adiabatic, cli, fcs, pipeline
+from spectrosens import adiabatic, cli, fcs, oracles, pipeline
 from spectrosens.params import default_config, from_config
 
 # (rate_a_mhz, rate_b_mhz)
 RATE_PAIRS = ((1e-6, 3e-6), (1e-4, 1.5e-4), (2.0, 3.0), (1e-12, 1e-12),
               (0.05, 0.02), (3.0, 60.0))
 DETUNINGS_MHZ = (-100.0, -60.0, -20.0, 0.0, 10.0, 25.0, 70.0, 500.0, 1000.0)
+
+# (rate_a_mhz, rate_b_mhz) of the Monte-Carlo line, and its seeds
+MC_RATE_PAIRS = ((1e-4, 0.0), (0.0, 1e-4), (5e-3, 1e-4), (1e-4, 5e-3))
+MC_SEEDS = (0, 2**64 - 1)
 
 # (name, base configuration, axes)
 SWEEPS = (
@@ -132,6 +140,21 @@ def fcs_digest() -> str:
     return digest.hexdigest()
 
 
+def mc_digest() -> str:
+    digest = hashlib.sha256()
+    for (ra, rb), seed, n in itertools.product(
+            MC_RATE_PAIRS, MC_SEEDS, (1000, oracles.MC_CHUNK + 88)):
+        params = from_config({"rate_a_mhz": ra, "rate_b_mhz": rb})
+        mc = oracles.McConfig(n_trajectories=n, seed=seed)
+        try:
+            rate, stderr = oracles.telegraph_mc_diffusion(params, mc)
+        except Exception as exc:   # an error is an outcome too
+            digest.update("\n".join(_flatten(exc)).encode() + b"\n\n")
+        else:
+            digest.update(rate.tobytes() + stderr.tobytes())
+    return digest.hexdigest()
+
+
 def sweep_digest(base, axes, route) -> str:
     rows = cli.run_sweep(dict(default_config(), **base), axes, route)
     stream = io.StringIO()
@@ -150,6 +173,7 @@ def main():
         for route in ("full", "both"):
             print(f"sweep {name} {route} {sweep_digest(base, axes, route)}")
     print(f"fcs {fcs_digest()}")
+    print(f"mc {mc_digest()}")
 
 
 if __name__ == "__main__":

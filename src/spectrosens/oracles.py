@@ -161,11 +161,15 @@ class McConfig:
         return dt, horizon
 
 
-# trajectories sampled per block of arrays, and the margin of a trajectory's
-# block of waiting times over its expected number of jumps m: the block holds
-# ceil(m + MC_BLOCK_MARGIN * (sqrt(m) + 1)) draws.  At the default horizon
-# a margin of 4 leaves about 1 trajectory in 10^5 to be drawn again, a
-# margin of 3 about 1 in 1600.
+# trajectories per keyed stream, and the margin of a chunk's first block of
+# waiting times over a trajectory's expected number of jumps m: the block
+# has ceil(m + MC_BLOCK_MARGIN * (sqrt(m) + 1)) columns.  MC_CHUNK is part of
+# the definition of the streams: trajectory i draws from the stream of chunk
+# i // MC_CHUNK, so changing it changes the numbers.  The margin sets only
+# how often a chunk draws a second block: at the default horizon a margin
+# of 4 leaves about 1 trajectory in 10^5 short of the first, and 77 of the
+# 2500 chunks of the bench's 500 seed-1 validate points draw one; a margin
+# of 3 leaves about 1 in 1600 short, and 1761 of those chunks draw one.
 MC_CHUNK = 2048
 MC_BLOCK_MARGIN = 4
 
@@ -218,46 +222,42 @@ def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
     """Time spent in state A over [0, horizon] by telegraph trajectories
     0 .. n-1.
 
-    Trajectory i draws from a Philox stream keyed by (seed, i): one uniform
-    for its initial state, then exact exponential waiting times.  Leaving A
-    happens at rate r_B (transfer into B) and vice versa.  Because the
-    conditioned fluxes are constant within a chemical state, occupancy times
-    integrate the flux between jumps exactly (no discretization step
-    enters).  Each trajectory takes its waiting times in one block of draws;
-    a block that ends before the horizon is drawn again twice as long, which
-    extends the same stream, so the margin of the block sets only how often
-    that happens, never the result.  One generator serves all trajectories:
-    setting the key into its fresh state gives the stream of a new
-    generator.  The fresh state holds plain lists, which the state setter
-    reads faster than arrays.
+    Chunk c, trajectories c * MC_CHUNK .. (c + 1) * MC_CHUNK - 1, draws from
+    one Philox stream keyed by (seed, c): first MC_CHUNK uniforms, one per
+    row, for the initial states, then exact exponential waiting times in
+    blocks of shape (columns, MC_CHUNK), so that row r's j-th waiting time
+    is the stream's (j * MC_CHUNK + r)-th exponential whatever the block
+    widths.  A last, partial chunk draws full blocks too, so trajectory i's
+    numbers depend on the seed and i alone.  Leaving A happens at rate r_B
+    (transfer into B) and vice versa.  Because the conditioned fluxes are
+    constant within a chemical state, occupancy times integrate the flux
+    between jumps exactly (no discretization step enters).  Rows whose
+    columns end before the horizon keep their own columns, and the next
+    block, as wide as all columns so far, extends them from the same
+    stream; so the margin of the first block sets only how often that
+    happens, never the result, and one full block at a time is alive.
     """
     stay_a, stay_b = _mean_stay(rate_b), _mean_stay(rate_a)
     jumps = 2.0 * horizon / (stay_a + stay_b)
     width = max(1, math.ceil(jumps
                              + MC_BLOCK_MARGIN * (math.sqrt(jumps) + 1)))
-
-    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bit_generator)
-    random, exponentials = rng.random, rng.standard_exponential
-    state = bit_generator.state
-    fresh = {**state, "buffer": state["buffer"].tolist(),
-             "state": {name: value.tolist()
-                       for name, value in state["state"].items()}}
-    key = fresh["state"]["key"]
     times = np.empty(n)
-    for start in range(0, n, MC_CHUNK):
-        rows, k = np.arange(start, min(start + MC_CHUNK, n)), width
-        while rows.size:
-            uniforms = []
-            draws = np.empty((rows.size, k))
-            for i, row in zip(rows.tolist(), draws):
-                key[1] = i
-                bit_generator.state = fresh
-                uniforms.append(random())
-                exponentials(out=row)
-            times[rows], short = _block_occupancy(
-                np.array(uniforms) < p_a, draws, stay_a, stay_b, horizon)
-            rows, k = rows[short], 2 * k
+    for chunk, start in enumerate(range(0, n, MC_CHUNK)):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, chunk], dtype=np.uint64)))
+        size = min(MC_CHUNK, n - start)
+        in_a = (rng.random(MC_CHUNK) < p_a)[:size]
+        rows = np.arange(size)
+        draws = rng.standard_exponential((width, MC_CHUNK))[:, :size]
+        while True:
+            time_a, short = _block_occupancy(in_a[rows], draws.T, stay_a,
+                                             stay_b, horizon)
+            times[start + rows] = time_a
+            if not short.any():
+                break
+            rows, draws = rows[short], draws[:, short]
+            draws = np.concatenate([draws, rng.standard_exponential(
+                (draws.shape[0], MC_CHUNK))[:, rows]])
     return times
 
 
@@ -268,8 +268,10 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
     Returns ``(rate, stderr)``: the 2x2 sample covariance of the
     time-integrated per-detector fluxes divided by the horizon, and its
     jackknife standard error.  For fixed seed the output is bit-reproducible
-    and independent of scheduling, because each trajectory uses a
-    counter-based generator keyed by (seed, trajectory index).
+    and independent of scheduling, because each chunk of ``MC_CHUNK``
+    trajectories draws from a counter-based generator keyed by (seed,
+    chunk index), and a trajectory's draws sit at fixed places in its
+    chunk's stream.
     """
     mol, J = params.molecule, params.derived.photon_flux_j0
     t_r = reaction_time(params)

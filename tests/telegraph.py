@@ -1,11 +1,29 @@
 """Reference telegraph sampler: one trajectory at a time, one draw per jump.
 
-The package samples trajectories in blocks of draws with cumulative sums;
-this loop, on the same (seed, i)-keyed Philox streams, is the reference
-those occupancy times must equal bit for bit.
+The package samples the trajectories of a chunk in blocks of draws taken
+column by column; this loop, on the same chunk-keyed Philox streams, is the
+reference those occupancy times must equal bit for bit.
 """
 
+import math
+
 import numpy as np
+
+from spectrosens.oracles import MC_CHUNK
+
+
+class ScriptedRng:
+    """Stands in for a generator: fixed uniform, scripted standard
+    exponential draws taken in order."""
+
+    def __init__(self, uniform, draws):
+        self.uniform, self.draws = uniform, list(draws)
+
+    def random(self):
+        return self.uniform
+
+    def exponential(self, scale):
+        return scale * self.draws.pop(0)
 
 
 def occupancy_time(rng, p_a, rate_a, rate_b, horizon):
@@ -30,10 +48,20 @@ def occupancy_time(rng, p_a, rate_a, rate_b, horizon):
 
 
 def occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
-    """Occupancy times of trajectories 0 .. n-1, trajectory i drawing from a
-    new Philox generator keyed by (seed, i)."""
-    return np.array([
-        occupancy_time(np.random.Generator(np.random.Philox(
-            key=np.array([seed, i], dtype=np.uint64))),
-            p_a, rate_a, rate_b, horizon)
-        for i in range(n)])
+    """Occupancy times of trajectories 0 .. n-1.  Chunk c of ``MC_CHUNK``
+    trajectories draws from a new Philox generator keyed by (seed, c):
+    ``MC_CHUNK`` uniforms, then one deep block of exponentials whose column
+    r holds trajectory c * MC_CHUNK + r's waiting times in order.  The
+    block holds at least 8 times the expected jumps, and a trajectory that
+    runs out of draws raises IndexError."""
+    depth = 4 * math.ceil(horizon * (rate_a + rate_b)) + 64
+    times = []
+    for chunk in range(math.ceil(n / MC_CHUNK)):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([seed, chunk], dtype=np.uint64)))
+        uniforms = rng.random(MC_CHUNK)
+        block = rng.standard_exponential((depth, MC_CHUNK))
+        for r in range(min(MC_CHUNK, n - chunk * MC_CHUNK)):
+            row = ScriptedRng(uniforms[r], block[:, r].tolist())
+            times.append(occupancy_time(row, p_a, rate_a, rate_b, horizon))
+    return np.array(times)

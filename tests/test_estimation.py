@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spectrosens import estimation, fcs, oracles, propagation
 from spectrosens.errors import SingularCovariance
@@ -85,11 +85,17 @@ def test_cramer_rao_full_singular():
        st.floats(min_value=-0.9, max_value=0.9),
        st.floats(min_value=-5.0, max_value=5.0),
        st.floats(min_value=-5.0, max_value=5.0))
+@example(a=0.5, b=0.5, corr=0.0, s1=1.1660825063167142e-159,
+         s2=1.1660825063167142e-159)
 def test_fisher_additivity(a, b, corr, s1, s2):
-    """The joint bound is never worse than either single-channel bound."""
+    """The joint bound is never worse than either single-channel bound.
+
+    Both sides scale with the square of the signal, so it is compared at
+    unit length: at |s| ~ 1e-159 the squares are subnormal, whose spacing
+    is above the 1e-9 relative tolerance."""
     sigma2 = np.array([[a, corr * math.sqrt(a * b)],
                        [corr * math.sqrt(a * b), b]])
-    signal = np.array([s1, s2])
+    signal = np.array([s1, s2]) / max(math.hypot(s1, s2), 1e-300)
     vp, vm = np.array([1.0, 1.0]), np.array([1.0, -1.0])
     fisher_full = float(signal @ np.linalg.solve(sigma2, signal))
     for v in (vp, vm):

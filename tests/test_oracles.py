@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from spectrosens import adiabatic, fcs, oracles, propagation
 from spectrosens.errors import QuadratureNotConverged, StencilUnstable
 from spectrosens.liouvillian import build_two_sided
 from spectrosens.params import from_config
-from telegraph import occupancy_time, occupancy_times
+from telegraph import ScriptedRng, occupancy_time, occupancy_times
 
 
 def test_quadrature_zero_diffusion(default_params):
@@ -214,9 +215,9 @@ def test_occupancy_times_match_loop_reference(seed, config):
 
 
 def test_occupancy_top_up_matches_loop_reference(monkeypatch):
-    """Rows whose block ends before the horizon are drawn again, longer,
-    from the same stream, and still equal the reference; at equal rates and
-    at the strongly unequal pair, whose jump count varies most."""
+    """Rows whose columns end before the horizon are extended by the next
+    block of the same stream, and still equal the reference; at equal rates
+    and at the strongly unequal pair, whose jump count varies most."""
     monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", 0)
     widths = []
     block_occupancy = oracles._block_occupancy
@@ -239,17 +240,64 @@ def test_occupancy_top_up_matches_loop_reference(monkeypatch):
         assert widths[1:] == [2 * w for w in widths[:-1]]
 
 
-class _ScriptedRng:
-    """Stands in for a generator: fixed uniform, scripted exponentials."""
+@pytest.mark.parametrize("margin", [0, 4])
+def test_trajectory_depends_on_seed_and_index_only(monkeypatch, margin):
+    """A trajectory's occupancy time is the same whatever the number of
+    trajectories run beside it, in a full chunk or a partial one, and
+    whether or not its chunk draws a second block."""
+    monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", margin)
+    params = from_config(RATE_PAIRS[2])
+    p_a, _ = adiabatic.stationary_probabilities(params)
+    mol, chunk = params.molecule, oracles.MC_CHUNK
+    horizon = 50 * adiabatic.reaction_time(params)
 
-    def __init__(self, uniform, draws):
-        self.uniform, self.draws = uniform, list(draws)
+    def times(n):
+        return oracles._occupancy_times(6, n, p_a, mol.rate_a, mol.rate_b,
+                                        horizon)
+    longer, full = times(chunk + 88), times(2 * chunk)
+    assert np.array_equal(longer[:1000], times(1000))
+    assert np.array_equal(longer, full[:chunk + 88])
+    assert np.array_equal(times(chunk + 1), full[:chunk + 1])
 
-    def random(self):
-        return self.uniform
 
-    def exponential(self, scale):
-        return scale * self.draws.pop(0)
+def test_block_margin_changes_no_byte(monkeypatch):
+    """The margin of the first block sets how often a chunk draws a second
+    one, never the rate or its standard error."""
+    cfg = oracles.McConfig(n_trajectories=oracles.MC_CHUNK + 88, seed=5)
+    for config in RATE_PAIRS[::2]:
+        params = from_config(config)
+        outcomes = set()
+        for margin in (0, 4, 10):
+            monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", margin)
+            rate, stderr = oracles.telegraph_mc_diffusion(params, cfg)
+            outcomes.add(rate.tobytes() + stderr.tobytes())
+        assert len(outcomes) == 1
+
+
+def test_top_up_holds_one_block(monkeypatch, default_params):
+    """Drawing the next block for the short rows keeps only their own
+    columns of the last one: with no margin, where about half of each
+    chunk's rows are short of the first block, a call's traced peak exceeds
+    the peak at the default margin by at most one block of the default
+    width."""
+    cfg = oracles.McConfig(n_trajectories=10_000, seed=2)
+    oracles.telegraph_mc_diffusion(default_params, cfg)
+
+    def peak():
+        tracemalloc.start()
+        try:
+            oracles.telegraph_mc_diffusion(default_params, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    mol = default_params.molecule
+    _, horizon = cfg.resolve(adiabatic.reaction_time(default_params))
+    jumps = 2.0 * horizon / (1 / mol.rate_a + 1 / mol.rate_b)
+    width = math.ceil(jumps + oracles.MC_BLOCK_MARGIN * (math.sqrt(jumps) + 1))
+    default = peak()
+    monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", 0)
+    bare = peak()
+    assert bare - default <= width * oracles.MC_CHUNK * 8
 
 
 def test_block_occupancy_clock_rounding_short_of_horizon():
@@ -266,7 +314,7 @@ def test_block_occupancy_clock_rounding_short_of_horizon():
     draws = np.array([[first, 1.0, 1.0, 1.0, 1.0, 1.0],
                       [horizon / 2, 1.0, 1.0, 1.0, 1.0, 1.0]])
     time_a, short = oracles._block_occupancy(in_a, draws, 1.0, 1.0, horizon)
-    expected = [occupancy_time(_ScriptedRng(uniform, row), 0.5, 1.0, 1.0,
+    expected = [occupancy_time(ScriptedRng(uniform, row), 0.5, 1.0, 1.0,
                                horizon)
                 for uniform, row in zip((0.0, 1.0), draws)]
     assert expected[0] > first and expected[1] == horizon / 2
@@ -361,10 +409,8 @@ def test_jackknife_matches_loop_reference(default_params):
                                     (s_plus - s_minus) / 2]))
     n = mc.n_trajectories
     samples = np.empty((n, 2))
-    for i in range(n):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([mc.seed, i], dtype=np.uint64)))
-        time_a = occupancy_time(rng, p_a, mol.rate_a, mol.rate_b, horizon)
+    for i, time_a in enumerate(occupancy_times(mc.seed, n, p_a, mol.rate_a,
+                                               mol.rate_b, horizon)):
         samples[i] = fluxes[0] * time_a + fluxes[1] * (horizon - time_a)
     sum_x = samples.sum(axis=0)
     sum_xx = np.einsum("ni,nj->ij", samples, samples)

@@ -188,7 +188,8 @@ def test_mc_validation_script_runs():
 def test_outcome_digest_script_runs():
     """scripts/outcome_digest.py prints one sha256 per route over the point
     outcomes, one over the adiabatic composition, one per sweep grid and
-    route, and one over the standalone fcs calls on single points."""
+    route, one over the standalone fcs calls on single points and one over
+    the telegraph Monte Carlo."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable,
                            str(ROOT / "scripts" / "outcome_digest.py")],
@@ -202,7 +203,7 @@ def test_outcome_digest_script_runs():
                                             "detuning-rate", "density-edge",
                                             "far-detuned", "fig-rate",
                                             "thickness")
-        for route in ("full", "both")] + [["fcs"]]
+        for route in ("full", "both")] + [["fcs"], ["mc"]]
     digests = [line[-1] for line in lines]
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef")
                for d in digests)
