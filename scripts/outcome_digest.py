@@ -12,9 +12,10 @@ state B dark and with it absorbing: ``conditioned_rate`` of A and B,
 J0/10.  Then one sha256 per
 sweep, over its CSV and every field of its rows (the route deviation of
 ``both`` too), for grids that mix results with several kinds of failure,
-on the ``full`` and ``both`` routes.  Last, one sha256 over the
-standalone ``fcs`` calls on single (unstacked) points at the same rate
-pairs and detunings: ``cross_sections``, ``diffusion_rate`` at J0 and at
+and for one whose cross sections take finite-difference steps below
+``fcs.STEP_TILT``, on the ``full`` and ``both`` routes.  Last, one sha256
+over the standalone ``fcs`` calls on single (unstacked) points at the same
+rate pairs and detunings: ``cross_sections``, ``diffusion_rate`` at J0 and at
 three fluxes, ``second_cumulant_matrix`` at a scalar and an array flux
 scale, and ``fit_diffusion_expansion`` with the linear coefficient pinned
 and free.  Then one sha256 over the bytes of the telegraph Monte Carlo's
@@ -58,6 +59,9 @@ SWEEPS = (
                          "rate,log,1e-4,1e-2,2"]),
     ("fig-rate", {}, ["rate,log,1e-6,1e2,25"]),   # the fig1c and fig3 axis
     ("thickness", {"thickness_m": 0.01}, ["detuning,linear,-50,50,5"]),
+    # at 100 mW and slow rates the step choice picks steps below STEP_TILT
+    ("step-limited", {"power_mw": 100}, ["rate,log,1e-10,1e-3,15",
+                                         "detuning,linear,-60,60,3"]),
 )
 
 

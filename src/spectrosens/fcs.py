@@ -32,8 +32,10 @@ Conventions frozen here:
   still eigensolve the full 16x16 generator.
 * Points stack.  ``cross_sections`` and ``fit_diffusion_expansion`` also
   take a ``Batch`` of points (``batch``), whose generators, eigensolves and
-  solves run along a leading point axis; every generator a pass needs
-  before its first eigensolve is a member of the batch's reference build.
+  solves run along a leading point axis.  The batch's reference build is
+  every generator a pass needs, the Richardson stencil at STEP_TILT
+  included, so one eigensolve serves the step choice and the stencil; only
+  points whose step comes out below STEP_TILT are built again.
   The expansion is fitted on one normalized flux grid (``FIT_FLUXES``), so
   one least-squares projector, built at import, fits every point at once.
   A stacked call raises the error of the first point that fails a check.
@@ -76,19 +78,32 @@ CROSS_SECTION_FLUX_FRACTION = 1e-3  # linear-response reference flux J/J0
 # The step choice's tilt, the largest finite-difference tilt.
 STEP_TILT = 1e-4
 
+
+def _stencil_tilts(h):
+    """(s1, s2) of the Richardson stencil at steps h, (..., 8) arrays for
+    an (...) array of them: +h, +h/2, -h, -h/2 on s_1, then on s_2."""
+    h = np.stack([h, np.divide(h, 2)], axis=-1)           # (..., 2)
+    zero = np.zeros_like(h)
+    return (np.concatenate([h, -h, zero, zero], axis=-1),
+            np.concatenate([zero, zero, h, -h], axis=-1))
+
+
 # (s1, s2, flux scale) of the members of a pass's reference build:
 #   0     L(1), the generator of the spectral gap and the intensity expansion
 #   1-4   L(1) at s_1 = ln 4, -ln 4 and s_2 = ln 4, -ln 4, whose differences
 #         are dL/ds_k exactly (see ``liouvillian.generator_derivatives``)
 #   5     L_u = L(0), the undriven generator
-#   6-8   the step choice's tilts at the cross sections' reference flux
+#   6     the cross sections' generator at their reference flux
+#   7-14  the Richardson stencil at STEP_TILT at that flux; the step choice
+#         reads rows 6, 7 (s_1 = STEP_TILT) and 11 (s_2 = STEP_TILT)
 _LN4, _F_REF = np.log(4.0), np.sqrt(CROSS_SECTION_FLUX_FRACTION)
-REFERENCE_TILTS = np.array([
-    (0.0, 0.0, 1.0),
-    (_LN4, 0.0, 1.0), (-_LN4, 0.0, 1.0), (0.0, _LN4, 1.0), (0.0, -_LN4, 1.0),
-    (0.0, 0.0, 0.0),
-    (0.0, 0.0, _F_REF), (STEP_TILT, 0.0, _F_REF), (0.0, STEP_TILT, _F_REF),
-]).T
+REFERENCE_TILTS = np.concatenate([
+    np.array([(0.0, 0.0, 1.0), (_LN4, 0.0, 1.0), (-_LN4, 0.0, 1.0),
+              (0.0, _LN4, 1.0), (0.0, -_LN4, 1.0), (0.0, 0.0, 0.0),
+              (0.0, 0.0, _F_REF)]).T,
+    [*_stencil_tilts(STEP_TILT), np.full(8, _F_REF)]], axis=1)
+# the step choice's members among rows 6-14
+_STEP_MEMBERS = [0, 1, 5]
 
 
 @dataclass(frozen=True)
@@ -186,36 +201,51 @@ def _lambda_s(params, s1, s2, flux_scale):
         build_two_sided(params, chi, flux_scale=flux_scale))
 
 
-def _adaptive_steps(batch, tilted) -> np.ndarray:
-    """Per stacked point a finite-difference step below the chemical
-    curvature scale of the CGF, which is of order gap/|c1| at slow reaction
-    rates; the step tilts of the reference build in one eigensolve, whose
-    gaps are checked for the ``tilted`` points."""
+def _adaptive_steps(batch, tilted):
+    """(steps, stencil): per stacked point a finite-difference step below
+    the chemical curvature scale of the CGF, which is of order gap/|c1| at
+    slow reaction rates, and the (values, gaps) of the Richardson stencil
+    at STEP_TILT, (n, 8) arrays.  One eigensolve of rows 6-14 of the
+    reference build gives both; the step choice's gaps are checked for the
+    ``tilted`` points."""
     values, gaps = dominant_eigenvalue(batch.built[:, 6:])
-    _check_gaps(batch, gaps, tilted)
-    c1_scale = np.abs(values[:, 1:]).max(axis=-1) / STEP_TILT
+    _check_gaps(batch, gaps[:, _STEP_MEMBERS], tilted)
+    c1_scale = np.abs(values[:, _STEP_MEMBERS[1:]]).max(axis=-1) / STEP_TILT
     # the tilt where c1_scale is 0 or the ratio is nan, as min() gives
     steps = np.divide(0.2 * gaps[:, 0], c1_scale,
                       out=np.full_like(c1_scale, STEP_TILT),
                       where=c1_scale > 0)
-    return np.fmin(STEP_TILT, steps)
+    return np.fmin(STEP_TILT, steps), (values[:, 1:], gaps[:, 1:])
 
 
-def first_cumulants(params: ModelParams, flux_scale: float, h):
-    """(c1, gaps): plain d(lambda)/ds_k in counting-index order, units 1/s,
-    by one Richardson step on central differences at steps h and h/2, and
-    the spectral gaps of the eight tilts (+-h, +-h/2 on each field), all
-    from one eigensolve.  Stacked points with an (n,) array of steps give
-    c1 of shape (2, n) and the gaps of shape (n, 8)."""
-    h = np.stack([h, np.divide(h, 2)], axis=-1)           # (..., 2)
-    zero = np.zeros_like(h)
-    values, gaps = _lambda_s(params,
-                             np.concatenate([h, -h, zero, zero], axis=-1),
-                             np.concatenate([zero, zero, h, -h], axis=-1),
-                             flux_scale)
-    f = values.reshape(h.shape[:-1] + (4, 2))             # (..., tilt, step)
-    both = np.array([f[..., 0, :] - f[..., 1, :],
-                     f[..., 2, :] - f[..., 3, :]]) / (2 * h)
+def _points(batch, index):
+    """The stacked points that ``index`` selects, as a ``Batch`` without a
+    reference build."""
+    def take(fields):
+        return type(fields)(*(value[index] for value in vars(fields).values()))
+    return Batch(take(batch.molecule), take(batch.sample), take(batch.derived),
+                 batch.dissipator[index], built=None)
+
+
+def first_cumulants(batch: Batch, h, stencil):
+    """(c1, gaps): plain d(lambda)/ds_k at the cross sections' reference
+    flux in counting-index order, units 1/s, by one Richardson step on
+    central differences at steps h and h/2, and the spectral gaps of the
+    eight tilts (+-h, +-h/2 on each field), for the points of a ``Batch``
+    with an (n,) array of steps: c1 of shape (2, n) and the gaps of shape
+    (n, 8).  ``stencil``, the (values, gaps) of the batch's stencil at
+    STEP_TILT (``_adaptive_steps``), serves the points whose step is
+    STEP_TILT; the others are built and eigensolved at their own step, in
+    one eigensolve."""
+    values, gaps = stencil
+    own = h < STEP_TILT
+    if own.any():
+        values, gaps = values.copy(), gaps.copy()
+        values[own], gaps[own] = _lambda_s(
+            _points(batch, own), *_stencil_tilts(h[own]), _F_REF)
+    h = np.stack([h, np.divide(h, 2)], axis=-1)           # (n, 2)
+    f = values.reshape(-1, 4, 2)                          # (n, tilt, step)
+    both = np.array([f[:, 0] - f[:, 1], f[:, 2] - f[:, 3]]) / (2 * h)
     return (4 * both[..., 1] - both[..., 0]) / 3, gaps
 
 
@@ -268,9 +298,10 @@ def cross_sections(params):
     """(S1, S2) in m^2: photon flux removed from detector channel k per
     molecule and unit intensity, in the linear-response (small-flux) limit.
     A ``Batch`` of points gives arrays of each over the points, or raises
-    the ``GapTooSmall`` of the first point that ends in one; the tilts of
-    all points take one eigensolve for the step choice and one for the
-    Richardson stencil."""
+    the ``GapTooSmall`` of the first point that ends in one.  The step
+    choice and the Richardson stencil at STEP_TILT of all points are one
+    eigensolve of the reference build; only points whose step comes out
+    smaller are built and eigensolved again, at their own step."""
     if not isinstance(params, Batch):
         s1, s2 = cross_sections(batch([params]))
         return s1[0], s2[0]
@@ -280,8 +311,7 @@ def cross_sections(params):
     # a reference flux that underflows to 0 leaves nothing to tilt: the
     # point stays in the stack, unchecked, and gets (0, 0)
     tilted = j_ref > 0
-    c1, gaps = first_cumulants(params, _F_REF,
-                               _adaptive_steps(params, tilted))
+    c1, gaps = first_cumulants(params, *_adaptive_steps(params, tilted))
     _check_gaps(params, gaps, tilted)
     # counting index order -> physical detector order is reversed
     return tuple(np.divide(c1[::-1], j_ref, out=np.zeros_like(c1),

@@ -149,10 +149,11 @@ def evaluate_points(points, route: str = "full") -> list:
     it ended in (``POINT_ERRORS``).
 
     Every stage runs for all points at once, on arrays along a leading
-    point axis, a pass of one point too: the full route's two generator
-    builds (``fcs.batch``'s reference build and the Richardson stencil's),
-    its eigensolves, bordered solves and flux fit, the adiabatic route's
-    closed forms, the transport and the report.  A stage raises the error
+    point axis, a pass of one point too: the full route's generator build
+    (``fcs.batch``'s reference build, and the Richardson stencil of any
+    point whose step falls below ``fcs.STEP_TILT``), its eigensolves,
+    bordered solves and flux fit, the adiabatic route's closed forms, the
+    transport and the report.  A stage raises the error
     of its first failing point; the pass then runs again on each half of
     its points, down to single points, so that a failing point ends in the
     error it raises alone and each other point keeps its result from a

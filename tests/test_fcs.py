@@ -259,8 +259,8 @@ def test_flux_affine_cumulants_match_direct_builds(config):
 
 def test_full_point_makes_one_stacked_rate_call(default_params, monkeypatch):
     """The intensity expansion takes all its fluxes from one call, and the
-    pass makes one reference build, whose nine members serve the gap, the
-    step choice and the expansion, and then the Richardson stencil's."""
+    pass makes one build, the reference build, whose fifteen members serve
+    the gap, the expansion, the step choice and the Richardson stencil."""
     shapes, builds = [], []
     rate, build = fcs.diffusion_rate, fcs.build_two_sided
 
@@ -276,16 +276,16 @@ def test_full_point_makes_one_stacked_rate_call(default_params, monkeypatch):
     monkeypatch.setattr(fcs, "build_two_sided", counted_build)
     evaluate_point(default_params, "full")
     assert shapes == [(1, 10)]   # one point, ten fluxes
-    assert builds == [(9,), (1, 8)]
+    assert builds == [(15,)]
 
 
 @pytest.mark.parametrize("route, two_sided_calls",
-                         [("full", 2), ("adiabatic", 1)])
+                         [("full", 1), ("adiabatic", 1)])
 def test_pass_build_counts(default_params, monkeypatch, route,
                            two_sided_calls):
-    """A one-point full pass builds the model generator twice, the
-    reference build and the Richardson stencil's, and the dissipator at most
-    twice; the adiabatic route builds only its gap's generator."""
+    """A one-point full pass builds the model generator once, the reference
+    build, and the dissipator at most once; the adiabatic route builds only
+    its gap's generator."""
     calls = {"build_two_sided": 0, "two_sided": 0, "dissipator_sum": 0}
 
     def counting(name, function):
@@ -306,36 +306,44 @@ def test_pass_build_counts(default_params, monkeypatch, route,
     assert calls["dissipator_sum"] <= two_sided_calls
 
 
+# Points whose step choice comes out below fcs.STEP_TILT: 100 mW, slow rates
+STEP_LIMITED = [{"power_mw": 100.0, "rate_a_mhz": 1e-8, "rate_b_mhz": 1e-8,
+                 "detuning_a_mhz": detuning} for detuning in (-60.0, 20.0)]
+
+
 def test_batch_stages_share_its_build(monkeypatch):
     """The cross sections and the expansion of a ``Batch`` build no
-    generator but the Richardson stencil's, and two batches whose stages
-    run interleaved each give the bytes they give alone."""
+    generator but the Richardson stencil of a step-limited point at its own
+    step, and two batches whose stages run interleaved each give the bytes
+    they give alone."""
     groups = [[from_config({}), from_config({"detuning_a_mhz": 25.0})],
               [from_config({"rate_a_mhz": 3e-3, "dipole_b_debye": 0.6}),
-               from_config({"detuning_a_mhz": -60.0})]]
+               from_config(STEP_LIMITED[0])]]
 
     def digest(sections, expansion):
         return [part.tobytes() for part in (*sections, expansion.D1,
                                             expansion.D2,
                                             expansion.fit_residual)]
 
-    alone = []
-    for points in groups:
-        batch = fcs.batch(points)
-        alone.append(digest(fcs.cross_sections(batch),
-                            fcs.fit_diffusion_expansion(batch)))
-    batches = [fcs.batch(points) for points in groups]
     builds, build = [], fcs.build_two_sided
 
     def counted_build(params, chi, flux_scale=1.0):
         builds.append(np.shape(chi[0]))
         return build(params, chi, flux_scale)
 
-    monkeypatch.setattr(fcs, "build_two_sided", counted_build)
-    sections = [fcs.cross_sections(batch) for batch in batches]
-    expansions = [fcs.fit_diffusion_expansion(batch) for batch in batches]
-    # the expansion's own cross sections make the last two stencil builds
-    assert builds == [(2, 8)] * 4
+    # the step-limited point's 100 mW drive is a strong probe
+    with pytest.warns(UserWarning, match="weak-probe"):
+        alone = []
+        for points in groups:
+            batch = fcs.batch(points)
+            alone.append(digest(fcs.cross_sections(batch),
+                                fcs.fit_diffusion_expansion(batch)))
+        batches = [fcs.batch(points) for points in groups]
+        monkeypatch.setattr(fcs, "build_two_sided", counted_build)
+        sections = [fcs.cross_sections(batch) for batch in batches]
+        expansions = [fcs.fit_diffusion_expansion(batch) for batch in batches]
+    # the second batch's cross sections, then the expansion's own
+    assert builds == [(1, 8)] * 2
     assert [digest(*pair) for pair in zip(sections, expansions)] == alone
 
 
@@ -347,22 +355,30 @@ REFERENCE_POINTS = [{}, {"rate_a_mhz": 1e-12, "rate_b_mhz": 1e-12},
 
 def _separate_builds(params):
     """The builds that the reference build replaces, each made alone:
-    L(1), dL/ds_k, L_u and the step choice's tilts."""
+    L(1), dL/ds_k, L_u, the untilted generator at the cross sections'
+    reference flux and the Richardson stencil at h1 there, whose tilts
+    +h1, +h1/2, -h1, -h1/2 on s_1 and then on s_2 include the step
+    choice's."""
     dissipator = dissipator_sum(params)
     driven, first = generator_derivatives(model_blocks(params, 1.0),
                                           dissipator)
-    h1 = 1e-4
+    h1, zero = 1e-4, np.zeros(4)
+    steps = np.array([h1, h1 / 2, -h1, -h1 / 2])
+    f_ref = np.sqrt(fcs.CROSS_SECTION_FLUX_FRACTION)
     return (build_two_sided(params, (0.0, 0.0)), driven, first,
             two_sided(model_blocks(params, 0.0), dissipator, (0.0, 0.0)),
-            build_two_sided(params, (-1j * np.array([0.0, h1, 0.0]),
-                                     -1j * np.array([0.0, 0.0, h1])),
-                            np.sqrt(fcs.CROSS_SECTION_FLUX_FRACTION)))
+            build_two_sided(params, (-1j * np.zeros(1), -1j * np.zeros(1)),
+                            f_ref),
+            build_two_sided(params, (-1j * np.concatenate([steps, zero]),
+                                     -1j * np.concatenate([zero, steps])),
+                            f_ref))
 
 
 def _reference_slices(batch):
     built = batch.built
     first = (built[:, 1:5:2] - built[:, 2:5:2]) / 3.0
-    return (built[:, :1], built[:, 0], first, built[:, 5:6], built[:, 6:])
+    return (built[:, :1], built[:, 0], first, built[:, 5:6], built[:, 6:7],
+            built[:, 7:])
 
 
 def test_reference_build_equals_separate_builds():
@@ -478,10 +494,10 @@ def test_physics_warnings_point_at_the_pipeline():
                        "adiabatic factorization unreliable": "pipeline.py"}
 
 
-def test_sweep_makes_three_stacked_eigensolves(monkeypatch):
+def test_sweep_makes_two_stacked_eigensolves(monkeypatch):
     """A full-route sweep stacks its points: one eigensolve for the gaps,
-    one for the step choice and one for the Richardson tilts, however many
-    points there are (a point alone makes three too)."""
+    and one for the step choice and the Richardson tilts together, however
+    many points there are (a point alone makes two too)."""
     calls = []
     eigvals = np.linalg.eigvals
 
@@ -493,8 +509,39 @@ def test_sweep_makes_three_stacked_eigensolves(monkeypatch):
     rows = cli.run_sweep(default_config(), ["detuning,linear,-40,40,12"],
                          "full")
     assert [row["status"] for row in rows] == ["ok"] * 12
-    assert calls == [(12, 2, 8, 8), (12, 3, 16, 16), (12, 8, 16, 16)]
+    assert calls == [(12, 2, 8, 8), (12, 9, 16, 16)]
     assert cli.SWEEP_CHUNK >= 12
+
+
+def test_step_limited_points_eigensolve_their_own_stencil(monkeypatch):
+    """A point whose step comes out below STEP_TILT is built and
+    eigensolved again at its own step, and no other point is: a stack that
+    mixes such points with default ones eigensolves nine 16x16 tilts per
+    point and eight more per step-limited one, and each point gets the
+    bytes of its own one-point pass.  A default point alone makes two
+    eigensolves, the gap's and the reference build's tilts."""
+    points = [from_config(config) for config in
+              ({}, STEP_LIMITED[0], {"detuning_a_mhz": 25.0}, STEP_LIMITED[1])]
+    steps, _ = fcs._adaptive_steps(fcs.batch(points), np.ones(4, bool))
+    assert (steps < fcs.STEP_TILT).tolist() == [False, True, False, True]
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigvals(matrix)
+
+    # the step-limited points' 100 mW drive is a strong probe
+    with pytest.warns(UserWarning, match="weak-probe"):
+        singles = [repr(_outcome(evaluate_point(params, "full")))
+                   for params in points]
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        results = pipeline.evaluate_points(points, "full")
+    assert [repr(_outcome(result)) for result in results] == singles
+    assert calls == [(4, 2, 8, 8), (4, 9, 16, 16), (2, 8, 16, 16)]
+    calls.clear()
+    evaluate_point(points[0], "full")
+    assert calls == [(1, 2, 8, 8), (1, 9, 16, 16)]
 
 
 def test_strong_probe_warning():
@@ -538,12 +585,15 @@ def test_stencils_exact_on_quadratic_in_one_call():
 def test_first_cumulants_equal_reference_stencil_per_point():
     """The cross sections' stencil, stacked over points with a step each,
     is bit for bit the reference Richardson gradient on each point's
-    dominant eigenvalue."""
+    dominant eigenvalue: at STEP_TILT from the reference build's stencil,
+    and below it from the point's own build."""
     points = [from_config({"detuning_a_mhz": eps, "rate_a_mhz": rate})
               for eps, rate in ((-40.0, 1e-3), (0.0, 1.0), (25.0, 10.0))]
     steps = np.array([1e-4, 3e-5, 7.5e-6])
     flux_scale = np.sqrt(fcs.CROSS_SECTION_FLUX_FRACTION)
-    c1, gaps = fcs.first_cumulants(stack(points), flux_scale, steps)
+    batch = fcs.batch(points)
+    _, stencil = fcs._adaptive_steps(batch, np.zeros(3, bool))
+    c1, gaps = fcs.first_cumulants(batch, steps, stencil)
     assert c1.shape == (2, 3) and gaps.shape == (3, 8)
     for i, (params, h) in enumerate(zip(points, steps)):
         def fun(s1, s2):
@@ -554,19 +604,26 @@ def test_first_cumulants_equal_reference_stencil_per_point():
 def test_adaptive_steps_equal_pointwise_rule():
     """The stacked step choice is, bit for bit, the rule point by point:
     min(h1, 0.2 gap / c1_scale), and h1 where the tilts leave the
-    eigenvalue at 0 (a reference flux that underflows)."""
+    eigenvalue at 0 (a reference flux that underflows).  The stencil it
+    returns is, bit for bit, each point's Richardson stencil at h1."""
     points = [from_config(config) for config in
               ({}, {"rate_a_mhz": 1e-10, "rate_b_mhz": 1e-10},
                {"power_mw": 1e-300})]
     flux_scale, h1 = np.sqrt(fcs.CROSS_SECTION_FLUX_FRACTION), 1e-4
-    steps = fcs._adaptive_steps(fcs.batch(points), np.zeros(3, bool))
+    steps, (values, gaps) = fcs._adaptive_steps(fcs.batch(points),
+                                                np.zeros(3, bool))
     expected = []
-    for params in points:
-        values, gaps = fcs._lambda_s(params, [0.0, h1, 0.0], [0.0, 0.0, h1],
-                                     flux_scale)
-        c1_scale = max(abs(values[1]), abs(values[2])) / h1
-        expected.append(min(h1, 0.2 * gaps[0] / c1_scale)
+    for i, params in enumerate(points):
+        tilted, tilted_gaps = fcs._lambda_s(params, [0.0, h1, 0.0],
+                                            [0.0, 0.0, h1], flux_scale)
+        c1_scale = max(abs(tilted[1]), abs(tilted[2])) / h1
+        expected.append(min(h1, 0.2 * tilted_gaps[0] / c1_scale)
                         if c1_scale > 0 else h1)
+        stencil = fcs._lambda_s(params, [h1, h1 / 2, -h1, -h1 / 2, 0, 0, 0, 0],
+                                [0, 0, 0, 0, h1, h1 / 2, -h1, -h1 / 2],
+                                flux_scale)
+        assert [part[i].tobytes() for part in (values, gaps)] == [
+            part.tobytes() for part in stencil]
     assert np.array_equal(steps, expected)
     assert steps[1] < h1 == steps[2]
 

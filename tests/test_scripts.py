@@ -202,7 +202,7 @@ def test_outcome_digest_script_runs():
         ["sweep", name, route] for name in ("gap", "gap-wide",
                                             "detuning-rate", "density-edge",
                                             "far-detuned", "fig-rate",
-                                            "thickness")
+                                            "thickness", "step-limited")
         for route in ("full", "both")] + [["fcs"], ["mc"]]
     digests = [line[-1] for line in lines]
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef")
