@@ -12,6 +12,7 @@ Gauss-Kronrod (10, 21) scheme, written out here.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,29 +194,85 @@ def _block_occupancy(in_a, draws, stay_a, stay_b, horizon):
     occupancy are summed in the loop's order, bit for bit, including where
     ``t + (horizon - t)`` rounds below the horizon and the loop takes one
     more segment.  The loop stops once no row's clock is below the
-    horizon, so the columns left over are never read.
+    horizon, so the columns left over are never read.  Each column's stays
+    are formed as the loop reaches it, so no array as large as the draws is
+    allocated.
     """
     n, width = draws.shape
-    stays = np.empty((width, n))
-    np.multiply(draws.T[0::2], np.where(in_a, stay_a, stay_b),
-                out=stays[0::2])
-    np.multiply(draws.T[1::2], np.where(in_a, stay_b, stay_a),
-                out=stays[1::2])
+    # the mean stays of the even and of the odd columns
+    means = np.where(in_a, stay_a, stay_b), np.where(in_a, stay_b, stay_a)
     clock = np.zeros(n)
     occupancy = np.zeros((2, n))        # sums of the even and odd segments
-    segment = np.empty(n)
-    for j, stay in enumerate(stays):
+    stay, segment = np.empty(n), np.empty(n)
+    for j, column in enumerate(draws.T):
         if clock.min() >= horizon:
             break
         # the stay in a state that is never left is inf, or NaN where its
         # draw is 0, and fmin takes horizon - t for both; past the horizon
         # the segment is 0
+        np.multiply(column, means[j % 2], out=stay)
         np.subtract(horizon, clock, out=segment)
         np.fmin(stay, segment, out=segment)
         np.maximum(segment, 0.0, out=segment)
         clock += segment
         occupancy[j % 2] += segment
     return np.where(in_a, occupancy[0], occupancy[1]), clock < horizon
+
+
+def _first_block(seed, chunk, uniforms, block):
+    """The generator of chunk ``chunk``'s stream, keyed by (seed, chunk),
+    after it has drawn its ``MC_CHUNK`` uniforms into ``uniforms`` and its
+    first block of exponentials into ``block``."""
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, chunk], dtype=np.uint64)))
+    rng.random(out=uniforms)
+    rng.standard_exponential(out=block)
+    return rng
+
+
+class _DrawAhead(threading.Thread):
+    """A helper thread that draws the first blocks of chunks 1 .. chunks - 1
+    of one call in turn, by ``_first_block``, chunk c's into
+    ``buffers[c % 2]``; numpy fills them without holding the GIL.
+
+    It draws chunk c + 1 only once the caller, done with chunk c - 1,
+    has released ``free``, so it is at most one block ahead of the chunk
+    being stepped.  ``take()`` waits for the next chunk's block and returns
+    its generator, or raises what drawing it raised; ``close()`` ends the
+    thread.
+    """
+
+    def __init__(self, seed, chunks, buffers):
+        super().__init__(name="spectrosens-mc-draw-ahead")
+        self.seed, self.chunks, self.buffers = seed, chunks, buffers
+        self.free = threading.Semaphore(1)    # buffers released to fill
+        self.ready = threading.Semaphore(0)   # blocks drawn, not yet taken
+        self.rngs, self.error, self.closed = [], None, False
+
+    def run(self):
+        for chunk in range(1, self.chunks):
+            self.free.acquire()
+            if self.closed:
+                return
+            try:
+                self.rngs.append(_first_block(self.seed, chunk,
+                                              *self.buffers[chunk % 2]))
+            except BaseException as exc:
+                self.error = exc
+                return
+            finally:
+                self.ready.release()
+
+    def take(self):
+        self.ready.acquire()
+        if self.error is not None:
+            raise self.error
+        return self.rngs.pop(0)
+
+    def close(self):
+        self.closed = True
+        self.free.release()
+        self.join()
 
 
 def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
@@ -235,29 +292,60 @@ def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
     columns end before the horizon keep their own columns, and the next
     block, as wide as all columns so far, extends them from the same
     stream; so the margin of the first block sets only how often that
-    happens, never the result, and one full block at a time is alive.
+    happens, never the result.
+
+    A call of more than one chunk starts one helper thread, which draws
+    chunk c + 1's uniforms and first block from that chunk's own stream
+    while the caller steps chunk c, so the fills overlap the column loop;
+    the two chunks' blocks live in two buffers allocated once per call.
+    At most one block is drawn ahead, a chunk's later blocks are drawn by
+    the caller from the chunk's own generator, and a call of one chunk
+    starts no thread.  Each stream is read in the same order whichever
+    thread draws it, so the result does not depend on the helper.  The
+    helper has ended when the call returns, and what it raised is raised
+    here.
     """
     stay_a, stay_b = _mean_stay(rate_b), _mean_stay(rate_a)
     jumps = 2.0 * horizon / (stay_a + stay_b)
     width = max(1, math.ceil(jumps
                              + MC_BLOCK_MARGIN * (math.sqrt(jumps) + 1)))
+    chunks = math.ceil(n / MC_CHUNK)
+    buffers = [(np.empty(MC_CHUNK), np.empty((width, MC_CHUNK)))
+               for _ in range(min(chunks, 2))]
     times = np.empty(n)
-    for chunk, start in enumerate(range(0, n, MC_CHUNK)):
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([seed, chunk], dtype=np.uint64)))
-        size = min(MC_CHUNK, n - start)
-        in_a = (rng.random(MC_CHUNK) < p_a)[:size]
-        rows = np.arange(size)
-        draws = rng.standard_exponential((width, MC_CHUNK))[:, :size]
-        while True:
-            time_a, short = _block_occupancy(in_a[rows], draws.T, stay_a,
-                                             stay_b, horizon)
-            times[start + rows] = time_a
-            if not short.any():
-                break
-            rows, draws = rows[short], draws[:, short]
-            draws = np.concatenate([draws, rng.standard_exponential(
-                (draws.shape[0], MC_CHUNK))[:, rows]])
+    ahead = None
+    if chunks > 1:
+        ahead = _DrawAhead(seed, chunks, buffers)
+        ahead.start()
+    try:
+        for chunk in range(chunks):
+            uniforms, block = buffers[chunk % 2]
+            rng = (_first_block(seed, chunk, uniforms, block) if chunk == 0
+                   else ahead.take())
+            start = chunk * MC_CHUNK
+            size = min(MC_CHUNK, n - start)
+            in_a = uniforms[:size] < p_a
+            rows = np.arange(size)
+            draws = block[:, :size]
+            while True:
+                time_a, short = _block_occupancy(in_a[rows], draws.T, stay_a,
+                                                 stay_b, horizon)
+                times[start + rows] = time_a
+                if not short.any():
+                    break
+                rows, draws = rows[short], draws[:, short]
+                # the next block, as wide as all columns so far, is drawn
+                # into the chunk's buffer one first block's width at a time
+                more = []
+                for _ in range(draws.shape[0] // width):
+                    rng.standard_exponential(out=block)
+                    more.append(block[:, rows])
+                draws = np.concatenate([draws, *more])
+            if ahead is not None:
+                ahead.free.release()
+    finally:
+        if ahead is not None:
+            ahead.close()
     return times
 
 
@@ -271,7 +359,10 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
     and independent of scheduling, because each chunk of ``MC_CHUNK``
     trajectories draws from a counter-based generator keyed by (seed,
     chunk index), and a trajectory's draws sit at fixed places in its
-    chunk's stream.
+    chunk's stream, whichever thread draws them.  The samples and the
+    leave-one-out covariances are formed trajectory-last, as (2, n) and
+    (2, 2, n) arrays; each sum over trajectories runs on an (n, ...) copy,
+    in the order numpy sums a leading axis.
     """
     mol, J = params.molecule, params.derived.photon_flux_j0
     t_r = reaction_time(params)
@@ -286,8 +377,12 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
 
     n = mc.n_trajectories
     time_a = _occupancy_times(mc.seed, n, p_a, mol.rate_a, mol.rate_b,
-                              horizon)[:, None]
-    samples = flux_a * time_a + flux_b * (horizon - time_a)
+                              horizon)
+    # trajectory-last arrays for the elementwise work, C-contiguous
+    # (n, ...) copies for every sum: numpy sums a leading axis in another
+    # order than a contiguous last one, and the tests pin the former's bytes
+    samples_t = flux_a[:, None] * time_a + flux_b[:, None] * (horizon - time_a)
+    samples = samples_t.T.copy()
 
     mean = samples.mean(axis=0)
     centered = samples - mean
@@ -297,11 +392,12 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
     # jackknife over trajectories
     sum_x = samples.sum(axis=0)
     sum_xx = np.einsum("ni,nj->ij", samples, samples)
-    s1 = sum_x - samples
-    s2 = sum_xx - samples[:, :, None] * samples[:, None, :]
-    m = s1 / (n - 1)
-    loo = (s2 - (n - 1) * (m[:, :, None] * m[:, None, :])) / (n - 2)
+    m = (sum_x[:, None] - samples_t) / (n - 1)
+    loo = sum_xx[:, :, None] - samples_t[:, None] * samples_t
+    loo -= (n - 1) * (m[:, None] * m)
+    loo /= n - 2
     loo /= horizon
+    loo = np.moveaxis(loo, -1, 0).copy()
     stderr = np.sqrt((n - 1) / n * np.sum((loo - loo.mean(axis=0)) ** 2,
                                           axis=0))
 

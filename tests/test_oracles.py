@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -300,6 +301,115 @@ def test_top_up_holds_one_block(monkeypatch, default_params):
     assert bare - default <= width * oracles.MC_CHUNK * 8
 
 
+def _spy_first_blocks(monkeypatch, fail_at=None):
+    """Record (chunk, thread) of every first block drawn, and raise in the
+    drawing of chunk ``fail_at``."""
+    drawn = []
+    first_block = oracles._first_block
+
+    def spy(seed, chunk, uniforms, block):
+        drawn.append((chunk, threading.current_thread()))
+        if chunk == fail_at:
+            raise RuntimeError(f"drawing chunk {chunk} failed")
+        return first_block(seed, chunk, uniforms, block)
+    monkeypatch.setattr(oracles, "_first_block", spy)
+    return drawn
+
+
+def test_draw_ahead_matches_loop_reference(monkeypatch):
+    """Three chunks, the last one partial, and no margin, so that every
+    chunk draws a second block from its own generator while the helper
+    thread draws the next chunk's first block: the occupancy times equal
+    the one-draw-per-jump loop bit for bit, chunk 0 is drawn by the caller
+    and chunks 1 and 2 by one helper thread."""
+    monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", 0)
+    drawn = _spy_first_blocks(monkeypatch)
+    widths = []
+    block_occupancy = oracles._block_occupancy
+
+    def spy(in_a, draws, *args):
+        widths.append(draws.shape[1])
+        return block_occupancy(in_a, draws, *args)
+    monkeypatch.setattr(oracles, "_block_occupancy", spy)
+    params = from_config(RATE_PAIRS[2])
+    p_a, _ = adiabatic.stationary_probabilities(params)
+    mol = params.molecule
+    horizon = 50 * adiabatic.reaction_time(params)
+    args = (3, 2 * oracles.MC_CHUNK + 300, p_a, mol.rate_a, mol.rate_b,
+            horizon)
+    assert np.array_equal(oracles._occupancy_times(*args),
+                          occupancy_times(*args))
+    threads = dict(drawn)
+    assert sorted(threads) == [0, 1, 2] and len(drawn) == 3
+    assert threads[0] is threading.current_thread()
+    assert threads[1] is threads[2] is not threads[0]
+    # each chunk's first block is followed by at least one wider block
+    firsts = [i for i, width in enumerate(widths) if width == min(widths)]
+    assert len(firsts) == 3
+    assert all(b - a >= 2 for a, b in zip(firsts, firsts[1:] + [len(widths)]))
+
+
+def test_draw_ahead_under_contention(monkeypatch):
+    """Three calls at once, each with its helper thread, six threads with
+    the interpreter switching between them every microsecond: every call
+    still equals the one-draw-per-jump loop bit for bit."""
+    monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", 0)
+    params = from_config(RATE_PAIRS[1])
+    p_a, _ = adiabatic.stationary_probabilities(params)
+    mol = params.molecule
+    args = (11, 3 * oracles.MC_CHUNK + 7, p_a, mol.rate_a, mol.rate_b,
+            50 * adiabatic.reaction_time(params))
+    expected = occupancy_times(*args)
+    results = []
+
+    def call():
+        for _ in range(2):
+            results.append(oracles._occupancy_times(*args))
+    callers = [threading.Thread(target=call) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(results) == 6
+    assert all(np.array_equal(times, expected) for times in results)
+
+
+@pytest.mark.parametrize("fail_at", [1, 3])
+def test_draw_ahead_error_reaches_caller(monkeypatch, default_params,
+                                         fail_at):
+    """An error raised while a chunk's first block is drawn ahead is raised
+    by the call, and the helper thread has ended when the call returns."""
+    p_a, _ = adiabatic.stationary_probabilities(default_params)
+    mol = default_params.molecule
+    horizon = 50 * adiabatic.reaction_time(default_params)
+    threads = threading.active_count()
+    _spy_first_blocks(monkeypatch, fail_at=fail_at)
+    with pytest.raises(RuntimeError, match=f"chunk {fail_at} failed"):
+        oracles._occupancy_times(1, 4 * oracles.MC_CHUNK, p_a, mol.rate_a,
+                                 mol.rate_b, horizon)
+    assert threading.active_count() == threads
+
+
+def test_one_chunk_call_starts_no_thread(monkeypatch, default_params):
+    """A call of one chunk, full or partial, draws its block itself."""
+    def start(self):
+        raise AssertionError("a thread was started")
+    monkeypatch.setattr(threading.Thread, "start", start)
+    cfg = oracles.McConfig(n_trajectories=oracles.MC_CHUNK, seed=8)
+    oracles.telegraph_mc_diffusion(default_params, cfg)
+    cfg = oracles.McConfig(n_trajectories=1000, seed=8)
+    oracles.telegraph_mc_diffusion(default_params, cfg)
+    cfg = oracles.McConfig(n_trajectories=oracles.MC_CHUNK + 1, seed=8)
+    with pytest.raises(AssertionError, match="a thread was started"):
+        oracles.telegraph_mc_diffusion(default_params, cfg)
+
+
 def test_block_occupancy_clock_rounding_short_of_horizon():
     """When t + (horizon - t) rounds below the horizon the loop takes one
     more segment; the block sums take it too.  The second row, starting in
@@ -394,37 +504,39 @@ def test_fd_unstable():
 
 def test_jackknife_matches_loop_reference(default_params):
     """The broadcast leave-one-out covariances equal the per-trajectory
-    loop they replaced, on the same seeded trajectories."""
-    mc = oracles.McConfig(n_trajectories=1000, seed=4)
-    rate, stderr = oracles.telegraph_mc_diffusion(default_params, mc)
+    loop they replaced, on the same seeded trajectories: in one chunk and
+    in three, whose first blocks are drawn ahead."""
+    for n in (1000, 2 * oracles.MC_CHUNK + 5):
+        mc = oracles.McConfig(n_trajectories=n, seed=4)
+        rate, stderr = oracles.telegraph_mc_diffusion(default_params, mc)
 
-    mol, J = default_params.molecule, default_params.derived.photon_flux_j0
-    _, horizon = mc.resolve(adiabatic.reaction_time(default_params))
-    p_a, _ = adiabatic.stationary_probabilities(default_params)
-    fluxes = []
-    for state in "AB":
-        s_plus, s_minus = adiabatic.conditioned_cross_sections(default_params,
-                                                               state)
-        fluxes.append(J * np.array([(s_plus + s_minus) / 2,
-                                    (s_plus - s_minus) / 2]))
-    n = mc.n_trajectories
-    samples = np.empty((n, 2))
-    for i, time_a in enumerate(occupancy_times(mc.seed, n, p_a, mol.rate_a,
-                                               mol.rate_b, horizon)):
-        samples[i] = fluxes[0] * time_a + fluxes[1] * (horizon - time_a)
-    sum_x = samples.sum(axis=0)
-    sum_xx = np.einsum("ni,nj->ij", samples, samples)
-    loo = np.empty((n, 2, 2))
-    for i in range(n):
-        m = (sum_x - samples[i]) / (n - 1)
-        loo[i] = (sum_xx - np.outer(samples[i], samples[i])
-                  - (n - 1) * np.outer(m, m)) / (n - 2)
-    loo /= horizon
-    expected = np.sqrt((n - 1) / n * np.sum((loo - loo.mean(axis=0)) ** 2,
-                                            axis=0))
-    centered = samples - samples.mean(axis=0)
-    assert np.array_equal(rate, centered.T @ centered / (n - 1) / horizon)
-    assert np.array_equal(stderr, expected)
+        mol, J = default_params.molecule, default_params.derived.photon_flux_j0
+        _, horizon = mc.resolve(adiabatic.reaction_time(default_params))
+        p_a, _ = adiabatic.stationary_probabilities(default_params)
+        fluxes = []
+        for state in "AB":
+            s_plus, s_minus = adiabatic.conditioned_cross_sections(
+                default_params, state)
+            fluxes.append(J * np.array([(s_plus + s_minus) / 2,
+                                        (s_plus - s_minus) / 2]))
+        samples = np.empty((n, 2))
+        for i, time_a in enumerate(occupancy_times(mc.seed, n, p_a,
+                                                   mol.rate_a, mol.rate_b,
+                                                   horizon)):
+            samples[i] = fluxes[0] * time_a + fluxes[1] * (horizon - time_a)
+        sum_x = samples.sum(axis=0)
+        sum_xx = np.einsum("ni,nj->ij", samples, samples)
+        loo = np.empty((n, 2, 2))
+        for i in range(n):
+            m = (sum_x - samples[i]) / (n - 1)
+            loo[i] = (sum_xx - np.outer(samples[i], samples[i])
+                      - (n - 1) * np.outer(m, m)) / (n - 2)
+        loo /= horizon
+        expected = np.sqrt((n - 1) / n * np.sum((loo - loo.mean(axis=0)) ** 2,
+                                                axis=0))
+        centered = samples - samples.mean(axis=0)
+        assert np.array_equal(rate, centered.T @ centered / (n - 1) / horizon)
+        assert np.array_equal(stderr, expected)
 
 
 def test_finite_time_cgf_matches_eigenvalue(default_params):

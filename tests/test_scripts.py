@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import json
 import os
 import pathlib
 import subprocess
@@ -183,6 +184,21 @@ def test_mc_validation_script_runs():
                          dtype=float)
         assert pulls.shape == (4,)
         assert np.all(np.isfinite(pulls)) and np.all(np.abs(pulls) < bound)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--trajectories", "10"], "ValueError"),
+    (["--rate", "0"], "InvalidParam")])
+def test_mc_validation_script_rejects_invalid_input(argv, error):
+    """An invalid input ends with the command line's JSON error on stderr
+    and exit status 2, not a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable,
+                           str(ROOT / "scripts" / "mc_validation.py"), *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert set(json.loads(proc.stderr)) == {"error", "message"}
+    assert json.loads(proc.stderr)["error"] == error
 
 
 def test_outcome_digest_script_runs():
