@@ -21,7 +21,8 @@ scale, and ``fit_diffusion_expansion`` with the linear coefficient pinned
 and free.  Then one sha256 over the bytes of the telegraph Monte Carlo's
 ``(rate, stderr)``, or its error, at seeds 0 and 2**64 - 1, 1000 and
 MC_CHUNK + 88 trajectories, with state B never entered (``rate_b = 0``),
-state A never entered (``rate_a = 0``) and rates 50:1 either way.  Run it
+state A never entered (``rate_a = 0``), rates 50:1 either way, and two
+states that absorb alike (equal detunings and dipoles).  Run it
 on two versions of the code and compare the output; it takes a few
 seconds.
 
@@ -44,8 +45,13 @@ RATE_PAIRS = ((1e-6, 3e-6), (1e-4, 1.5e-4), (2.0, 3.0), (1e-12, 1e-12),
               (0.05, 0.02), (3.0, 60.0))
 DETUNINGS_MHZ = (-100.0, -60.0, -20.0, 0.0, 10.0, 25.0, 70.0, 500.0, 1000.0)
 
-# (rate_a_mhz, rate_b_mhz) of the Monte-Carlo line, and its seeds
-MC_RATE_PAIRS = ((1e-4, 0.0), (0.0, 1e-4), (5e-3, 1e-4), (1e-4, 5e-3))
+# configurations of the Monte-Carlo line, and its seeds
+MC_CONFIGS = ({"rate_a_mhz": 1e-4, "rate_b_mhz": 0.0},
+              {"rate_a_mhz": 0.0, "rate_b_mhz": 1e-4},
+              {"rate_a_mhz": 5e-3, "rate_b_mhz": 1e-4},
+              {"rate_a_mhz": 1e-4, "rate_b_mhz": 5e-3},
+              {"detuning_a_mhz": 40.0, "detuning_b_mhz": 40.0,
+               "dipole_a_debye": 1.0, "dipole_b_debye": 1.0})
 MC_SEEDS = (0, 2**64 - 1)
 
 # (name, base configuration, axes)
@@ -146,9 +152,9 @@ def fcs_digest() -> str:
 
 def mc_digest() -> str:
     digest = hashlib.sha256()
-    for (ra, rb), seed, n in itertools.product(
-            MC_RATE_PAIRS, MC_SEEDS, (1000, oracles.MC_CHUNK + 88)):
-        params = from_config({"rate_a_mhz": ra, "rate_b_mhz": rb})
+    for config, seed, n in itertools.product(
+            MC_CONFIGS, MC_SEEDS, (1000, oracles.MC_CHUNK + 88)):
+        params = from_config(config)
         mc = oracles.McConfig(n_trajectories=n, seed=seed)
         try:
             rate, stderr = oracles.telegraph_mc_diffusion(params, mc)

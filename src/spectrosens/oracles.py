@@ -12,7 +12,6 @@ Gauss-Kronrod (10, 21) scheme, written out here.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,51 +229,6 @@ def _first_block(seed, chunk, uniforms, block):
     return rng
 
 
-class _DrawAhead(threading.Thread):
-    """A helper thread that draws the first blocks of chunks 1 .. chunks - 1
-    of one call in turn, by ``_first_block``, chunk c's into
-    ``buffers[c % 2]``; numpy fills them without holding the GIL.
-
-    It draws chunk c + 1 only once the caller, done with chunk c - 1,
-    has released ``free``, so it is at most one block ahead of the chunk
-    being stepped.  ``take()`` waits for the next chunk's block and returns
-    its generator, or raises what drawing it raised; ``close()`` ends the
-    thread.
-    """
-
-    def __init__(self, seed, chunks, buffers):
-        super().__init__(name="spectrosens-mc-draw-ahead")
-        self.seed, self.chunks, self.buffers = seed, chunks, buffers
-        self.free = threading.Semaphore(1)    # buffers released to fill
-        self.ready = threading.Semaphore(0)   # blocks drawn, not yet taken
-        self.rngs, self.error, self.closed = [], None, False
-
-    def run(self):
-        for chunk in range(1, self.chunks):
-            self.free.acquire()
-            if self.closed:
-                return
-            try:
-                self.rngs.append(_first_block(self.seed, chunk,
-                                              *self.buffers[chunk % 2]))
-            except BaseException as exc:
-                self.error = exc
-                return
-            finally:
-                self.ready.release()
-
-    def take(self):
-        self.ready.acquire()
-        if self.error is not None:
-            raise self.error
-        return self.rngs.pop(0)
-
-    def close(self):
-        self.closed = True
-        self.free.release()
-        self.join()
-
-
 def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
     """Time spent in state A over [0, horizon] by telegraph trajectories
     0 .. n-1.
@@ -294,17 +248,20 @@ def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
     stream; so the margin of the first block sets only how often that
     happens, never the result.
 
-    A call of more than one chunk starts one helper thread, which draws
-    chunk c + 1's uniforms and first block from that chunk's own stream
-    while the caller steps chunk c, so the fills overlap the column loop;
-    the two chunks' blocks live in two buffers allocated once per call.
-    At most one block is drawn ahead, a chunk's later blocks are drawn by
-    the caller from the chunk's own generator, and a call of one chunk
-    starts no thread.  Each stream is read in the same order whichever
-    thread draws it, so the result does not depend on the helper.  The
-    helper has ended when the call returns, and what it raised is raised
-    here.
+    A call of more than one chunk hands chunk c + 1's uniforms and first
+    block to a one-worker executor while the caller steps chunk c, so the
+    fills overlap the column loop; numpy fills them without holding the
+    GIL, and the two chunks' blocks live in two buffers allocated once per
+    call.  At most one block is drawn ahead, a chunk's later blocks are
+    drawn by the caller from the chunk's own generator, and a call of one
+    chunk submits nothing, so its executor starts no thread.  Each stream
+    is read in the same order whichever thread draws it, so the result does
+    not depend on the worker.  The worker has ended when the call returns,
+    and what it raised is raised here.
     """
+    # imported on first use: at module level it adds to every import's memory
+    from concurrent.futures import ThreadPoolExecutor
+
     stay_a, stay_b = _mean_stay(rate_b), _mean_stay(rate_a)
     jumps = 2.0 * horizon / (stay_a + stay_b)
     width = max(1, math.ceil(jumps
@@ -313,15 +270,15 @@ def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
     buffers = [(np.empty(MC_CHUNK), np.empty((width, MC_CHUNK)))
                for _ in range(min(chunks, 2))]
     times = np.empty(n)
-    ahead = None
-    if chunks > 1:
-        ahead = _DrawAhead(seed, chunks, buffers)
-        ahead.start()
-    try:
+    ahead = []      # futures of the generators of chunks drawn ahead
+    with ThreadPoolExecutor(1) as executor:
         for chunk in range(chunks):
+            if chunk + 1 < chunks:
+                ahead.append(executor.submit(_first_block, seed, chunk + 1,
+                                             *buffers[(chunk + 1) % 2]))
             uniforms, block = buffers[chunk % 2]
-            rng = (_first_block(seed, chunk, uniforms, block) if chunk == 0
-                   else ahead.take())
+            rng = (ahead.pop(0).result() if chunk
+                   else _first_block(seed, chunk, uniforms, block))
             start = chunk * MC_CHUNK
             size = min(MC_CHUNK, n - start)
             in_a = uniforms[:size] < p_a
@@ -341,11 +298,6 @@ def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
                     rng.standard_exponential(out=block)
                     more.append(block[:, rows])
                 draws = np.concatenate([draws, *more])
-            if ahead is not None:
-                ahead.free.release()
-    finally:
-        if ahead is not None:
-            ahead.close()
     return times
 
 
@@ -354,15 +306,17 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
     reference flux J0, by direct simulation of the two-state jump process.
 
     Returns ``(rate, stderr)``: the 2x2 sample covariance of the
-    time-integrated per-detector fluxes divided by the horizon, and its
-    jackknife standard error.  For fixed seed the output is bit-reproducible
+    time-integrated per-detector fluxes divided by the horizon T, and its
+    jackknife standard error.  A trajectory's fluxes are affine in its time
+    in state A, flux_B * T + (flux_A - flux_B) * time_A, so the covariance
+    is Delta Delta^T * Var(time_A) for Delta = flux_A - flux_B, and each
+    entry's jackknife is |Delta_i Delta_j| times the jackknife of
+    Var(time_A): the oracle estimates one number, the sample variance of
+    the occupancy time.  For fixed seed the output is bit-reproducible
     and independent of scheduling, because each chunk of ``MC_CHUNK``
     trajectories draws from a counter-based generator keyed by (seed,
     chunk index), and a trajectory's draws sit at fixed places in its
-    chunk's stream, whichever thread draws them.  The samples and the
-    leave-one-out covariances are formed trajectory-last, as (2, n) and
-    (2, 2, n) arrays; each sum over trajectories runs on an (n, ...) copy,
-    in the order numpy sums a leading axis.
+    chunk's stream, whichever thread draws them.
     """
     mol, J = params.molecule, params.derived.photon_flux_j0
     t_r = reaction_time(params)
@@ -374,32 +328,23 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
     # detector-channel fluxes (1/s) conditioned on the chemical state
     flux_a = J * np.array([(s_a[0] + s_a[1]) / 2, (s_a[0] - s_a[1]) / 2])
     flux_b = J * np.array([(s_b[0] + s_b[1]) / 2, (s_b[0] - s_b[1]) / 2])
+    delta = flux_a - flux_b
+    outer = np.outer(delta, delta)
 
     n = mc.n_trajectories
     time_a = _occupancy_times(mc.seed, n, p_a, mol.rate_a, mol.rate_b,
                               horizon)
-    # trajectory-last arrays for the elementwise work, C-contiguous
-    # (n, ...) copies for every sum: numpy sums a leading axis in another
-    # order than a contiguous last one, and the tests pin the former's bytes
-    samples_t = flux_a[:, None] * time_a + flux_b[:, None] * (horizon - time_a)
-    samples = samples_t.T.copy()
+    centered = time_a - time_a.mean()
+    sum_sq = np.sum(centered ** 2)
+    variance = sum_sq / (n - 1)
 
-    mean = samples.mean(axis=0)
-    centered = samples - mean
-    cov = centered.T @ centered / (n - 1)
-    rate = cov / horizon
+    # jackknife over trajectories: the variance without trajectory i
+    mean_rest = (centered.sum() - centered) / (n - 1)
+    loo = (sum_sq - centered ** 2 - (n - 1) * mean_rest ** 2) / (n - 2)
+    jackknife = np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2))
 
-    # jackknife over trajectories
-    sum_x = samples.sum(axis=0)
-    sum_xx = np.einsum("ni,nj->ij", samples, samples)
-    m = (sum_x[:, None] - samples_t) / (n - 1)
-    loo = sum_xx[:, :, None] - samples_t[:, None] * samples_t
-    loo -= (n - 1) * (m[:, None] * m)
-    loo /= n - 2
-    loo /= horizon
-    loo = np.moveaxis(loo, -1, 0).copy()
-    stderr = np.sqrt((n - 1) / n * np.sum((loo - loo.mean(axis=0)) ** 2,
-                                          axis=0))
+    rate = outer * variance / horizon
+    stderr = np.abs(outer) * jackknife / horizon
 
     analytic = chemical_rate_term(params, J, method="weak_field")
     scale = np.max(np.abs(analytic))

@@ -519,13 +519,14 @@ def loaded(package):
 print(loaded("scipy"))
 for module in pkgutil.iter_modules(spectrosens.__path__):
     importlib.import_module("spectrosens." + module.name)
-print(loaded("spectrosens"), loaded("scipy"))
+print(loaded("spectrosens"), loaded("scipy"), loaded("concurrent"))
 """
 
 
 def test_cli_import_loads_no_scipy():
     """The CLI, and then every module of the package, oracles included,
-    import on numpy alone."""
+    import on numpy alone; concurrent.futures, which only a Monte-Carlo
+    call needs, is not loaded either."""
     package = pathlib.Path(spectrosens.__file__).parent
     env = dict(os.environ, PYTHONPATH=str(package.parent))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_ALL], env=env,
@@ -534,7 +535,7 @@ def test_cli_import_loads_no_scipy():
         f"spectrosens.{path.stem}" for path in package.glob("*.py")
         if path.stem != "__init__"])
     assert "spectrosens.oracles" in modules
-    assert proc.stdout == f"[]\n{modules} []\n"
+    assert proc.stdout == f"[]\n{modules} [] []\n"
 
 
 def test_sweep_grid_order_and_override(monkeypatch):
