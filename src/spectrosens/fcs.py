@@ -35,7 +35,10 @@ Conventions frozen here:
   solves run along a leading point axis.  The batch's reference build is
   every generator a pass needs, the Richardson stencil at STEP_TILT
   included, so one eigensolve serves the step choice and the stencil; only
-  points whose step comes out below STEP_TILT are built again.
+  points whose step comes out below STEP_TILT are built again.  The
+  eigensolve of eight or more points' tilts runs in two halves, one on a
+  helper thread, so a sweep's passes use two cores for the kernel that
+  dominates them; the values are those of one call.
   The expansion is fitted on one normalized flux grid (``FIT_FLUXES``), so
   one least-squares projector, built at import, fits every point at once.
   A stacked call raises the error of the first point that fails a check.
@@ -77,6 +80,12 @@ CROSS_SECTION_FLUX_FRACTION = 1e-3  # linear-response reference flux J/J0
 
 # The step choice's tilt, the largest finite-difference tilt.
 STEP_TILT = 1e-4
+
+# Fewest matrices in a stack whose eigensolve runs in two halves, one on a
+# helper thread.  Stencil stacks (n, 9, 16, 16) of the reference build on
+# a 2-core Xeon VM, one call's time over the split's: 0.45-0.92 at 2-6
+# points, 0.86-1.23 at 7-8, 1.28-1.63 at 10-12 and 1.3-1.9 at 50-100.
+_SPLIT_MATRICES = 64
 
 
 def _stencil_tilts(h):
@@ -139,13 +148,38 @@ class DiffusionExpansion:
 def dominant_eigenvalue(matrix: np.ndarray):
     """Largest real part of the eigenvalues and its gap to the runner-up.
 
-    An (..., d, d) stack gives arrays of each from one solve.  For the real
-    tilts used throughout (|s| <= 1e-4) the max-real-part branch coincides
-    with the branch continuously connected to lambda(0) = 0; the property
-    tests check this against eigenvector-overlap tracking.
+    An (..., d, d) stack gives arrays of each from one solve (see
+    ``_real_eigenvalues``).  For the real tilts used throughout
+    (|s| <= 1e-4) the max-real-part branch coincides with the branch
+    continuously connected to lambda(0) = 0; the property tests check this
+    against eigenvector-overlap tracking.
     """
-    values = np.sort(np.linalg.eigvals(matrix).real, axis=-1)
+    values = np.sort(_real_eigenvalues(matrix), axis=-1)
     return values[..., -1], values[..., -1] - values[..., -2]
+
+
+def _real_eigenvalues(matrix):
+    """Real parts of the eigenvalues of an (..., d, d) stack.
+
+    A stack of at least ``_SPLIT_MATRICES`` matrices over two or more
+    leading-axis entries is solved in two halves of that axis: a one-worker
+    executor solves the second while the caller solves the first.  LAPACK
+    runs without the GIL and solves each matrix on its own, so the values
+    are those of one call, byte for byte.  A smaller stack is one call and
+    starts no thread.  The worker has ended when the call returns, and what
+    it raised is raised here.
+    """
+    if (matrix.ndim < 3 or len(matrix) < 2
+            or matrix.size < _SPLIT_MATRICES * matrix.shape[-1] ** 2):
+        return np.linalg.eigvals(matrix).real
+    # imported on first use: at module level it adds to every import's memory
+    from concurrent.futures import ThreadPoolExecutor
+
+    half = len(matrix) // 2
+    with ThreadPoolExecutor(1) as executor:
+        second = executor.submit(np.linalg.eigvals, matrix[half:])
+        first = np.linalg.eigvals(matrix[:half])
+        return np.concatenate([first.real, second.result().real])
 
 
 def _check_gaps(batch, gaps, tilted) -> None:

@@ -1,6 +1,7 @@
 import contextlib
 import os
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -497,7 +498,9 @@ def test_physics_warnings_point_at_the_pipeline():
 def test_sweep_makes_two_stacked_eigensolves(monkeypatch):
     """A full-route sweep stacks its points: one eigensolve for the gaps,
     and one for the step choice and the Richardson tilts together, however
-    many points there are (a point alone makes two too)."""
+    many points there are (a point alone makes two too).  The second, of
+    12 x 9 matrices, runs in two halves of six points, one on a helper
+    thread, so its two calls come in either order."""
     calls = []
     eigvals = np.linalg.eigvals
 
@@ -509,8 +512,53 @@ def test_sweep_makes_two_stacked_eigensolves(monkeypatch):
     rows = cli.run_sweep(default_config(), ["detuning,linear,-40,40,12"],
                          "full")
     assert [row["status"] for row in rows] == ["ok"] * 12
-    assert calls == [(12, 2, 8, 8), (12, 9, 16, 16)]
+    assert calls == [(12, 2, 8, 8)] + [(6, 9, 16, 16)] * 2
     assert cli.SWEEP_CHUNK >= 12
+
+
+@pytest.mark.parametrize("points", [7, 8, 13])
+def test_split_eigensolve_equals_one_call(points):
+    """The eigensolve of a reference build, split in two halves from 64
+    matrices on (8 and 13 points, 13's halves uneven) or one call below
+    (7 points, 63 matrices), gives the bytes of one call."""
+    configs = [{"detuning_a_mhz": float(value), "rate_a_mhz": 10.0 ** -(i % 5)}
+               for i, value in enumerate(np.linspace(-60, 60, points))]
+    built = fcs.batch([from_config(c) for c in configs]).built[:, 6:]
+    assert (built[..., 0, 0].size >= fcs._SPLIT_MATRICES) == (points >= 8)
+    assert np.array_equal(fcs._real_eigenvalues(built),
+                          np.linalg.eigvals(built).real)
+
+
+def test_split_eigensolve_of_random_stack_equals_one_call():
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(5, 14, 16, 16)) \
+        + 1j * rng.normal(size=(5, 14, 16, 16))
+    assert np.array_equal(fcs._real_eigenvalues(stack),
+                          np.linalg.eigvals(stack).real)
+
+
+@pytest.mark.parametrize("index", [(0, 3), (-1, 0)])
+def test_split_eigensolve_raises_as_one_call(index):
+    """A NaN in either half raises the error of one call, and the helper
+    thread has ended when it does."""
+    stack = np.tile(np.eye(16), (8, 9, 1, 1))
+    stack[index + (2, 5)] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as single:
+        np.linalg.eigvals(stack)
+    threads = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError) as split:
+        fcs._real_eigenvalues(stack)
+    assert str(split.value) == str(single.value)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("route", ["full", "both"])
+def test_one_point_pass_starts_no_thread(route, default_params, monkeypatch):
+    """A point's nine tilts are one eigensolve on the calling thread."""
+    def start(self):
+        raise AssertionError("a thread was started")
+    monkeypatch.setattr(threading.Thread, "start", start)
+    evaluate_point(default_params, route)
 
 
 def test_step_limited_points_eigensolve_their_own_stencil(monkeypatch):
