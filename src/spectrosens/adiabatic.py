@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .errors import FitResidualExceeded, some
+from .errors import FitResidualExceeded, raise_first
 from .fcs import (DiffusionExpansion, cumulants, detector_rate,
                   dominant_eigenvalue)
 from .liouvillian import UNIT_DECAY, generator_derivatives, two_sided
@@ -207,6 +207,6 @@ def weak_field_expansion(params: ModelParams):
     d1 = coefficient(s_plus) * _EYE
     d2 = 2.0 * (adiabatic_rate(params, j0, method="weak_field")
                 - coefficient(j0) * d1) / coefficient(power(j0, 2))
-    if some(~np.isfinite(s_minus)) or some(~np.isfinite(d2)):
-        raise FitResidualExceeded("weak-field expansion is not finite")
+    raise_first((~np.isfinite(s_minus) | ~np.isfinite(d2).all(axis=(-2, -1)),
+                 FitResidualExceeded, "weak-field expansion is not finite"))
     return s_plus, s_minus, DiffusionExpansion(D1=d1, D2=d2, fit_residual=0.0)

@@ -200,9 +200,10 @@ def _evaluate_rows(configs, route):
 
 
 def run_sweep(config: dict, axes, route: str, workers: int | None = None):
-    """Evaluate a 1D or 2D grid; returns its rows in deterministic grid
-    order, evaluated ``SWEEP_CHUNK`` rows to a stacked pass.  ``workers``
-    has no effect; it is accepted for compatibility."""
+    """Evaluate a 1D or 2D grid over ``config`` and its defaults; returns
+    its rows in grid order, ``SWEEP_CHUNK`` rows to a stacked pass.
+    ``workers`` has no effect; it is accepted for compatibility."""
+    config = dict(default_config(), **config)
     keys, spacings, bounds = zip(*(_axis(axis) for axis in axes))
     size = math.prod(count for *_, count in bounds)
     if size > _MAX_GRID_ROWS:

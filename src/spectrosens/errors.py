@@ -68,10 +68,17 @@ def some(mask) -> bool:
 
 def raise_first(*checks) -> None:
     """Raise what the first stacked point that fails one of ``checks``
-    raises alone.  ``checks`` are (mask, error type, message), in the order
-    a point meets them; a mask is true where a point fails."""
+    raises alone, with ``outcomes``: per point, what it raises alone, or
+    None.  ``checks`` are (mask, error type, message, *values), in the order
+    a point meets them; a mask is true where a point fails, whose message is
+    formatted with its own entries of ``values``."""
     failed = reduce(or_, [check[0] for check in checks])
     if some(failed):
-        point = np.argmax(failed)
-        raise next(error(message) for mask, error, message in checks
-                   if np.ravel(mask)[point])
+        outcomes = [None] * np.size(failed)
+        for mask, error, message, *values in checks:
+            for point in np.flatnonzero(mask):
+                outcomes[point] = outcomes[point] or error(message.format(
+                    *(np.ravel(value)[point] for value in values)))
+        first = outcomes[np.argmax(failed)]
+        first.outcomes = outcomes
+        raise first

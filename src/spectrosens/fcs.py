@@ -41,19 +41,19 @@ Conventions frozen here:
   dominates them; the values are those of one call.
   The expansion is fitted on one normalized flux grid (``FIT_FLUXES``), so
   one least-squares projector, built at import, fits every point at once.
-  A stacked call raises the error of the first point that fails a check.
+  A stacked call's checks raise through ``errors.raise_first``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitResidualExceeded, GapTooSmall
-from .liouvillian import (WITHIN, bordered, build_two_sided, dissipator_sum,
-                          sector, trace_vector)
+from .errors import FitResidualExceeded, GapTooSmall, raise_first
+from .liouvillian import (WITHIN, bordered, build_two_sided, sector,
+                          trace_vector)
 from .params import (DerivedQuantities, ModelParams, MoleculeParams,
                      SampleParams, coefficient, stack)
 
@@ -118,23 +118,19 @@ _STEP_MEMBERS = [0, 1, 5]
 @dataclass(frozen=True)
 class Batch:
     """The points of one stacked pass: their fields as ``params.stack``
-    gives them, the ``dissipator`` that every build of the pass shares, and
-    ``built``, their generators at the members of ``REFERENCE_TILTS``."""
+    gives them, and ``built``, their generators at ``REFERENCE_TILTS``."""
     molecule: MoleculeParams
     sample: SampleParams
     derived: DerivedQuantities
-    dissipator: np.ndarray = field(repr=False)
     built: np.ndarray = field(repr=False)
 
 
 def batch(points) -> Batch:
-    """The points stacked, with their dissipator and reference build."""
+    """The points stacked, with their reference build."""
     stacked = stack(points)
     s1, s2, flux_scale = REFERENCE_TILTS
-    unbuilt = Batch(stacked.molecule, stacked.sample, stacked.derived,
-                    dissipator_sum(stacked), built=None)
-    return replace(unbuilt, built=build_two_sided(
-        unbuilt, (-1j * s1, -1j * s2), flux_scale))
+    return Batch(stacked.molecule, stacked.sample, stacked.derived,
+                 build_two_sided(stacked, (-1j * s1, -1j * s2), flux_scale))
 
 
 @dataclass(frozen=True)
@@ -183,15 +179,13 @@ def _real_eigenvalues(matrix):
 
 
 def _check_gaps(batch, gaps, tilted) -> None:
-    """Raise ``GapTooSmall`` for the first stacked point among the
-    ``tilted`` ones (a mask) with a tilt's gap below the pipeline's
-    threshold, a fraction of its decay rate."""
+    """Raise ``GapTooSmall`` (``errors.raise_first``) for the stacked
+    points among the ``tilted`` ones (a mask) with a tilt's gap below the
+    pipeline's threshold, a fraction of its decay rate."""
     min_gap = GAP_FRACTION * batch.molecule.decay_gamma
-    narrow = (gaps < min_gap).any(axis=-1) & tilted
-    if narrow.any():
-        i = narrow.argmax()
-        raise GapTooSmall(f"spectral gap {np.min(gaps[i]):.3e} below "
-                          f"threshold {min_gap[i, 0]:.3e}")
+    raise_first(((gaps < min_gap).any(axis=-1) & tilted, GapTooSmall,
+                 "spectral gap {:.3e} below threshold {:.3e}",
+                 gaps.min(axis=-1), min_gap))
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +247,12 @@ def _adaptive_steps(batch, tilted):
 
 
 def _points(batch, index):
-    """The stacked points that ``index`` selects, as a ``Batch`` without a
-    reference build."""
+    """The stacked points that ``index`` selects, as ``params.stack``
+    gives them."""
     def take(fields):
         return type(fields)(*(value[index] for value in vars(fields).values()))
-    return Batch(take(batch.molecule), take(batch.sample), take(batch.derived),
-                 batch.dissipator[index], built=None)
+    return ModelParams(None, take(batch.molecule), take(batch.sample),
+                       take(batch.derived))
 
 
 def first_cumulants(batch: Batch, h, stencil):
@@ -414,9 +408,7 @@ def fit_diffusion_expansion(params, s_plus=None, pin_linear: bool = True):
     residual = np.divide(
         np.linalg.norm(_DESIGNS[pin_linear] @ coeffs - fitted, axis=(1, 2)),
         norm, out=np.zeros_like(norm), where=norm > 0)
-    failed = residual > FIT_RESIDUAL_TOL
-    if failed.any():
-        raise FitResidualExceeded(
-            f"intensity expansion residual {residual[failed.argmax()]:.2e} "
-            f"exceeds {FIT_RESIDUAL_TOL:.0e}")
+    raise_first((residual > FIT_RESIDUAL_TOL, FitResidualExceeded,
+                 "intensity expansion residual {:.2e} exceeds "
+                 f"{FIT_RESIDUAL_TOL:.0e}", residual))
     return DiffusionExpansion(D1=d1, D2=d2, fit_residual=residual)

@@ -155,13 +155,10 @@ def build_two_sided(params: ModelParams, chi, flux_scale=1.0) -> np.ndarray:
     arrays giving an (n, 16, 16) stack, or (k,) arrays giving an
     (n, k, 16, 16) stack with parameters stacked by ``params.stack``;
     complex values occur during differentiation.  ``flux_scale`` is a
-    scalar or, as in ``fcs.batch``'s reference build, one per tilt.  A
-    ``fcs.Batch`` brings the dissipator of its pass.
+    scalar or, as in ``fcs.batch``'s reference build, one per tilt.
     """
-    dissipator = getattr(params, "dissipator", None)
-    if dissipator is None:
-        dissipator = dissipator_sum(params)
-    return two_sided(model_blocks(params, flux_scale), dissipator, chi)
+    return two_sided(model_blocks(params, flux_scale), dissipator_sum(params),
+                     chi)
 
 
 def trace_vector(n: int = DIM * DIM) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import adiabatic, fcs
-from .errors import POINT_ERRORS, SingularCovariance, some
+from .errors import POINT_ERRORS, SingularCovariance, raise_first
 from .estimation import SensitivityReport, sensitivity_report
 from .liouvillian import BETWEEN, WITHIN, build_two_sided, sector
 from .params import ModelParams, stack
@@ -89,10 +89,10 @@ def _result(params, s_plus, s_minus, d1, d2):
     # threshold and gives depth 0, which its thickness replaces
     z = np.where(optimal, z_optimal(params, np.where(optimal, s_plus, np.inf)),
                  params.sample.thickness)
-    if some(~np.isfinite(z)):
-        # rho_M S+ underflows (density 1e-300): the optimal depth, and the
-        # covariance transported that far, leave the float range
-        raise SingularCovariance("covariance has non-finite entries")
+    # rho_M S+ underflows (density 1e-300): the optimal depth, and the
+    # covariance transported that far, leave the float range
+    raise_first((~np.isfinite(z), SingularCovariance,
+                 "covariance has non-finite entries"))
     sigma2 = covariance_closed_form(params, s_plus, d1, d2, z)
     return sigma2, sensitivity_report(params, s_plus, s_minus, sigma2, z)
 
@@ -130,13 +130,20 @@ def _evaluate(points, route) -> list:
 
 
 def _pointwise(fn, points) -> list:
-    """``fn(points)``, one outcome per point.  When the stacked call raises
-    one of ``POINT_ERRORS``, each half of the points runs again, down to
-    single points, so that a point ends in an error only if it raises that
-    error alone."""
+    """``fn(points)``, one outcome per point.  A ``POINT_ERRORS`` raised
+    with one ``outcomes`` entry per point (``errors.raise_first``) gives the
+    points it names their errors and runs the rest again, once; any other
+    runs each half again, down to single points."""
+    if not points:
+        return []
     try:
         return fn(points)
     except POINT_ERRORS as exc:
+        outcomes = getattr(exc, "outcomes", ())
+        if len(outcomes) == len(points):
+            rest = iter(_pointwise(fn, [point for point, error in zip(
+                points, outcomes) if error is None]))
+            return [error or next(rest) for error in outcomes]
         if len(points) == 1:
             return [exc]
         half = len(points) // 2
@@ -153,11 +160,12 @@ def evaluate_points(points, route: str = "full") -> list:
     (``fcs.batch``'s reference build, and the Richardson stencil of any
     point whose step falls below ``fcs.STEP_TILT``), its eigensolves,
     bordered solves and flux fit, the adiabatic route's closed forms, the
-    transport and the report.  A stage raises the error
-    of its first failing point; the pass then runs again on each half of
-    its points, down to single points, so that a failing point ends in the
-    error it raises alone and each other point keeps its result from a
-    stacked pass.  One failing point among n = 2^k costs 2k + 1 passes.
+    transport and the report.  A stage's checks raise through
+    ``errors.raise_first``, which names the error each failing point raises
+    alone; those points end in it and the rest run again in one pass, so
+    points failing k distinct checks cost at most k + 1 passes.  Another
+    error (``LinAlgError``, ``ArithmeticError``) reruns each half of the
+    pass, down to single points: 2 log2(n) + 1 passes for one among n.
 
     This is the one place that sets numpy's floating-point error state.
     Far out in rate, detuning or density the arithmetic saturates to 0, inf
@@ -166,12 +174,9 @@ def evaluate_points(points, route: str = "full") -> list:
     raises are physics warnings."""
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}")
-    points = list(points)
-    if not points:
-        return []
     with np.errstate(all="ignore"):
         return _pointwise(lambda pass_points: _evaluate(pass_points, route),
-                          points)
+                          list(points))
 
 
 def evaluate_point(params: ModelParams, route: str = "full") -> PointResult:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateAbsorption, some
+from .errors import DegenerateAbsorption, raise_first, some
 from .params import ModelParams, coefficient, power
 
 # Below this absorption cross section (m^2) no optimal thickness exists.
@@ -25,11 +25,9 @@ V_MINUS = np.array([1.0, -1.0])
 
 def z_optimal(params: ModelParams, s_plus):
     """Sample thickness maximizing the transmitted signal, 1/(rho_M * S_plus)."""
-    low = s_plus <= ABSORPTION_THRESHOLD
-    if some(low):
-        raise DegenerateAbsorption(
-            f"absorption cross section {np.ravel(s_plus)[np.argmax(low)]:.3e}"
-            f" m^2 below threshold")
+    raise_first((s_plus <= ABSORPTION_THRESHOLD, DegenerateAbsorption,
+                 "absorption cross section {:.3e} m^2 below threshold",
+                 s_plus))
     return 1.0 / (params.sample.density_rho_m * s_plus)
 
 

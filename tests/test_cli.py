@@ -334,6 +334,19 @@ def test_sweep_rows_equal_run_point(base, axes, failures, route):
     assert statuses == {"ok"} | {f"error:{name}" for name in failures}
 
 
+def test_sweep_takes_a_partial_configuration(tmp_path):
+    """A sweep or figure pack over a configuration that names only some keys
+    gives the rows of the default configuration with the same override."""
+    partial, axis = {"gamma_mhz": 10.0}, "detuning,linear,-10,10,3"
+    full = dict(default_config(), **partial)
+    assert (cli.run_sweep(partial, [axis], "full")
+            == cli.run_sweep(full, [axis], "full"))
+    assert (cli.emit_figure_pack("fig1c", partial, str(tmp_path / "p"),
+                                 "full")
+            == cli.emit_figure_pack("fig1c", full, str(tmp_path / "f"),
+                                    "full"))
+
+
 def test_point_untyped_failure_is_error_json(monkeypatch, capsys):
     """point ends the failures a sweep keeps in a row in error JSON too."""
     def failing(params, route):

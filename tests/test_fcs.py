@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from spectrosens import adiabatic, cli, fcs, liouvillian, pipeline
-from spectrosens.errors import FitResidualExceeded, GapTooSmall
+from spectrosens.errors import FitResidualExceeded, GapTooSmall, raise_first
 from spectrosens.liouvillian import (build_two_sided, dissipator_sum,
                                      generator_derivatives, model_blocks,
                                      two_sided)
@@ -456,13 +456,8 @@ def test_evaluate_points_edge_inputs(default_params):
                 pipeline.evaluate_points(points)])
 
 
-def test_failing_pass_is_bisected(monkeypatch):
-    """One failing point among 64 costs 13 stacked passes, the first and
-    two per halving, not one more pass per point: it ends in the error it
-    raises alone, and the other 63 keep the results they get alone."""
-    points = [from_config({"detuning_a_mhz": detuning})
-              for detuning in np.linspace(-100.0, 100.0, 64)]
-    points[37] = from_config({"rate_a_mhz": 1e-12, "rate_b_mhz": 1e-12})
+def _counted_passes(monkeypatch):
+    """The sizes of the stacked passes that ``pipeline._evaluate`` runs."""
     passes, evaluate = [], pipeline._evaluate
 
     def counted(pass_points, route):
@@ -470,14 +465,88 @@ def test_failing_pass_is_bisected(monkeypatch):
         return evaluate(pass_points, route)
 
     monkeypatch.setattr(pipeline, "_evaluate", counted)
+    return passes
+
+
+def test_failing_pass_runs_again_once(monkeypatch):
+    """One failing point among 64 costs 2 stacked passes, the first and
+    one over the other 63: it ends in the error it raises alone, and the
+    other 63 keep the results they get alone."""
+    points = [from_config({"detuning_a_mhz": detuning})
+              for detuning in np.linspace(-100.0, 100.0, 64)]
+    points[37] = from_config({"rate_a_mhz": 1e-12, "rate_b_mhz": 1e-12})
+    passes = _counted_passes(monkeypatch)
     outcomes = pipeline.evaluate_points(points, "full")
-    assert len(passes) == 13 and passes[0] == 64
+    assert passes == [64, 63]
     with pytest.raises(GapTooSmall) as alone:
         evaluate_point(points[37], "full")
     assert _outcome(outcomes[37]) == _outcome(alone.value)
     for params, outcome in zip(points[:37] + points[38:],
                                outcomes[:37] + outcomes[38:]):
         assert _outcome(outcome) == _outcome(evaluate_point(params, "full"))
+
+
+def test_pass_failing_two_checks_makes_three_passes(monkeypatch):
+    """A pass of 64 whose points fail two distinct checks, the gap of one
+    and the expansion fit of another, costs 3 passes, and every point ends
+    as it does alone."""
+    points = [from_config({"detuning_a_mhz": detuning})
+              for detuning in np.linspace(-100.0, 100.0, 64)]
+    points[11] = from_config({"detuning_a_mhz": 500.0})
+    points[50] = from_config({"rate_a_mhz": 1e-12, "rate_b_mhz": 1e-12})
+    passes = _counted_passes(monkeypatch)
+    outcomes = pipeline.evaluate_points(points, "full")
+    assert passes == [64, 63, 62]
+    assert [type(outcomes[i]) for i in (11, 50)] == [FitResidualExceeded,
+                                                     GapTooSmall]
+    for params, outcome in zip(points, outcomes):
+        alone, = pipeline.evaluate_points([params], "full")
+        assert _outcome(outcome) == _outcome(alone)
+
+
+def test_raise_first_gives_each_point_its_own_first_check():
+    """Each failing point gets its first failing check with its own message
+    values, a point failing none gets None, the error raised is the first
+    failing point's, and a scalar mask raises too."""
+    gaps = np.array([[1.0], [0.1], [0.2], [5.0]])
+    residual = np.array([[0.0], [0.5], [0.0], [0.7]])
+    with pytest.raises(GapTooSmall) as raised:
+        raise_first((gaps < 0.5, GapTooSmall, "gap {:.1f} below {:.1f}",
+                     gaps.min(axis=-1), np.full((4, 1), 0.5)),
+                    (residual > 0.1, FitResidualExceeded, "residual {:.1f}",
+                     residual))
+    outcomes = raised.value.outcomes
+    assert outcomes[1] is raised.value
+    assert [None if outcome is None else (type(outcome), str(outcome))
+            for outcome in outcomes] == [
+        None, (GapTooSmall, "gap 0.1 below 0.5"),
+        (GapTooSmall, "gap 0.2 below 0.5"),
+        (FitResidualExceeded, "residual 0.7")]
+    assert raise_first((gaps > 10.0, GapTooSmall, "never")) is None
+    with pytest.raises(FitResidualExceeded, match="^residual 0.5$") as one:
+        raise_first((np.float64(0.5) > 0.1, FitResidualExceeded,
+                     "residual {:.1f}", 0.5))
+    assert len(one.value.outcomes) == 1
+
+
+def test_outcomes_of_another_pass_fall_back_to_halving():
+    """An error whose ``outcomes`` do not match the pass, like one that has
+    none, runs each half again, down to the failing point."""
+    calls = []
+
+    def fn(points):
+        calls.append(len(points))
+        if 5 in points:
+            error = GapTooSmall("point 5")
+            error.outcomes = [None] * (len(points) + 1)
+            raise error
+        return [2 * point for point in points]
+
+    outcomes = pipeline._pointwise(fn, list(range(8)))
+    assert calls == [8, 4, 4, 2, 1, 1, 2]
+    assert outcomes[:5] + outcomes[6:] == [0, 2, 4, 6, 8, 12, 14]
+    assert str(outcomes[5]) == "point 5"
+    assert pipeline._pointwise(fn, []) == []
 
 
 def test_physics_warnings_point_at_the_pipeline():
