@@ -19,8 +19,9 @@ rate pairs and detunings: ``cross_sections``, ``diffusion_rate`` at J0 and at
 three fluxes, ``second_cumulant_matrix`` at a scalar and an array flux
 scale, and ``fit_diffusion_expansion`` with the linear coefficient pinned
 and free.  Then one sha256 over the bytes of the telegraph Monte Carlo's
-``(rate, stderr)``, or its error, at seeds 0 and 2**64 - 1, 1000 and
-MC_CHUNK + 88 trajectories, with state B never entered (``rate_b = 0``),
+``(rate, stderr)``, or its error, at seeds 0 and 2**64 - 1, 1000,
+MC_CHUNK + 88 and 9 * MC_CHUNK + 88 trajectories, over the default
+horizon and 400 t_R, with state B never entered (``rate_b = 0``),
 state A never entered (``rate_a = 0``), rates 50:1 either way, and two
 states that absorb alike (equal detunings and dipoles).  Run it
 on two versions of the code and compare the output; it takes a few
@@ -53,6 +54,11 @@ MC_CONFIGS = ({"rate_a_mhz": 1e-4, "rate_b_mhz": 0.0},
               {"detuning_a_mhz": 40.0, "detuning_b_mhz": 40.0,
                "dipole_a_debye": 1.0, "dipole_b_debye": 1.0})
 MC_SEEDS = (0, 2**64 - 1)
+# trajectories: one partial chunk, two chunks, and two groups of up to 8
+# chunks stepped together, the last chunk partial; horizons in t_R (None is
+# the default)
+MC_TRAJECTORIES = (1000, oracles.MC_CHUNK + 88, 9 * oracles.MC_CHUNK + 88)
+MC_HORIZONS = (None, 400.0)
 
 # (name, base configuration, axes)
 SWEEPS = (
@@ -152,10 +158,12 @@ def fcs_digest() -> str:
 
 def mc_digest() -> str:
     digest = hashlib.sha256()
-    for config, seed, n in itertools.product(
-            MC_CONFIGS, MC_SEEDS, (1000, oracles.MC_CHUNK + 88)):
+    for config, seed, n, horizon in itertools.product(
+            MC_CONFIGS, MC_SEEDS, MC_TRAJECTORIES, MC_HORIZONS):
         params = from_config(config)
-        mc = oracles.McConfig(n_trajectories=n, seed=seed)
+        if horizon is not None:
+            horizon *= adiabatic.reaction_time(params)
+        mc = oracles.McConfig(n_trajectories=n, seed=seed, horizon=horizon)
         try:
             rate, stderr = oracles.telegraph_mc_diffusion(params, mc)
         except Exception as exc:   # an error is an outcome too

@@ -5,8 +5,10 @@ and a finite-difference derivative baseline.
 These deliberately avoid the code paths they check: the quadrature does not
 use the closed-form covariance, the telegraph sampler does not use eigenvalue
 derivatives, and the stencil differentiates the pipeline as a black box.
-All three need numpy alone: the quadrature is QUADPACK's adaptive
-Gauss-Kronrod (10, 21) scheme, written out here.
+All three need numpy alone and run on the caller's thread: the quadrature
+is QUADPACK's adaptive Gauss-Kronrod (10, 21) scheme, written out here, and
+the telegraph sampler draws each column of waiting times when its loop
+reaches it.
 """
 
 from __future__ import annotations
@@ -161,17 +163,17 @@ class McConfig:
         return dt, horizon
 
 
-# trajectories per keyed stream, and the margin of a chunk's first block of
-# waiting times over a trajectory's expected number of jumps m: the block
-# has ceil(m + MC_BLOCK_MARGIN * (sqrt(m) + 1)) columns.  MC_CHUNK is part of
-# the definition of the streams: trajectory i draws from the stream of chunk
-# i // MC_CHUNK, so changing it changes the numbers.  The margin sets only
-# how often a chunk draws a second block: at the default horizon a margin
-# of 4 leaves about 1 trajectory in 10^5 short of the first, and 77 of the
-# 2500 chunks of the bench's 500 seed-1 validate points draw one; a margin
-# of 3 leaves about 1 in 1600 short, and 1761 of those chunks draw one.
+# trajectories per keyed stream, and chunks stepped together in one column
+# loop.  MC_CHUNK is part of the definition of the streams: trajectory i
+# draws from the stream of chunk i // MC_CHUNK, so changing it changes the
+# numbers.  MC_GROUP sets only how many rows share a column's numpy calls,
+# never a number.  At the default point on a 2-core Xeon VM, in process,
+# median of 11 interleaved rounds: 10 000 trajectories took 6.0 ms in groups
+# of 1 chunk, 5.6 in groups of 4 and 5.5 in one group (8 or 16); 100 000
+# took 57, 55, 49, 52 and 60 ms in groups of 1, 2, 4, 8 and 16, as longer
+# rows fall out of the caches.  8 keeps a 10 000-trajectory call one group.
 MC_CHUNK = 2048
-MC_BLOCK_MARGIN = 4
+MC_GROUP = 8
 
 
 def _mean_stay(rate_out: float) -> float:
@@ -180,32 +182,28 @@ def _mean_stay(rate_out: float) -> float:
     return 1.0 / rate_out if rate_out > 0 else np.inf
 
 
-def _block_occupancy(in_a, draws, stay_a, stay_b, horizon):
+def _block_occupancy(in_a, columns, stay_a, stay_b, horizon):
     """Time in state A over [0, horizon] of trajectories given their initial
-    states and rows of standard exponential draws, and which rows ran out of
-    draws before the horizon.
+    states and an iterator over the columns of their standard exponential
+    draws, one entry per row.
 
     Column j of a row is the j-th stay: in A at even j if the row starts in
     A, at odd j if it starts in B, and as long as its draw times the mean
     stay of that state.  The per-jump loop runs over the columns for all
     rows at once: a row takes the segment ``min(stay, horizon - t)`` while
-    its clock t is below the horizon and none after, so the clock and the
-    occupancy are summed in the loop's order, bit for bit, including where
-    ``t + (horizon - t)`` rounds below the horizon and the loop takes one
-    more segment.  The loop stops once no row's clock is below the
-    horizon, so the columns left over are never read.  Each column's stays
-    are formed as the loop reaches it, so no array as large as the draws is
-    allocated.
+    its clock t is below the horizon and exact zeros after, so the clock
+    and the occupancy are summed in the loop's order, bit for bit,
+    including where ``t + (horizon - t)`` rounds below the horizon and the
+    loop takes one more segment.  The next column is taken only while some
+    row's clock is below the horizon.
     """
-    n, width = draws.shape
+    n = len(in_a)
     # the mean stays of the even and of the odd columns
     means = np.where(in_a, stay_a, stay_b), np.where(in_a, stay_b, stay_a)
     clock = np.zeros(n)
     occupancy = np.zeros((2, n))        # sums of the even and odd segments
     stay, segment = np.empty(n), np.empty(n)
-    for j, column in enumerate(draws.T):
-        if clock.min() >= horizon:
-            break
+    for j, column in enumerate(columns):
         # the stay in a state that is never left is inf, or NaN where its
         # draw is 0, and fmin takes horizon - t for both; past the horizon
         # the segment is 0
@@ -215,18 +213,34 @@ def _block_occupancy(in_a, draws, stay_a, stay_b, horizon):
         np.maximum(segment, 0.0, out=segment)
         clock += segment
         occupancy[j % 2] += segment
-    return np.where(in_a, occupancy[0], occupancy[1]), clock < horizon
+        if clock.min() >= horizon:
+            break
+    return np.where(in_a, occupancy[0], occupancy[1])
 
 
-def _first_block(seed, chunk, uniforms, block):
-    """The generator of chunk ``chunk``'s stream, keyed by (seed, chunk),
-    after it has drawn its ``MC_CHUNK`` uniforms into ``uniforms`` and its
-    first block of exponentials into ``block``."""
-    rng = np.random.Generator(np.random.Philox(
+def _draws(seed, start, size):
+    """The draws of trajectories start .. start + size - 1, ``start`` a
+    multiple of ``MC_CHUNK``: first one uniform per trajectory, then one
+    column of exponentials per trajectory at each step, each step
+    overwriting the buffer it yields.  Chunk c's stream is a Philox
+    generator keyed by (seed, c) that draws its ``MC_CHUNK`` uniforms, then
+    its next ``MC_CHUNK`` exponentials at each step, so row r's j-th
+    waiting time is the stream's (j * MC_CHUNK + r)-th exponential; a
+    last, partial chunk draws full columns too, so trajectory i's numbers
+    depend on the seed and i alone."""
+    rngs = [np.random.Generator(np.random.Philox(
         key=np.array([seed, chunk], dtype=np.uint64)))
-    rng.random(out=uniforms)
-    rng.standard_exponential(out=block)
-    return rng
+        for chunk in range(start // MC_CHUNK,
+                           math.ceil((start + size) / MC_CHUNK))]
+    block = np.empty((len(rngs), MC_CHUNK))
+    column = block.reshape(-1)[:size]
+    for rng, row in zip(rngs, block):
+        rng.random(out=row)
+    yield column
+    while True:
+        for rng, row in zip(rngs, block):
+            rng.standard_exponential(out=row)
+        yield column
 
 
 def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
@@ -234,70 +248,24 @@ def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
     0 .. n-1.
 
     Chunk c, trajectories c * MC_CHUNK .. (c + 1) * MC_CHUNK - 1, draws from
-    one Philox stream keyed by (seed, c): first MC_CHUNK uniforms, one per
-    row, for the initial states, then exact exponential waiting times in
-    blocks of shape (columns, MC_CHUNK), so that row r's j-th waiting time
-    is the stream's (j * MC_CHUNK + r)-th exponential whatever the block
-    widths.  A last, partial chunk draws full blocks too, so trajectory i's
-    numbers depend on the seed and i alone.  Leaving A happens at rate r_B
-    (transfer into B) and vice versa.  Because the conditioned fluxes are
-    constant within a chemical state, occupancy times integrate the flux
-    between jumps exactly (no discretization step enters).  Rows whose
-    columns end before the horizon keep their own columns, and the next
-    block, as wide as all columns so far, extends them from the same
-    stream; so the margin of the first block sets only how often that
-    happens, never the result.
-
-    A call of more than one chunk hands chunk c + 1's uniforms and first
-    block to a one-worker executor while the caller steps chunk c, so the
-    fills overlap the column loop; numpy fills them without holding the
-    GIL, and the two chunks' blocks live in two buffers allocated once per
-    call.  At most one block is drawn ahead, a chunk's later blocks are
-    drawn by the caller from the chunk's own generator, and a call of one
-    chunk submits nothing, so its executor starts no thread.  Each stream
-    is read in the same order whichever thread draws it, so the result does
-    not depend on the worker.  The worker has ended when the call returns,
-    and what it raised is raised here.
+    one Philox stream keyed by (seed, c) (``_draws``).  Up to ``MC_GROUP``
+    chunks are stepped together in one column loop, which draws each
+    column when it reaches it and ends when every row of the group has
+    reached the horizon, so a call holds one column per row whatever the
+    horizon.  Leaving A happens at rate r_B (transfer into B) and vice
+    versa.  Because the conditioned fluxes are constant within a chemical
+    state, occupancy times integrate the flux between jumps exactly (no
+    discretization step enters).
     """
-    # imported on first use: at module level it adds to every import's memory
-    from concurrent.futures import ThreadPoolExecutor
-
     stay_a, stay_b = _mean_stay(rate_b), _mean_stay(rate_a)
-    jumps = 2.0 * horizon / (stay_a + stay_b)
-    width = max(1, math.ceil(jumps
-                             + MC_BLOCK_MARGIN * (math.sqrt(jumps) + 1)))
-    chunks = math.ceil(n / MC_CHUNK)
-    buffers = [(np.empty(MC_CHUNK), np.empty((width, MC_CHUNK)))
-               for _ in range(min(chunks, 2))]
     times = np.empty(n)
-    ahead = []      # futures of the generators of chunks drawn ahead
-    with ThreadPoolExecutor(1) as executor:
-        for chunk in range(chunks):
-            if chunk + 1 < chunks:
-                ahead.append(executor.submit(_first_block, seed, chunk + 1,
-                                             *buffers[(chunk + 1) % 2]))
-            uniforms, block = buffers[chunk % 2]
-            rng = (ahead.pop(0).result() if chunk
-                   else _first_block(seed, chunk, uniforms, block))
-            start = chunk * MC_CHUNK
-            size = min(MC_CHUNK, n - start)
-            in_a = uniforms[:size] < p_a
-            rows = np.arange(size)
-            draws = block[:, :size]
-            while True:
-                time_a, short = _block_occupancy(in_a[rows], draws.T, stay_a,
-                                                 stay_b, horizon)
-                times[start + rows] = time_a
-                if not short.any():
-                    break
-                rows, draws = rows[short], draws[:, short]
-                # the next block, as wide as all columns so far, is drawn
-                # into the chunk's buffer one first block's width at a time
-                more = []
-                for _ in range(draws.shape[0] // width):
-                    rng.standard_exponential(out=block)
-                    more.append(block[:, rows])
-                draws = np.concatenate([draws, *more])
+    group = MC_GROUP * MC_CHUNK
+    for start in range(0, n, group):
+        size = min(group, n - start)
+        draws = _draws(seed, start, size)
+        in_a = next(draws) < p_a
+        times[start:start + size] = _block_occupancy(in_a, draws, stay_a,
+                                                     stay_b, horizon)
     return times
 
 
@@ -313,10 +281,10 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
     entry's jackknife is |Delta_i Delta_j| times the jackknife of
     Var(time_A): the oracle estimates one number, the sample variance of
     the occupancy time.  For fixed seed the output is bit-reproducible
-    and independent of scheduling, because each chunk of ``MC_CHUNK``
-    trajectories draws from a counter-based generator keyed by (seed,
-    chunk index), and a trajectory's draws sit at fixed places in its
-    chunk's stream, whichever thread draws them.
+    and independent of how the trajectories are grouped, because each
+    chunk of ``MC_CHUNK`` trajectories draws from a counter-based generator
+    keyed by (seed, chunk index), and a trajectory's draws sit at fixed
+    places in its chunk's stream.
     """
     mol, J = params.molecule, params.derived.photon_flux_j0
     t_r = reaction_time(params)

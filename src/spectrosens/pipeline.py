@@ -139,7 +139,10 @@ def _pointwise(fn, points) -> list:
     try:
         return fn(points)
     except POINT_ERRORS as exc:
-        outcomes = getattr(exc, "outcomes", ())
+        # the error's outcomes hold the error itself, and its traceback the
+        # pass's frames: dropping both lets reference counting free them
+        outcomes = vars(exc).pop("outcomes", ())
+        exc.__traceback__ = None
         if len(outcomes) == len(points):
             rest = iter(_pointwise(fn, [point for point, error in zip(
                 points, outcomes) if error is None]))

@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -345,6 +347,26 @@ def test_sweep_takes_a_partial_configuration(tmp_path):
                                  "full")
             == cli.emit_figure_pack("fig1c", full, str(tmp_path / "f"),
                                     "full"))
+
+
+def test_failing_sweep_frees_its_errors():
+    """A sweep's failed passes are freed by reference counting: with the
+    cyclic collector off, a 200-row grid with 90 failing rows holds less
+    than 1 MiB of traced memory once its rows are dropped."""
+    axes = ["rate,log,1e-13,1e-5,20", "detuning,linear,-50,50,10"]
+    cli.run_sweep({}, axes, "full")
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        rows = cli.run_sweep({}, axes, "full")
+        assert sum(row["status"] != "ok" for row in rows) == 90
+        del rows
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 2**20
 
 
 def test_point_untyped_failure_is_error_json(monkeypatch, capsys):

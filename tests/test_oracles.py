@@ -4,7 +4,6 @@ import pathlib
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -200,54 +199,38 @@ def test_mc_single_state_b_no_chemical_noise():
 # has about twice the Poisson variance
 RATE_PAIRS = [{}, {"rate_a_mhz": 3e-3, "rate_b_mhz": 1.5e-3},
               {"rate_a_mhz": 1e-4, "rate_b_mhz": 5e-3}]
+GROUP_ROWS = oracles.MC_GROUP * oracles.MC_CHUNK
+# (configuration, trajectories, horizon in t_R): the rate pairs over two
+# chunks, the last partial; a group and one row; two groups, the last with
+# a partial chunk; a long horizon; and a state A that is never left
+LOOP_CASES = [(config, oracles.MC_CHUNK + 88, 50) for config in RATE_PAIRS] + [
+    ({}, GROUP_ROWS + 1, 50),
+    (RATE_PAIRS[1], GROUP_ROWS + oracles.MC_CHUNK + 88, 50),
+    (RATE_PAIRS[1], oracles.MC_CHUNK + 88, 400),
+    ({"rate_a_mhz": 1e-4, "rate_b_mhz": 0.0}, oracles.MC_CHUNK + 88, 50)]
 
 
 @pytest.mark.parametrize("seed", [0, 4, 2**63 + 11, 2**64 - 1])
-@pytest.mark.parametrize("config", RATE_PAIRS)
+@pytest.mark.parametrize("config", LOOP_CASES)
 def test_occupancy_times_match_loop_reference(seed, config):
-    """Block draws summed column by column give the occupancy times of the
-    one-draw-per-jump loop bit for bit, across more than one chunk."""
+    """Columns drawn as the loop reaches them and summed for a group of
+    chunks at once give the occupancy times of the one-draw-per-jump loop
+    bit for bit, across chunks and groups."""
+    config, n, horizon = config
     params = from_config(config)
     p_a, _ = adiabatic.stationary_probabilities(params)
     mol, t_r = params.molecule, adiabatic.reaction_time(params)
-    args = (seed, oracles.MC_CHUNK + 88, p_a, mol.rate_a, mol.rate_b,
-            50 * t_r)
+    args = (seed, n, p_a, mol.rate_a, mol.rate_b, horizon * t_r)
     assert np.array_equal(oracles._occupancy_times(*args),
                           occupancy_times(*args))
 
 
-def test_occupancy_top_up_matches_loop_reference(monkeypatch):
-    """Rows whose columns end before the horizon are extended by the next
-    block of the same stream, and still equal the reference; at equal rates
-    and at the strongly unequal pair, whose jump count varies most."""
-    monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", 0)
-    widths = []
-    block_occupancy = oracles._block_occupancy
-
-    def spy(in_a, draws, *args):
-        widths.append(draws.shape[1])
-        return block_occupancy(in_a, draws, *args)
-    monkeypatch.setattr(oracles, "_block_occupancy", spy)
-    for config in RATE_PAIRS[::2]:
-        widths.clear()
-        params = from_config(config)
-        p_a, _ = adiabatic.stationary_probabilities(params)
-        mol = params.molecule
-        horizon = 50 * adiabatic.reaction_time(params)
-        args = (9, 300, p_a, mol.rate_a, mol.rate_b, horizon)
-        assert np.array_equal(oracles._occupancy_times(*args),
-                              occupancy_times(*args))
-        # one chunk, its first block too short for some rows, then doubled
-        assert len(widths) >= 2
-        assert widths[1:] == [2 * w for w in widths[:-1]]
-
-
-@pytest.mark.parametrize("margin", [0, 4])
-def test_trajectory_depends_on_seed_and_index_only(monkeypatch, margin):
+@pytest.mark.parametrize("n", [oracles.MC_CHUNK + 88, GROUP_ROWS + 1,
+                               GROUP_ROWS + oracles.MC_CHUNK + 88])
+def test_trajectory_depends_on_seed_and_index_only(monkeypatch, n):
     """A trajectory's occupancy time is the same whatever the number of
     trajectories run beside it, in a full chunk or a partial one, and
-    whether or not its chunk draws a second block."""
-    monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", margin)
+    whichever rows share its group's column loop."""
     params = from_config(RATE_PAIRS[2])
     p_a, _ = adiabatic.stationary_probabilities(params)
     mol, chunk = params.molecule, oracles.MC_CHUNK
@@ -256,105 +239,18 @@ def test_trajectory_depends_on_seed_and_index_only(monkeypatch, margin):
     def times(n):
         return oracles._occupancy_times(6, n, p_a, mol.rate_a, mol.rate_b,
                                         horizon)
-    longer, full = times(chunk + 88), times(2 * chunk)
+    longer, full = times(n), times(math.ceil(n / chunk) * chunk)
     assert np.array_equal(longer[:1000], times(1000))
-    assert np.array_equal(longer, full[:chunk + 88])
-    assert np.array_equal(times(chunk + 1), full[:chunk + 1])
+    assert np.array_equal(longer, full[:n])
+    assert np.array_equal(times(n - 87), longer[:n - 87])
+    monkeypatch.setattr(oracles, "MC_GROUP", 3)
+    assert np.array_equal(times(n), longer)
 
 
-def test_block_margin_changes_no_byte(monkeypatch):
-    """The margin of the first block sets how often a chunk draws a second
-    one, never the rate or its standard error."""
-    cfg = oracles.McConfig(n_trajectories=oracles.MC_CHUNK + 88, seed=5)
-    for config in RATE_PAIRS[::2]:
-        params = from_config(config)
-        outcomes = set()
-        for margin in (0, 4, 10):
-            monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", margin)
-            rate, stderr = oracles.telegraph_mc_diffusion(params, cfg)
-            outcomes.add(rate.tobytes() + stderr.tobytes())
-        assert len(outcomes) == 1
-
-
-def test_top_up_holds_one_block(monkeypatch, default_params):
-    """Drawing the next block for the short rows keeps only their own
-    columns of the last one: with no margin, where about half of each
-    chunk's rows are short of the first block, a call's traced peak exceeds
-    the peak at the default margin by at most one block of the default
-    width."""
-    cfg = oracles.McConfig(n_trajectories=10_000, seed=2)
-    oracles.telegraph_mc_diffusion(default_params, cfg)
-
-    def peak():
-        tracemalloc.start()
-        try:
-            oracles.telegraph_mc_diffusion(default_params, cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    mol = default_params.molecule
-    _, horizon = cfg.resolve(adiabatic.reaction_time(default_params))
-    jumps = 2.0 * horizon / (1 / mol.rate_a + 1 / mol.rate_b)
-    width = math.ceil(jumps + oracles.MC_BLOCK_MARGIN * (math.sqrt(jumps) + 1))
-    default = peak()
-    monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", 0)
-    bare = peak()
-    assert bare - default <= width * oracles.MC_CHUNK * 8
-
-
-def _spy_first_blocks(monkeypatch, fail_at=None):
-    """Record (chunk, thread) of every first block drawn, and raise in the
-    drawing of chunk ``fail_at``."""
-    drawn = []
-    first_block = oracles._first_block
-
-    def spy(seed, chunk, uniforms, block):
-        drawn.append((chunk, threading.current_thread()))
-        if chunk == fail_at:
-            raise RuntimeError(f"drawing chunk {chunk} failed")
-        return first_block(seed, chunk, uniforms, block)
-    monkeypatch.setattr(oracles, "_first_block", spy)
-    return drawn
-
-
-def test_draw_ahead_matches_loop_reference(monkeypatch):
-    """Three chunks, the last one partial, and no margin, so that every
-    chunk draws a second block from its own generator while the helper
-    thread draws the next chunk's first block: the occupancy times equal
-    the one-draw-per-jump loop bit for bit, chunk 0 is drawn by the caller
-    and chunks 1 and 2 by one helper thread."""
-    monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", 0)
-    drawn = _spy_first_blocks(monkeypatch)
-    widths = []
-    block_occupancy = oracles._block_occupancy
-
-    def spy(in_a, draws, *args):
-        widths.append(draws.shape[1])
-        return block_occupancy(in_a, draws, *args)
-    monkeypatch.setattr(oracles, "_block_occupancy", spy)
-    params = from_config(RATE_PAIRS[2])
-    p_a, _ = adiabatic.stationary_probabilities(params)
-    mol = params.molecule
-    horizon = 50 * adiabatic.reaction_time(params)
-    args = (3, 2 * oracles.MC_CHUNK + 300, p_a, mol.rate_a, mol.rate_b,
-            horizon)
-    assert np.array_equal(oracles._occupancy_times(*args),
-                          occupancy_times(*args))
-    threads = dict(drawn)
-    assert sorted(threads) == [0, 1, 2] and len(drawn) == 3
-    assert threads[0] is threading.current_thread()
-    assert threads[1] is threads[2] is not threads[0]
-    # each chunk's first block is followed by at least one wider block
-    firsts = [i for i, width in enumerate(widths) if width == min(widths)]
-    assert len(firsts) == 3
-    assert all(b - a >= 2 for a, b in zip(firsts, firsts[1:] + [len(widths)]))
-
-
-def test_draw_ahead_under_contention(monkeypatch):
-    """Three calls at once, each with its helper thread, six threads with
-    the interpreter switching between them every microsecond: every call
-    still equals the one-draw-per-jump loop bit for bit."""
-    monkeypatch.setattr(oracles, "MC_BLOCK_MARGIN", 0)
+def test_draw_ahead_under_contention():
+    """Three calls at once, with the interpreter switching between their
+    threads every microsecond: every call still equals the
+    one-draw-per-jump loop bit for bit."""
     params = from_config(RATE_PAIRS[1])
     p_a, _ = adiabatic.stationary_probabilities(params)
     mol = params.molecule
@@ -381,78 +277,41 @@ def test_draw_ahead_under_contention(monkeypatch):
     assert all(np.array_equal(times, expected) for times in results)
 
 
-@pytest.mark.parametrize("fail_at", [1, 3])
-def test_draw_ahead_error_reaches_caller(monkeypatch, default_params,
-                                         fail_at):
-    """An error raised while a chunk's first block is drawn ahead is raised
-    by the call, and the helper thread has ended when the call returns."""
-    p_a, _ = adiabatic.stationary_probabilities(default_params)
-    mol = default_params.molecule
-    horizon = 50 * adiabatic.reaction_time(default_params)
-    threads = threading.active_count()
-    _spy_first_blocks(monkeypatch, fail_at=fail_at)
-    with pytest.raises(RuntimeError, match=f"chunk {fail_at} failed"):
-        oracles._occupancy_times(1, 4 * oracles.MC_CHUNK, p_a, mol.rate_a,
-                                 mol.rate_b, horizon)
-    assert threading.active_count() == threads
-
-
-def test_caller_error_ends_draw_ahead(monkeypatch, default_params):
-    """An error raised on the caller's side, while stepping chunk 1 as the
-    worker draws chunk 2 ahead, is raised by the call, and the worker has
-    ended when the call returns."""
-    p_a, _ = adiabatic.stationary_probabilities(default_params)
-    mol = default_params.molecule
-    horizon = 50 * adiabatic.reaction_time(default_params)
-    threads = threading.active_count()
-    drawing, raised = threading.Event(), threading.Event()
-    first_block = oracles._first_block
-
-    def slow_first_block(seed, chunk, uniforms, block):
-        if chunk == 2:
-            drawing.set()
-            raised.wait(timeout=10)
-            time.sleep(0.05)    # still drawing after the caller has raised
-        return first_block(seed, chunk, uniforms, block)
-    firsts = []
-    block_occupancy = oracles._block_occupancy
-
-    def failing(in_a, draws, *args):
-        # a chunk's first call steps all its MC_CHUNK rows
-        firsts.append(len(in_a) == oracles.MC_CHUNK)
-        if sum(firsts) == 2:
-            assert drawing.wait(timeout=10)
-            raised.set()
-            raise RuntimeError("stepping chunk 1 failed")
-        return block_occupancy(in_a, draws, *args)
-    monkeypatch.setattr(oracles, "_first_block", slow_first_block)
-    monkeypatch.setattr(oracles, "_block_occupancy", failing)
-    with pytest.raises(RuntimeError, match="stepping chunk 1 failed"):
-        oracles._occupancy_times(1, 3 * oracles.MC_CHUNK, p_a, mol.rate_a,
-                                 mol.rate_b, horizon)
-    assert threading.active_count() == threads
-
-
-def test_one_chunk_call_starts_no_thread(monkeypatch, default_params):
-    """A call of one chunk, full or partial, draws its block itself."""
+def test_no_call_starts_a_thread(monkeypatch, default_params):
+    """A call of one chunk, of several and of more than one group steps its
+    rows on the caller's thread."""
     def start(self):
         raise AssertionError("a thread was started")
     monkeypatch.setattr(threading.Thread, "start", start)
-    cfg = oracles.McConfig(n_trajectories=oracles.MC_CHUNK, seed=8)
-    oracles.telegraph_mc_diffusion(default_params, cfg)
-    cfg = oracles.McConfig(n_trajectories=1000, seed=8)
-    oracles.telegraph_mc_diffusion(default_params, cfg)
-    cfg = oracles.McConfig(n_trajectories=oracles.MC_CHUNK + 1, seed=8)
-    with pytest.raises(AssertionError, match="a thread was started"):
+    for n in (1000, oracles.MC_CHUNK + 1, GROUP_ROWS + oracles.MC_CHUNK + 88):
+        cfg = oracles.McConfig(n_trajectories=n, seed=8)
         oracles.telegraph_mc_diffusion(default_params, cfg)
+
+
+def test_memory_does_not_grow_with_horizon(default_params):
+    """A call holds one column of draws per row, not all of a row's waiting
+    times: 1000 trajectories over 1e4 t_R, about 5000 jumps each, peak
+    below 1 MiB of traced memory."""
+    t_r = adiabatic.reaction_time(default_params)
+    cfg = oracles.McConfig(n_trajectories=1000, seed=3, horizon=1e4 * t_r)
+    # a process's first call sets up numpy's generators, ~1 MiB
+    oracles.telegraph_mc_diffusion(
+        default_params, oracles.McConfig(n_trajectories=1000, seed=3))
+    tracemalloc.start()
+    try:
+        oracles.telegraph_mc_diffusion(default_params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_block_occupancy_clock_rounding_short_of_horizon():
     """When t + (horizon - t) rounds below the horizon the loop takes one
-    more segment; the block sums take it too.  The second row, starting in
-    B, reaches the horizon one column earlier and exactly, so the rounding
-    column is the last live one: without it the first row is short, with
-    it neither row is, and the trailing columns change nothing."""
+    more segment; the column loop takes it too.  The second row, starting
+    in B, reaches the horizon one column earlier and exactly, so the
+    rounding column is the last live one: the loop takes three columns of
+    six, and with two the first row falls short."""
     horizon = float.fromhex("0x1.1111111111111p-6")
     first = float.fromhex("0x1.b4c450b5b3640p-13")
     assert first + (horizon - first) < horizon
@@ -460,17 +319,17 @@ def test_block_occupancy_clock_rounding_short_of_horizon():
     in_a = np.array([True, False])
     draws = np.array([[first, 1.0, 1.0, 1.0, 1.0, 1.0],
                       [horizon / 2, 1.0, 1.0, 1.0, 1.0, 1.0]])
-    time_a, short = oracles._block_occupancy(in_a, draws, 1.0, 1.0, horizon)
     expected = [occupancy_time(ScriptedRng(uniform, row), 0.5, 1.0, 1.0,
                                horizon)
                 for uniform, row in zip((0.0, 1.0), draws)]
     assert expected[0] > first and expected[1] == horizon / 2
-    assert np.array_equal(time_a, expected) and not short.any()
-    live, _ = oracles._block_occupancy(in_a, draws[:, :3], 1.0, 1.0, horizon)
-    assert np.array_equal(live, expected)
-    _, short = oracles._block_occupancy(in_a, draws[:, :2], 1.0, 1.0,
-                                        horizon)
-    assert short.tolist() == [True, False]
+    columns = iter(draws.T)
+    time_a = oracles._block_occupancy(in_a, columns, 1.0, 1.0, horizon)
+    assert np.array_equal(time_a, expected)
+    assert len(list(columns)) == 3
+    short = oracles._block_occupancy(in_a, iter(draws.T[:2]), 1.0, 1.0,
+                                     horizon)
+    assert short[0] < expected[0] and short[1] == expected[1]
 
 
 def test_mc_horizon_stationarity(default_params):
@@ -544,7 +403,7 @@ def test_jackknife_matches_loop_reference(default_params):
     product times the variance of the occupancy time and its jackknife, bit
     for bit as a loop over the leave-one-out variances, one trajectory at a
     time, gives them on the same seeded trajectories: in one chunk and in
-    three, whose first blocks are drawn ahead.  The per-trajectory loop of
+    three, stepped in one column loop.  The per-trajectory loop of
     2x2 flux covariances, whose sums cancel more, agrees within 1e-12
     relative for the rate and 1e-9 for its error."""
     mol, J = default_params.molecule, default_params.derived.photon_flux_j0
