@@ -23,9 +23,13 @@ and free.  Then one sha256 over the bytes of the telegraph Monte Carlo's
 MC_CHUNK + 88 and 9 * MC_CHUNK + 88 trajectories, over the default
 horizon and 400 t_R, with state B never entered (``rate_b = 0``),
 state A never entered (``rate_a = 0``), rates 50:1 either way, and two
-states that absorb alike (equal detunings and dipoles).  Run it
-on two versions of the code and compare the output; it takes a few
-seconds.
+states that absorb alike (equal detunings and dipoles).  Last, one
+sha256 over the quadrature oracle's covariance, or its error, at 4 of the
+rate pairs and 4 of the detunings, at the optimal depth and 10 and 30
+attenuation lengths deep (at 30 the adaptive rule bisects twice), with the
+weak-field ``adiabatic_rate`` and with the polynomial D1*J + D2*J^2/2 of
+the weak-field expansion as the rate.  Run it on two versions of the code
+and compare the output; it takes a few seconds.
 
     PYTHONPATH=src python scripts/outcome_digest.py
 """
@@ -38,7 +42,7 @@ import warnings
 
 import numpy as np
 
-from spectrosens import adiabatic, cli, fcs, oracles, pipeline
+from spectrosens import adiabatic, cli, fcs, oracles, pipeline, propagation
 from spectrosens.params import default_config, from_config
 
 # (rate_a_mhz, rate_b_mhz)
@@ -59,6 +63,12 @@ MC_SEEDS = (0, 2**64 - 1)
 # the default)
 MC_TRAJECTORIES = (1000, oracles.MC_CHUNK + 88, 9 * oracles.MC_CHUNK + 88)
 MC_HORIZONS = (None, 400.0)
+
+# rate pairs and detunings of the quadrature line
+QUAD_RATE_PAIRS = RATE_PAIRS[:4]
+QUAD_DETUNINGS_MHZ = (-60.0, 0.0, 25.0, 1000.0)
+# depths in attenuation lengths 1/(rho_M S_plus), None the optimal depth
+QUAD_DEPTHS = (None, 10.0, 30.0)
 
 # (name, base configuration, axes)
 SWEEPS = (
@@ -173,6 +183,28 @@ def mc_digest() -> str:
     return digest.hexdigest()
 
 
+def quad_digest() -> str:
+    digest = hashlib.sha256()
+    for (ra, rb), d in itertools.product(QUAD_RATE_PAIRS, QUAD_DETUNINGS_MHZ):
+        params = from_config({"detuning_a_mhz": d, "rate_a_mhz": ra,
+                              "rate_b_mhz": rb})
+        s_plus, _, expansion = adiabatic.weak_field_expansion(params)
+        rho = params.sample.density_rho_m
+        rate_fns = (lambda j: adiabatic.adiabatic_rate(params, j,
+                                                       method="weak_field"),
+                    lambda j: expansion.D1 * j + 0.5 * expansion.D2 * j * j)
+        depths = [propagation.z_optimal(params, s_plus) if lengths is None
+                  else lengths / (rho * s_plus) for lengths in QUAD_DEPTHS]
+        for rate_fn, z in itertools.product(rate_fns, depths):
+            try:
+                outcome = oracles.quadrature_covariance(params, rate_fn,
+                                                        s_plus, z)
+            except Exception as exc:   # an error is an outcome too
+                outcome = exc
+            digest.update("\n".join(_flatten(outcome)).encode() + b"\n\n")
+    return digest.hexdigest()
+
+
 def sweep_digest(base, axes, route) -> str:
     rows = cli.run_sweep(dict(default_config(), **base), axes, route)
     stream = io.StringIO()
@@ -192,6 +224,7 @@ def main():
             print(f"sweep {name} {route} {sweep_digest(base, axes, route)}")
     print(f"fcs {fcs_digest()}")
     print(f"mc {mc_digest()}")
+    print(f"quad {quad_digest()}")
 
 
 if __name__ == "__main__":

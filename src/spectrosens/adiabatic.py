@@ -9,6 +9,9 @@ stationary variance of a time-integrated telegraph signal).
 The closed forms (the weak-field method) are one expression for both
 chemical states, on a leading state axis (A, B), and elementwise in the fields
 of points stacked by ``params.stack``: vectors and matrices gain last axes.
+A flux array J broadcasts over the point axes the same way: its axes beyond
+the points' go after the state axis, so a (21, 1, 1) J at one point gives
+(21, 1, 1, 2, 2) rates, and each entry's bytes are those of its scalar J.
 """
 
 from __future__ import annotations
@@ -140,6 +143,9 @@ def _statistics(params, J, method, states=slice(None)):
         return np.stack(c1), np.stack(c2)
     if method == "weak_field":
         constants = _constants(params)
+        # J's axes beyond the points' go after the state axis
+        extra = max(0, np.ndim(J) - (constants.ndim - 2))
+        constants = np.expand_dims(constants, tuple(range(2, 2 + extra)))
         s_plus, s_minus = _cross_sections(constants)
         # (S_plus - S_minus) / 2 and (S_plus + S_minus) / 2
         c1 = np.asarray(J)[..., None] * (

@@ -78,10 +78,10 @@ GK21_GAUSS_WEIGHTS[1::2] = _GAUSS_WEIGHTS + _GAUSS_WEIGHTS[::-1]
 
 def _gk21(integrand, a: float, b: float):
     """The 21-point Kronrod value of the integral over [a, b] and its error
-    estimate, the largest entry of |K21 - G10|."""
+    estimate, the largest entry of |K21 - G10|.  ``integrand`` takes the
+    (21, 1, 1) nodes in one call and gives their (21, 2, 2) values."""
     center, half = 0.5 * (a + b), 0.5 * (b - a)
-    values = np.array([integrand(center + half * x)
-                       for x in GK21_NODES.tolist()])
+    values = integrand(center + half * GK21_NODES[:, None, None])
     kronrod = half * np.tensordot(GK21_KRONROD_WEIGHTS, values, axes=1)
     gauss = half * np.tensordot(GK21_GAUSS_WEIGHTS, values, axes=1)
     return kronrod, float(np.max(np.abs(kronrod - gauss)))
@@ -91,8 +91,11 @@ def quadrature_covariance(params: ModelParams, rate_fn, s_plus: float,
                           z: float) -> np.ndarray:
     """Covariance at depth z by adaptive quadrature of the transport integral.
 
-    ``rate_fn(J) -> 2x2`` is the per-molecule diffusion rate (1/s), called
-    with one scalar J at a time.  The integrand is the rate at the locally
+    ``rate_fn(J)`` is the per-molecule diffusion rate (1/s), called once
+    per 21-point rule with the rule's (21, 1, 1) array of fluxes; it returns
+    their 21 rates as any shape of 21 * 4 entries, such as (21, 2, 2) or
+    the (21, 1, 1, 2, 2) of ``adiabatic.adiabatic_rate``, or one 2x2 rate
+    that holds at every flux.  The integrand is the rate at the locally
     attenuated flux, damped by the remaining two-pass attenuation, with line
     density rho_M * A * tau applied.  The Gauss-Kronrod (10, 21) rule runs
     on [0, z] and bisects the subinterval of largest error estimate until
@@ -108,7 +111,8 @@ def quadrature_covariance(params: ModelParams, rate_fn, s_plus: float,
     def integrand(z_prime):
         j_local = j0 * np.exp(-rho * s_plus * z_prime)
         damping = np.exp(-2.0 * rho * s_plus * (z - z_prime))
-        return damping * line_density * np.asarray(rate_fn(j_local))
+        return damping * line_density * np.reshape(rate_fn(j_local),
+                                                   (-1, 2, 2))
 
     intervals = [(0.0, z, *_gk21(integrand, 0.0, z))]
     while True:

@@ -3,7 +3,7 @@ import pytest
 
 from spectrosens import adiabatic, fcs
 from spectrosens.errors import FitResidualExceeded
-from spectrosens.params import from_config
+from spectrosens.params import from_config, stack
 from spectrosens.pipeline import evaluate_point
 from stencils import hessian, richardson
 
@@ -266,6 +266,47 @@ def test_conditioned_cgf_arrays_equal_scalar_calls():
         assert np.array_equal(values, [
             adiabatic.conditioned_cgf(params, state, a, b, J)
             for a, b in zip(s1, s2)])
+
+
+# the fluxes of one 21-point rule of the quadrature oracle, in units of J0
+_RULE_FLUXES = np.geomspace(1e-3, 2.0, 21)[:, None, None]
+
+
+def _rate_functions(params, method):
+    return [lambda J: adiabatic.adiabatic_rate(params, J, method),
+            lambda J: adiabatic.conditioned_rate(params, "A", J, method),
+            lambda J: adiabatic.conditioned_rate(params, "B", J, method),
+            lambda J: adiabatic.chemical_rate_term(params, J, method)]
+
+
+@pytest.mark.parametrize("method", ["weak_field", "exact"])
+def test_flux_array_equals_scalar_calls(method):
+    """A (21, 1, 1) flux array at one point gives, flux by flux, the bytes
+    of 21 scalar calls, in one array of 21 2x2 rates."""
+    params = from_config({"dipole_b_debye": 0.6, "detuning_b_mhz": -15.0})
+    J = _RULE_FLUXES * params.derived.photon_flux_j0
+    for function in _rate_functions(params, method):
+        values = function(J)
+        if method == "weak_field":
+            assert values.shape == (21, 1, 1, 2, 2)
+        scalar = np.array([function(j) for j in J.ravel().tolist()])
+        assert np.reshape(values, (21, 2, 2)).tobytes() == scalar.tobytes()
+
+
+def test_flux_array_broadcasts_over_stacked_points():
+    """On a stack of two points a (21, 1, 1) flux array broadcasts over the
+    (2, 1) point axes as a scalar flux does, flux by flux byte for byte.
+    The exact method has no stacked form: its conditioned builds take the
+    stack's unit axis for their tilts."""
+    points = stack([from_config({}),
+                    from_config({"detuning_a_mhz": -80.0, "rate_a_mhz": 0.05,
+                                 "dipole_b_debye": 0.6})])
+    J = _RULE_FLUXES * float(points.derived.photon_flux_j0[0, 0])
+    for function in _rate_functions(points, "weak_field"):
+        values = function(J)
+        assert values.shape == (21, 2, 1, 2, 2)
+        scalar = np.array([function(j) for j in J.ravel().tolist()])
+        assert values.tobytes() == scalar.tobytes()
 
 
 def test_exact_rate_computes_first_cumulants_once_per_state(default_params,

@@ -30,16 +30,16 @@ def test_quadrature_zero_diffusion(default_params):
 def test_quadrature_non_finite_integrand_raises(default_params):
     """A failed integration is a typed error, not a NaN covariance: also
     for a rate that is NaN only below J0/2, which one attenuation length
-    reaches (J falls to J0/e)."""
-    with pytest.raises(QuadratureNotConverged):
+    reaches (J falls to J0/e), at some nodes of a rule's flux array."""
+    with pytest.raises(QuadratureNotConverged, match="non-finite"):
         oracles.quadrature_covariance(default_params,
                                       lambda j: np.full((2, 2), np.nan),
                                       5e-17, 0.01)
     j0 = default_params.derived.photon_flux_j0
-    with pytest.raises(QuadratureNotConverged):
+    with pytest.raises(QuadratureNotConverged, match="non-finite"):
         oracles.quadrature_covariance(
             default_params,
-            lambda j: np.eye(2) if j >= 0.5 * j0 else np.full((2, 2), np.nan),
+            lambda j: np.where(j >= 0.5 * j0, 1.0, np.nan) * np.eye(2),
             5e-17, 1.0 / (default_params.sample.density_rho_m * 5e-17))
 
 
@@ -121,7 +121,8 @@ def test_quadrature_matches_scipy_on_fitted_expansions():
 
 def test_quadrature_matches_scipy_deep_and_kinked(default_params):
     """Ten attenuation lengths deep, and a rate with a kink in J that the
-    rule must bisect towards; rate_fn sees one scalar J per call."""
+    rule must bisect towards; rate_fn sees one (21, 1, 1) flux array per
+    rule."""
     p = default_params
     j0, rho = p.derived.photon_flux_j0, p.sample.density_rho_m
     s_plus, _ = adiabatic.effective_cross_sections(p)
@@ -129,15 +130,57 @@ def test_quadrature_matches_scipy_deep_and_kinked(default_params):
     calls = []
 
     def weak_field(j):
-        calls.append(np.ndim(j))
+        calls.append(np.shape(j))
         return adiabatic.adiabatic_rate(p, j, method="weak_field")
     oracles.quadrature_covariance(p, weak_field, s_plus,
                                   propagation.z_optimal(p, s_plus))
-    # one 21-point rule meets the tolerance on the smooth integrand
-    assert calls == [0] * 21
+    # one 21-point rule, one call, meets the tolerance on the smooth
+    # integrand
+    assert calls == [(21, 1, 1)]
     _assert_matches_scipy(p, weak_field, s_plus, 10.0 / (rho * s_plus))
     _assert_matches_scipy(p, lambda j: base * (1.0 + abs(j / j0 - 0.8)),
                           s_plus, 1.0 / (rho * s_plus))
+
+
+def _gk21_per_node(integrand, a, b):
+    """``oracles._gk21`` with the integrand called once per node, at a
+    scalar: the reference for the rule's one call on all 21 nodes."""
+    center, half = 0.5 * (a + b), 0.5 * (b - a)
+    values = np.array([integrand(center + half * x)
+                       for x in oracles.GK21_NODES.tolist()])
+    kronrod = half * np.tensordot(oracles.GK21_KRONROD_WEIGHTS, values,
+                                  axes=1)
+    gauss = half * np.tensordot(oracles.GK21_GAUSS_WEIGHTS, values, axes=1)
+    return kronrod, float(np.max(np.abs(kronrod - gauss)))
+
+
+@pytest.mark.parametrize("config", [
+    {},
+    {"detuning_a_mhz": -80.0, "rate_a_mhz": 0.05},
+    {"detuning_a_mhz": 40.0, "rate_a_mhz": 1e-5, "rate_b_mhz": 3e-4},
+])
+def test_quadrature_equals_per_node_reference(config, monkeypatch):
+    """Each rule's one rate call on its 21 fluxes gives the bytes of 21
+    scalar calls, with the weak-field composition and with its polynomial
+    D1*J + D2*J^2/2 as the rate, at the optimal depth (one rule) and 30
+    attenuation lengths deep (five rules)."""
+    p = from_config(config)
+    s_plus, _, expansion = adiabatic.weak_field_expansion(p)
+    depths = (propagation.z_optimal(p, s_plus),
+              30.0 / (p.sample.density_rho_m * s_plus))
+    rate_fns = (lambda j: adiabatic.adiabatic_rate(p, j, method="weak_field"),
+                lambda j: expansion.D1 * j + 0.5 * expansion.D2 * j * j)
+    results, rules = [], []
+    for gk21 in (oracles._gk21, _gk21_per_node):
+        def counted(*args, gk21=gk21):
+            rules.append(gk21)
+            return gk21(*args)
+        monkeypatch.setattr(oracles, "_gk21", counted)
+        results.append([oracles.quadrature_covariance(p, rate_fn, s_plus,
+                                                      z).tobytes()
+                        for rate_fn in rate_fns for z in depths])
+    assert results[0] == results[1]
+    assert rules.count(_gk21_per_node) == 2 * (1 + 5)
 
 
 def test_quadrature_spent_budget_raises(default_params):
@@ -146,7 +189,8 @@ def test_quadrature_spent_budget_raises(default_params):
     j0 = default_params.derived.photon_flux_j0
     with pytest.raises(QuadratureNotConverged, match="subintervals"):
         oracles.quadrature_covariance(
-            default_params, lambda j: np.eye(2) * (int(1e6 * j / j0) % 2),
+            default_params,
+            lambda j: np.eye(2) * (np.floor(1e6 * j / j0) % 2),
             5e-17, 1.0 / (default_params.sample.density_rho_m * 5e-17))
 
 

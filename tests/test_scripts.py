@@ -204,8 +204,8 @@ def test_mc_validation_script_rejects_invalid_input(argv, error):
 def test_outcome_digest_script_runs():
     """scripts/outcome_digest.py prints one sha256 per route over the point
     outcomes, one over the adiabatic composition, one per sweep grid and
-    route, one over the standalone fcs calls on single points and one over
-    the telegraph Monte Carlo."""
+    route, one over the standalone fcs calls on single points, one over
+    the telegraph Monte Carlo and one over the quadrature oracle."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable,
                            str(ROOT / "scripts" / "outcome_digest.py")],
@@ -219,7 +219,7 @@ def test_outcome_digest_script_runs():
                                             "detuning-rate", "density-edge",
                                             "far-detuned", "fig-rate",
                                             "thickness", "step-limited")
-        for route in ("full", "both")] + [["fcs"], ["mc"]]
+        for route in ("full", "both")] + [["fcs"], ["mc"], ["quad"]]
     digests = [line[-1] for line in lines]
     assert all(len(d) == 64 and set(d) <= set("0123456789abcdef")
                for d in digests)
