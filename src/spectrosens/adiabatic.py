@@ -105,7 +105,11 @@ def _curvature_weak_field(constants, x):
 
 
 def _conditioned_model(params, state, J):
-    """The state's driven two-level block at flux J and its decay."""
+    """The state's driven two-level block at flux J and its decay.  Its
+    builds take no point axes, so a stack of points raises ValueError."""
+    if any(np.ndim(value) for value in vars(params.molecule).values()):
+        raise ValueError('method="exact" takes one point, not a stack of '
+                         'points; stacks take method="weak_field"')
     rabi, eps, _, gamma = _constants(params)[:, _index(state)]
     scale = np.sqrt(J / params.derived.photon_flux_j0)
     return ((eps, rabi * scale),), gamma * UNIT_DECAY

@@ -8,7 +8,8 @@ derivatives, and the stencil differentiates the pipeline as a black box.
 All three need numpy alone and run on the caller's thread: the quadrature
 is QUADPACK's adaptive Gauss-Kronrod (10, 21) scheme, written out here, and
 the telegraph sampler draws each column of waiting times when its loop
-reaches it.
+reaches it, from one PCG64 stream per chunk of trajectories, each seeded
+by a child that ``numpy.random.SeedSequence`` spawns from the seed.
 """
 
 from __future__ import annotations
@@ -167,15 +168,16 @@ class McConfig:
         return dt, horizon
 
 
-# trajectories per keyed stream, and chunks stepped together in one column
+# trajectories per seeded stream, and chunks stepped together in one column
 # loop.  MC_CHUNK is part of the definition of the streams: trajectory i
 # draws from the stream of chunk i // MC_CHUNK, so changing it changes the
 # numbers.  MC_GROUP sets only how many rows share a column's numpy calls,
 # never a number.  At the default point on a 2-core Xeon VM, in process,
-# median of 11 interleaved rounds: 10 000 trajectories took 6.0 ms in groups
-# of 1 chunk, 5.6 in groups of 4 and 5.5 in one group (8 or 16); 100 000
-# took 57, 55, 49, 52 and 60 ms in groups of 1, 2, 4, 8 and 16, as longer
-# rows fall out of the caches.  8 keeps a 10 000-trajectory call one group.
+# median of 11 interleaved rounds of ``_occupancy_times``: 10 000
+# trajectories took 6.2 ms in groups of 1 chunk, 5.2 in groups of 4 and
+# 4.9 in one group (8 or 16); 100 000 took 62, 64, 55, 53 and 60 ms in
+# groups of 1, 2, 4, 8 and 16, as longer rows fall out of the caches.  8
+# keeps a 10 000-trajectory call one group.
 MC_CHUNK = 2048
 MC_GROUP = 8
 
@@ -226,14 +228,15 @@ def _draws(seed, start, size):
     """The draws of trajectories start .. start + size - 1, ``start`` a
     multiple of ``MC_CHUNK``: first one uniform per trajectory, then one
     column of exponentials per trajectory at each step, each step
-    overwriting the buffer it yields.  Chunk c's stream is a Philox
-    generator keyed by (seed, c) that draws its ``MC_CHUNK`` uniforms, then
-    its next ``MC_CHUNK`` exponentials at each step, so row r's j-th
-    waiting time is the stream's (j * MC_CHUNK + r)-th exponential; a
-    last, partial chunk draws full columns too, so trajectory i's numbers
-    depend on the seed and i alone."""
-    rngs = [np.random.Generator(np.random.Philox(
-        key=np.array([seed, chunk], dtype=np.uint64)))
+    overwriting the buffer it yields.  Chunk c's stream is a PCG64
+    generator seeded by the c-th child of ``SeedSequence(seed).spawn``,
+    numpy's recipe for independent streams; it draws its ``MC_CHUNK``
+    uniforms, then its next ``MC_CHUNK`` exponentials at each step, so row
+    r's j-th waiting time is the stream's (j * MC_CHUNK + r)-th
+    exponential; a last, partial chunk draws full columns too, so
+    trajectory i's numbers depend on the seed and i alone."""
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        int(seed), spawn_key=(chunk,))))
         for chunk in range(start // MC_CHUNK,
                            math.ceil((start + size) / MC_CHUNK))]
     block = np.empty((len(rngs), MC_CHUNK))
@@ -252,14 +255,14 @@ def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
     0 .. n-1.
 
     Chunk c, trajectories c * MC_CHUNK .. (c + 1) * MC_CHUNK - 1, draws from
-    one Philox stream keyed by (seed, c) (``_draws``).  Up to ``MC_GROUP``
-    chunks are stepped together in one column loop, which draws each
-    column when it reaches it and ends when every row of the group has
-    reached the horizon, so a call holds one column per row whatever the
-    horizon.  Leaving A happens at rate r_B (transfer into B) and vice
-    versa.  Because the conditioned fluxes are constant within a chemical
-    state, occupancy times integrate the flux between jumps exactly (no
-    discretization step enters).
+    one PCG64 stream, seeded by the seed's c-th spawned child (``_draws``).
+    Up to ``MC_GROUP`` chunks are stepped together in one column loop,
+    which draws each column when it reaches it and ends when every row of
+    the group has reached the horizon, so a call holds one column per row
+    whatever the horizon.  Leaving A happens at rate r_B (transfer into B)
+    and vice versa.  Because the conditioned fluxes are constant within a
+    chemical state, occupancy times integrate the flux between jumps
+    exactly (no discretization step enters).
     """
     stay_a, stay_b = _mean_stay(rate_b), _mean_stay(rate_a)
     times = np.empty(n)
@@ -286,9 +289,9 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
     Var(time_A): the oracle estimates one number, the sample variance of
     the occupancy time.  For fixed seed the output is bit-reproducible
     and independent of how the trajectories are grouped, because each
-    chunk of ``MC_CHUNK`` trajectories draws from a counter-based generator
-    keyed by (seed, chunk index), and a trajectory's draws sit at fixed
-    places in its chunk's stream.
+    chunk of ``MC_CHUNK`` trajectories draws from its own PCG64 stream,
+    seeded by the chunk index's spawned child of the seed, and a
+    trajectory's draws sit at fixed places in its chunk's stream.
     """
     mol, J = params.molecule, params.derived.photon_flux_j0
     t_r = reaction_time(params)

@@ -1,8 +1,9 @@
 """Reference telegraph sampler: one trajectory at a time, one draw per jump.
 
 The package samples the trajectories of a chunk in blocks of draws taken
-column by column; this loop, on the same chunk-keyed Philox streams, is the
-reference those occupancy times must equal bit for bit.
+column by column; this loop, on the same PCG64 stream per chunk (the chunk
+index's spawned child of the seed), is the reference those occupancy times
+must equal bit for bit.
 """
 
 import math
@@ -49,7 +50,8 @@ def occupancy_time(rng, p_a, rate_a, rate_b, horizon):
 
 def occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
     """Occupancy times of trajectories 0 .. n-1.  Chunk c of ``MC_CHUNK``
-    trajectories draws from a new Philox generator keyed by (seed, c):
+    trajectories draws from a new PCG64 generator seeded by the c-th child
+    of ``SeedSequence(seed).spawn``:
     ``MC_CHUNK`` uniforms, then one deep block of exponentials whose column
     r holds trajectory c * MC_CHUNK + r's waiting times in order.  The
     block holds at least 8 times the expected jumps, and a trajectory that
@@ -57,8 +59,8 @@ def occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
     depth = 4 * math.ceil(horizon * (rate_a + rate_b)) + 64
     times = []
     for chunk in range(math.ceil(n / MC_CHUNK)):
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([seed, chunk], dtype=np.uint64)))
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(int(seed)).spawn(chunk + 1)[chunk]))
         uniforms = rng.random(MC_CHUNK)
         block = rng.standard_exponential((depth, MC_CHUNK))
         for r in range(min(MC_CHUNK, n - chunk * MC_CHUNK)):

@@ -293,6 +293,24 @@ def test_flux_array_equals_scalar_calls(method):
         assert np.reshape(values, (21, 2, 2)).tobytes() == scalar.tobytes()
 
 
+@pytest.mark.parametrize("x", [1.0, _RULE_FLUXES], ids=["scalar", "array"])
+@pytest.mark.parametrize("function", [
+    lambda p, J, method: adiabatic.conditioned_rate(p, "A", J, method=method),
+    adiabatic.chemical_rate_term,
+    adiabatic.adiabatic_rate,
+], ids=["conditioned_rate", "chemical_rate_term", "adiabatic_rate"])
+def test_exact_method_rejects_stacked_points(function, x):
+    """The exact method takes one point: on a stack, at a scalar flux or a
+    flux array, it raises a ValueError that names the weak-field method,
+    even a stack of one."""
+    one, other = from_config({}), from_config({"rate_a_mhz": 0.05})
+    for points in (stack([one]), stack([one, other])):
+        J = x * points.derived.photon_flux_j0[0, 0]
+        with pytest.raises(ValueError, match='method="exact" takes one '
+                           'point.*method="weak_field"'):
+            function(points, J, method="exact")
+
+
 def test_flux_array_broadcasts_over_stacked_points():
     """On a stack of two points a (21, 1, 1) flux array broadcasts over the
     (2, 1) point axes as a scalar flux does, flux by flux byte for byte.

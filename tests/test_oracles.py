@@ -269,6 +269,26 @@ def test_occupancy_times_match_loop_reference(seed, config):
                           occupancy_times(*args))
 
 
+@pytest.mark.parametrize("chunk", [0, 4])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_chunk_stream_is_spawned_pcg64(seed, chunk):
+    """Chunk c's first block of uniforms and first column of exponentials
+    are those of a PCG64 generator on ``SeedSequence(seed).spawn``'s c-th
+    child, and another chunk or another seed draws other uniforms."""
+    def first_draws(seed, chunk):
+        draws = oracles._draws(seed, chunk * oracles.MC_CHUNK,
+                               oracles.MC_CHUNK)
+        return next(draws).copy(), next(draws).copy()
+    uniforms, column = first_draws(seed, chunk)
+    child = np.random.SeedSequence(seed).spawn(chunk + 1)[chunk]
+    rng = np.random.Generator(np.random.PCG64(child))
+    assert uniforms.tobytes() == rng.random(oracles.MC_CHUNK).tobytes()
+    assert column.tobytes() == rng.standard_exponential(
+        oracles.MC_CHUNK).tobytes()
+    assert not np.array_equal(first_draws(seed, chunk + 1)[0], uniforms)
+    assert not np.array_equal(first_draws(seed ^ 1, chunk)[0], uniforms)
+
+
 @pytest.mark.parametrize("n", [oracles.MC_CHUNK + 88, GROUP_ROWS + 1,
                                GROUP_ROWS + oracles.MC_CHUNK + 88])
 def test_trajectory_depends_on_seed_and_index_only(monkeypatch, n):
