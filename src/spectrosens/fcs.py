@@ -85,6 +85,12 @@ STEP_TILT = 1e-4
 # helper thread.  Stencil stacks (n, 9, 16, 16) of the reference build on
 # a 2-core Xeon VM, one call's time over the split's: 0.45-0.92 at 2-6
 # points, 0.86-1.23 at 7-8, 1.28-1.63 at 10-12 and 1.3-1.9 at 50-100.
+# Whether the halves overlap varies from process to process: on the bench
+# sweep's (12, 9, 16, 16) stack, median of 41 alternating calls in each of
+# 12 fresh processes on the same VM type, one call took 3.6-5.3 ms of wall
+# time and the split 3.8-5.6 ms (1.05-1.08 times as long), with process
+# CPU time 0.95-1.00 of the split's wall time, so the halves never ran at
+# once; in other processes the split has taken 2.0-2.9 ms.
 _SPLIT_MATRICES = 64
 
 

@@ -8,8 +8,10 @@ derivatives, and the stencil differentiates the pipeline as a black box.
 All three need numpy alone and run on the caller's thread: the quadrature
 is QUADPACK's adaptive Gauss-Kronrod (10, 21) scheme, written out here, and
 the telegraph sampler draws each column of waiting times when its loop
-reaches it, from one PCG64 stream per chunk of trajectories, each seeded
-by a child that ``numpy.random.SeedSequence`` spawns from the seed.
+reaches it, for the trajectories of a chunk's working set, those not yet
+dropped at a check for having reached the horizon, from one PCG64 stream
+per chunk of trajectories, each seeded by a child that
+``numpy.random.SeedSequence`` spawns from the seed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adiabatic import (chemical_rate_term, conditioned_cross_sections,
+from .adiabatic import (_constants, _cross_sections, chemical_rate_term,
                         reaction_time, stationary_probabilities)
 from .errors import (InsufficientStatistics, QuadratureNotConverged,
                      StencilUnstable)
@@ -168,18 +170,23 @@ class McConfig:
         return dt, horizon
 
 
-# trajectories per seeded stream, and chunks stepped together in one column
-# loop.  MC_CHUNK is part of the definition of the streams: trajectory i
-# draws from the stream of chunk i // MC_CHUNK, so changing it changes the
-# numbers.  MC_GROUP sets only how many rows share a column's numpy calls,
-# never a number.  At the default point on a 2-core Xeon VM, in process,
-# median of 11 interleaved rounds of ``_occupancy_times``: 10 000
-# trajectories took 6.2 ms in groups of 1 chunk, 5.2 in groups of 4 and
-# 4.9 in one group (8 or 16); 100 000 took 62, 64, 55, 53 and 60 ms in
-# groups of 1, 2, 4, 8 and 16, as longer rows fall out of the caches.  8
+# trajectories per seeded stream, chunks stepped together in one column
+# loop, and columns between the checks at which a chunk may drop its
+# finished rows.  MC_CHUNK and MC_CHECKPOINT are part of the definition of
+# the streams: trajectory i draws from the stream of chunk i // MC_CHUNK,
+# and how many draws that stream gives each column depends on the chunk's
+# checks, so changing either changes the numbers.  MC_GROUP sets only how
+# many rows share a column's numpy calls, never a number.  At the default
+# point on a 2-core Xeon VM, in process, medians of four runs of 21
+# interleaved rounds of ``_occupancy_times``: 10 000 trajectories took
+# 4.5-5.5 ms in groups of 1 chunk, 3.8-4.7 in groups of 2, 3.7-4.7 in
+# groups of 4 and 3.3-4.2 in one group (8 or 16); 100 000 took 44-46,
+# 36-38, 31-32, 29-31 and 29-30 ms in groups of 1, 2, 4, 8 and 16 in three
+# runs, and 49-80 ms in a fourth run under load, where 8 and 16 tied.  8
 # keeps a 10 000-trajectory call one group.
 MC_CHUNK = 2048
 MC_GROUP = 8
+MC_CHECKPOINT = 4
 
 
 def _mean_stay(rate_out: float) -> float:
@@ -188,66 +195,82 @@ def _mean_stay(rate_out: float) -> float:
     return 1.0 / rate_out if rate_out > 0 else np.inf
 
 
-def _block_occupancy(in_a, columns, stay_a, stay_b, horizon):
-    """Time in state A over [0, horizon] of trajectories given their initial
-    states and an iterator over the columns of their standard exponential
-    draws, one entry per row.
+def _stream(seed, chunk):
+    """Chunk ``chunk``'s generator: PCG64 seeded by the chunk-th child of
+    ``SeedSequence(seed).spawn``, numpy's recipe for independent streams."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        int(seed), spawn_key=(chunk,))))
 
-    Column j of a row is the j-th stay: in A at even j if the row starts in
+
+def _block_occupancy(in_a, streams, stay_a, stay_b, horizon):
+    """Time in state A over [0, horizon] of the rows of ``len(streams)``
+    equal chunks, given their initial states; ``streams[c]`` draws chunk
+    c's standard exponentials.
+
+    Column j of a row is its j-th stay: in A at even j if the row starts in
     A, at odd j if it starts in B, and as long as its draw times the mean
-    stay of that state.  The per-jump loop runs over the columns for all
-    rows at once: a row takes the segment ``min(stay, horizon - t)`` while
+    stay of that state.  Each chunk steps its working set, at first all of
+    its rows: at column j it draws one exponential per row of the set, in
+    row order.  A row takes the segment ``min(stay, horizon - t)`` while
     its clock t is below the horizon and exact zeros after, so the clock
     and the occupancy are summed in the loop's order, bit for bit,
     including where ``t + (horizon - t)`` rounds below the horizon and the
-    loop takes one more segment.  The next column is taken only while some
-    row's clock is below the horizon.
+    row takes one more segment.  After every ``MC_CHECKPOINT``-th column, a
+    chunk whose rows still short of the horizon are at most half of its
+    working set drops its finished rows, whose occupancy is written out
+    first; the loop ends at the first such check where no row is live.
+    Every decision is a chunk's own, so a row's numbers do not depend on
+    the chunks stepped beside it.
     """
     n = len(in_a)
+    widths = np.full(len(streams), n // len(streams))
+    rows = np.arange(n)                 # the block row of each working row
     # the mean stays of the even and of the odd columns
-    means = np.where(in_a, stay_a, stay_b), np.where(in_a, stay_b, stay_a)
+    means = np.where(in_a, [[stay_a], [stay_b]], [[stay_b], [stay_a]])
     clock = np.zeros(n)
     occupancy = np.zeros((2, n))        # sums of the even and odd segments
-    stay, segment = np.empty(n), np.empty(n)
-    for j, column in enumerate(columns):
-        # the stay in a state that is never left is inf, or NaN where its
-        # draw is 0, and fmin takes horizon - t for both; past the horizon
-        # the segment is 0
-        np.multiply(column, means[j % 2], out=stay)
-        np.subtract(horizon, clock, out=segment)
-        np.fmin(stay, segment, out=segment)
-        np.maximum(segment, 0.0, out=segment)
-        clock += segment
-        occupancy[j % 2] += segment
-        if clock.min() >= horizon:
-            break
-    return np.where(in_a, occupancy[0], occupancy[1])
-
-
-def _draws(seed, start, size):
-    """The draws of trajectories start .. start + size - 1, ``start`` a
-    multiple of ``MC_CHUNK``: first one uniform per trajectory, then one
-    column of exponentials per trajectory at each step, each step
-    overwriting the buffer it yields.  Chunk c's stream is a PCG64
-    generator seeded by the c-th child of ``SeedSequence(seed).spawn``,
-    numpy's recipe for independent streams; it draws its ``MC_CHUNK``
-    uniforms, then its next ``MC_CHUNK`` exponentials at each step, so row
-    r's j-th waiting time is the stream's (j * MC_CHUNK + r)-th
-    exponential; a last, partial chunk draws full columns too, so
-    trajectory i's numbers depend on the seed and i alone."""
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        int(seed), spawn_key=(chunk,))))
-        for chunk in range(start // MC_CHUNK,
-                           math.ceil((start + size) / MC_CHUNK))]
-    block = np.empty((len(rngs), MC_CHUNK))
-    column = block.reshape(-1)[:size]
-    for rng, row in zip(rngs, block):
-        rng.random(out=row)
-    yield column
-    while True:
-        for rng, row in zip(rngs, block):
-            rng.standard_exponential(out=row)
-        yield column
+    stay, segment, times = np.empty(n), np.empty(n), np.empty(n)
+    j = 0
+    while len(streams):
+        starts = np.cumsum(widths) - widths
+        outs = np.split(stay, starts[1:])
+        while True:
+            for stream, out in zip(streams, outs):
+                stream.standard_exponential(out=out)
+            # the stay in a state that is never left is inf, or NaN where
+            # its draw is 0, and fmin takes horizon - t for both; past the
+            # horizon the segment is 0
+            np.multiply(stay, means[j % 2], out=stay)
+            np.subtract(horizon, clock, out=segment)
+            np.fmin(stay, segment, out=segment)
+            np.maximum(segment, 0.0, out=segment)
+            clock += segment
+            occupancy[j % 2] += segment
+            j += 1
+            if j % MC_CHECKPOINT:
+                continue
+            live = clock < horizon
+            counts = np.add.reduceat(live, starts, dtype=np.intp)
+            shrink = 2 * counts <= widths
+            if shrink.any():
+                break
+        # every working row's sums so far: final for the rows that leave,
+        # written again later for the others
+        times[rows] = np.where(in_a[rows], occupancy[0], occupancy[1])
+        for start, width in zip(starts[~shrink], widths[~shrink]):
+            live[start:start + width] = True
+        # the kept rows move to the front of each array, in order
+        kept = np.flatnonzero(live)
+        size = len(kept)
+        for row in (rows, clock, *means, *occupancy):
+            row[:size] = row[kept]
+        rows, clock, stay, segment = (rows[:size], clock[:size], stay[:size],
+                                      segment[:size])
+        means, occupancy = means[:, :size], occupancy[:, :size]
+        widths = np.where(shrink, counts, widths)
+        streams = [stream for stream, width in zip(streams, widths) if width]
+        widths = widths[widths > 0]
+    return times
 
 
 def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
@@ -255,25 +278,29 @@ def _occupancy_times(seed, n, p_a, rate_a, rate_b, horizon):
     0 .. n-1.
 
     Chunk c, trajectories c * MC_CHUNK .. (c + 1) * MC_CHUNK - 1, draws from
-    one PCG64 stream, seeded by the seed's c-th spawned child (``_draws``).
-    Up to ``MC_GROUP`` chunks are stepped together in one column loop,
-    which draws each column when it reaches it and ends when every row of
-    the group has reached the horizon, so a call holds one column per row
-    whatever the horizon.  Leaving A happens at rate r_B (transfer into B)
-    and vice versa.  Because the conditioned fluxes are constant within a
-    chemical state, occupancy times integrate the flux between jumps
-    exactly (no discretization step enters).
+    one PCG64 stream (``_stream``): first ``MC_CHUNK`` uniforms, one per
+    row, which set the initial states, then its working set's exponentials
+    column by column (``_block_occupancy``).  A last, partial chunk steps
+    all its ``MC_CHUNK`` rows too, so trajectory i's numbers depend on the
+    seed and i alone.  Up to ``MC_GROUP`` chunks are stepped together in
+    one column loop, which draws each column when it reaches it, so a call
+    holds one column per row whatever the horizon.  Leaving A happens at
+    rate r_B (transfer into B) and vice versa.  Because the conditioned
+    fluxes are constant within a chemical state, occupancy times integrate
+    the flux between jumps exactly (no discretization step enters).
     """
     stay_a, stay_b = _mean_stay(rate_b), _mean_stay(rate_a)
-    times = np.empty(n)
-    group = MC_GROUP * MC_CHUNK
-    for start in range(0, n, group):
-        size = min(group, n - start)
-        draws = _draws(seed, start, size)
-        in_a = next(draws) < p_a
-        times[start:start + size] = _block_occupancy(in_a, draws, stay_a,
-                                                     stay_b, horizon)
-    return times
+    chunks = math.ceil(n / MC_CHUNK)
+    blocks = []
+    for first in range(0, chunks, MC_GROUP):
+        streams = [_stream(seed, chunk)
+                   for chunk in range(first, min(first + MC_GROUP, chunks))]
+        uniforms = np.empty((len(streams), MC_CHUNK))
+        for stream, row in zip(streams, uniforms):
+            stream.random(out=row)
+        blocks.append(_block_occupancy(uniforms.reshape(-1) < p_a, streams,
+                                       stay_a, stay_b, horizon))
+    return np.concatenate(blocks)[:n]
 
 
 def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
@@ -290,20 +317,20 @@ def telegraph_mc_diffusion(params: ModelParams, mc: McConfig):
     the occupancy time.  For fixed seed the output is bit-reproducible
     and independent of how the trajectories are grouped, because each
     chunk of ``MC_CHUNK`` trajectories draws from its own PCG64 stream,
-    seeded by the chunk index's spawned child of the seed, and a
-    trajectory's draws sit at fixed places in its chunk's stream.
+    seeded by the chunk index's spawned child of the seed, and which of
+    its trajectories a chunk steps at each column, so which draw of the
+    stream each one takes, follows from that chunk's trajectories alone.
     """
     mol, J = params.molecule, params.derived.photon_flux_j0
     t_r = reaction_time(params)
     _, horizon = mc.resolve(t_r)
     p_a, _ = stationary_probabilities(params)
 
-    s_a = np.array(conditioned_cross_sections(params, "A"))
-    s_b = np.array(conditioned_cross_sections(params, "B"))
-    # detector-channel fluxes (1/s) conditioned on the chemical state
-    flux_a = J * np.array([(s_a[0] + s_a[1]) / 2, (s_a[0] - s_a[1]) / 2])
-    flux_b = J * np.array([(s_b[0] + s_b[1]) / 2, (s_b[0] - s_b[1]) / 2])
-    delta = flux_a - flux_b
+    s_plus, s_minus = _cross_sections(_constants(params))
+    # detector-channel fluxes (1/s) conditioned on the chemical state, one
+    # column per state (A, B)
+    flux = J * np.array([(s_plus + s_minus) / 2, (s_plus - s_minus) / 2])
+    delta = flux[:, 0] - flux[:, 1]
     outer = np.outer(delta, delta)
 
     n = mc.n_trajectories

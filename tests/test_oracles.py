@@ -257,9 +257,9 @@ LOOP_CASES = [(config, oracles.MC_CHUNK + 88, 50) for config in RATE_PAIRS] + [
 @pytest.mark.parametrize("seed", [0, 4, 2**63 + 11, 2**64 - 1])
 @pytest.mark.parametrize("config", LOOP_CASES)
 def test_occupancy_times_match_loop_reference(seed, config):
-    """Columns drawn as the loop reaches them and summed for a group of
-    chunks at once give the occupancy times of the one-draw-per-jump loop
-    bit for bit, across chunks and groups."""
+    """Working sets stepped column by column for a group of chunks at once
+    give the occupancy times of the one-step-per-row-and-column loop bit for
+    bit, across chunks and groups."""
     config, n, horizon = config
     params = from_config(config)
     p_a, _ = adiabatic.stationary_probabilities(params)
@@ -276,9 +276,9 @@ def test_chunk_stream_is_spawned_pcg64(seed, chunk):
     are those of a PCG64 generator on ``SeedSequence(seed).spawn``'s c-th
     child, and another chunk or another seed draws other uniforms."""
     def first_draws(seed, chunk):
-        draws = oracles._draws(seed, chunk * oracles.MC_CHUNK,
-                               oracles.MC_CHUNK)
-        return next(draws).copy(), next(draws).copy()
+        stream = oracles._stream(seed, chunk)
+        return (stream.random(oracles.MC_CHUNK),
+                stream.standard_exponential(oracles.MC_CHUNK))
     uniforms, column = first_draws(seed, chunk)
     child = np.random.SeedSequence(seed).spawn(chunk + 1)[chunk]
     rng = np.random.Generator(np.random.PCG64(child))
@@ -314,7 +314,7 @@ def test_trajectory_depends_on_seed_and_index_only(monkeypatch, n):
 def test_draw_ahead_under_contention():
     """Three calls at once, with the interpreter switching between their
     threads every microsecond: every call still equals the
-    one-draw-per-jump loop bit for bit."""
+    one-step-per-row-and-column loop bit for bit."""
     params = from_config(RATE_PAIRS[1])
     p_a, _ = adiabatic.stationary_probabilities(params)
     mol = params.molecule
@@ -371,29 +371,64 @@ def test_memory_does_not_grow_with_horizon(default_params):
 
 
 def test_block_occupancy_clock_rounding_short_of_horizon():
-    """When t + (horizon - t) rounds below the horizon the loop takes one
-    more segment; the column loop takes it too.  The second row, starting
-    in B, reaches the horizon one column earlier and exactly, so the
-    rounding column is the last live one: the loop takes three columns of
-    six, and with two the first row falls short."""
+    """When t + (horizon - t) rounds below the horizon the row takes one
+    more segment, here at the first check: the first row, starting in A,
+    reaches ``first`` after three columns and rounds short of the horizon
+    in the fourth, while the second, starting in B, reaches the horizon
+    exactly in its second.  At the check after the fourth column the first
+    row is live, one of the two rows of the working set, so the chunk drops
+    the second row and steps the first alone; it takes the last segment in
+    the fifth column, and the loop ends at the next check, after 4 * 2 +
+    4 draws of the 14 scripted.  A loop that ended at the first check
+    would miss that segment.  Each row equals the one-draw-per-jump loop
+    on its own draws."""
     horizon = float.fromhex("0x1.1111111111111p-6")
     first = float.fromhex("0x1.b4c450b5b3640p-13")
     assert first + (horizon - first) < horizon
     assert horizon / 2 + (horizon - horizon / 2) == horizon
-    in_a = np.array([True, False])
-    draws = np.array([[first, 1.0, 1.0, 1.0, 1.0, 1.0],
-                      [horizon / 2, 1.0, 1.0, 1.0, 1.0, 1.0]])
+    assert oracles.MC_CHECKPOINT == 4
+    rows = [[first / 2, first / 4, first / 4, 1.0, 1.0, 1.0, 1.0, 1.0],
+            [horizon / 2, 1.0, 1.0, 1.0]]
     expected = [occupancy_time(ScriptedRng(uniform, row), 0.5, 1.0, 1.0,
                                horizon)
-                for uniform, row in zip((0.0, 1.0), draws)]
-    assert expected[0] > first and expected[1] == horizon / 2
-    columns = iter(draws.T)
-    time_a = oracles._block_occupancy(in_a, columns, 1.0, 1.0, horizon)
+                for uniform, row in zip((0.0, 1.0), rows)]
+    assert expected[0] > 0.75 * first and expected[1] == horizon / 2
+    # row order within each column; the second row leaves at the check
+    draws = [draw for column in zip(*rows) for draw in column]
+    stream = ScriptedRng(None, draws + rows[0][4:] + [1.0, 1.0])
+    time_a = oracles._block_occupancy(np.array([True, False]), [stream],
+                                      1.0, 1.0, horizon)
     assert np.array_equal(time_a, expected)
-    assert len(list(columns)) == 3
-    short = oracles._block_occupancy(in_a, iter(draws.T[:2]), 1.0, 1.0,
-                                     horizon)
-    assert short[0] < expected[0] and short[1] == expected[1]
+    assert stream.draws == [1.0, 1.0]
+
+
+def test_finished_rows_stop_drawing(monkeypatch, default_params):
+    """A default-point call of 10 000 trajectories steps 5 chunks of 2 048
+    rows, but draws at most 0.7 of an exponential per row and column: a
+    chunk drops its finished rows once they are half its working set, and
+    stops drawing when none is live."""
+    streams = []
+
+    class Counting(np.random.Generator):
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            self.columns, self.draws = 0, 0
+            streams.append(self)
+
+        def standard_exponential(self, size=None, dtype=np.float64,
+                                 method="zig", out=None):
+            self.columns += 1
+            self.draws += np.size(out) if size is None else size
+            return super().standard_exponential(size, dtype, method, out)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    oracles.telegraph_mc_diffusion(
+        default_params, oracles.McConfig(n_trajectories=10_000, seed=1))
+    assert len(streams) == 5
+    columns = max(stream.columns for stream in streams)
+    drawn = sum(stream.draws for stream in streams)
+    assert columns % oracles.MC_CHECKPOINT == 0
+    assert drawn <= 0.7 * columns * len(streams) * oracles.MC_CHUNK
 
 
 def test_mc_horizon_stationarity(default_params):
