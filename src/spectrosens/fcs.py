@@ -85,12 +85,16 @@ STEP_TILT = 1e-4
 # helper thread.  Stencil stacks (n, 9, 16, 16) of the reference build on
 # a 2-core Xeon VM, one call's time over the split's: 0.45-0.92 at 2-6
 # points, 0.86-1.23 at 7-8, 1.28-1.63 at 10-12 and 1.3-1.9 at 50-100.
-# Whether the halves overlap varies from process to process: on the bench
-# sweep's (12, 9, 16, 16) stack, median of 41 alternating calls in each of
-# 12 fresh processes on the same VM type, one call took 3.6-5.3 ms of wall
-# time and the split 3.8-5.6 ms (1.05-1.08 times as long), with process
-# CPU time 0.95-1.00 of the split's wall time, so the halves never ran at
-# once; in other processes the split has taken 2.0-2.9 ms.
+# Whether the halves overlap varies from process to process.  On the bench
+# sweep's (12, 9, 16, 16) stack, median of 41 alternating calls in each
+# fresh process on the same VM type, the split took 1.05-1.29 times one
+# call's wall time, at CPU time equal to wall time, in every process of two
+# sets of 12; in a third set it took 0.59-0.90 times it, at 1.6-1.9 times
+# the CPU, in 9 of 12 (1.07 times in the other 3).  Bench sweep throughput
+# is bimodal too: in 15-30 s runs interleaved with one call, the split
+# read 860-882 points/s in 4 pairs and 1 088-1 096 in 4 others, where one
+# call read 902-964; in 14 later pairs it read 844-889, and one call won
+# all 14 at 878-939 (ROADMAP item 13).
 _SPLIT_MATRICES = 64
 
 

@@ -7,6 +7,9 @@ Unit conventions (frozen for the whole package):
   The same conversion is applied uniformly to detunings, the decay rate and
   the chemical rates so that they are commensurate inside eigenvalues.
 * Dipole moments are entered in Debye, lengths in the unit named by the key.
+
+``_SCHEMA`` is the one place where a configuration key's default, unit
+factor, allowed sign and ``ModelParams`` field live.
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ HBAR = 1.054571817e-34      # J s
 EPS0 = 8.8541878128e-12     # C^2 J^-1 m^-1
 C = 2.99792458e8            # m s^-1
 DEBYE = 3.33564e-30         # C m
-
-
-def mhz_to_angular(value_mhz: float) -> float:
-    return value_mhz * MHZ
 
 
 def angular_to_mhz(value_rad_s: float) -> float:
@@ -82,7 +81,7 @@ class ModelParams:
 
     def with_density(self, density: float) -> "ModelParams":
         _check_type("density_per_m3", density)
-        _check_value("density_per_m3", density)
+        density = _check_value("density_per_m3", density)
         return ModelParams(self.laser, self.molecule,
                            replace(self.sample, density_rho_m=density),
                            self.derived)
@@ -158,84 +157,73 @@ def derive(laser: LaserParams, molecule: MoleculeParams) -> DerivedQuantities:
 # JSON configuration
 # ---------------------------------------------------------------------------
 
-DEFAULT_CONFIG = {
-    "power_mw": 1.0,
-    "wavelength_nm": 500.0,
-    "beam_diameter_cm": 0.5,
-    "measurement_time_s": 1.0,
-    "dipole_a_debye": 1.0,
-    "dipole_b_debye": 0.0,
-    "detuning_a_mhz": 40.0,
-    "detuning_b_mhz": 0.0,
-    "gamma_mhz": 10.0,
-    "rate_a_mhz": 1.0e-4,
-    "rate_b_mhz": 1.0e-4,
-    "density_per_m3": 1.0e20,
-    "thickness_m": None,             # fixed sample depth; None means z_opt
+# key: (default, ModelParams group, field, factor to the field's unit,
+#       allowed sign "> 0", ">= 0" or "any"), in the order from_config
+#       checks them; a key whose default is None (thickness_m: z_opt) may
+#       be None
+_SCHEMA = {
+    "power_mw":           (1.0, LaserParams, "power", 1e-3, "> 0"),
+    "wavelength_nm":      (500.0, LaserParams, "wavelength", 1e-9, "> 0"),
+    "beam_diameter_cm":   (0.5, LaserParams, "beam_diameter", 1e-2, "> 0"),
+    "measurement_time_s": (1.0, LaserParams, "measurement_time", 1.0, "> 0"),
+    "dipole_a_debye":     (1.0, MoleculeParams, "dipole_a", DEBYE, ">= 0"),
+    "dipole_b_debye":     (0.0, MoleculeParams, "dipole_b", DEBYE, ">= 0"),
+    "detuning_a_mhz":     (40.0, MoleculeParams, "detuning_a", MHZ, "any"),
+    "detuning_b_mhz":     (0.0, MoleculeParams, "detuning_b", MHZ, "any"),
+    "gamma_mhz":          (10.0, MoleculeParams, "decay_gamma", MHZ, "> 0"),
+    "rate_a_mhz":         (1.0e-4, MoleculeParams, "rate_a", MHZ, ">= 0"),
+    "rate_b_mhz":         (1.0e-4, MoleculeParams, "rate_b", MHZ, ">= 0"),
+    "density_per_m3":     (1.0e20, SampleParams, "density_rho_m", 1.0, "> 0"),
+    "thickness_m":        (None, SampleParams, "thickness", 1.0, "> 0"),
 }
-
-# keys that must be positive; the others but the detunings (the dipoles and
-# the rates) must be non-negative
-_POSITIVE_KEYS = {"power_mw", "wavelength_nm", "beam_diameter_cm",
-                  "measurement_time_s", "gamma_mhz", "density_per_m3",
-                  "thickness_m"}
 
 
 def _check_type(key: str, value) -> None:
-    """Raise ``ParseError`` unless ``value`` is a number (bool excluded)."""
+    """Raise ``ParseError`` unless ``value`` is a number (bool excluded), or
+    None for a key whose default is None."""
+    if value is None and _SCHEMA[key][0] is None:
+        return
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"key {key!r} must be a number, got {value!r}")
 
 
-def _check_value(key: str, value) -> None:
-    """Raise ``InvalidParam(key)`` unless the number ``value`` is finite, in
-    rad/s too for a MHz key, and in the key's range."""
+def _check_value(key: str, value) -> float:
+    """The number ``value`` in its field's unit, a float; raise
+    ``InvalidParam(key)`` unless that is finite and ``value`` has the
+    key's sign."""
+    _, _, _, factor, sign = _SCHEMA[key]
     try:
         # MHz values near the float maximum overflow on conversion to rad/s
-        finite = math.isfinite(mhz_to_angular(value) if key.endswith("_mhz")
-                               else value)
+        converted = value * factor
+        finite = math.isfinite(converted)
     except OverflowError:  # an integer beyond the float range
         finite = False
-    if (not finite or key in _POSITIVE_KEYS and not value > 0
-            or not key.startswith("detuning") and value < 0):
+    if (not finite or sign == "> 0" and not value > 0
+            or sign == ">= 0" and value < 0):
         raise InvalidParam(key)
+    return converted
 
 
 def default_config() -> dict:
-    return dict(DEFAULT_CONFIG)
+    return {key: entry[0] for key, entry in _SCHEMA.items()}
 
 
 def from_config(config: dict) -> ModelParams:
     """Build a validated ModelParams bundle from a configuration dict."""
-    unknown = set(config) - set(DEFAULT_CONFIG)
+    unknown = set(config) - set(_SCHEMA)
     if unknown:
         raise ParseError(f"unknown configuration keys: {sorted(unknown)}")
-    merged = dict(DEFAULT_CONFIG, **config)  # in schema order
-    numbers = dict(merged)
-    if numbers["thickness_m"] is None:  # the signal-optimal depth
-        del numbers["thickness_m"]
+    merged = dict(default_config(), **config)  # in schema order
     # every type error before any value error
-    for key, value in numbers.items():
+    for key, value in merged.items():
         _check_type(key, value)
-    for key, value in numbers.items():
-        _check_value(key, value)
+    fields = {LaserParams: {}, MoleculeParams: {}, SampleParams: {}}
+    for key, value in merged.items():
+        _, group, field, _, _ = _SCHEMA[key]
+        fields[group][field] = (None if value is None
+                                else _check_value(key, value))
     if not merged["rate_a_mhz"] + merged["rate_b_mhz"] > 0:
         raise InvalidParam("rate_a_mhz+rate_b_mhz")
-    laser = LaserParams(
-        power=merged["power_mw"] * 1e-3,
-        wavelength=merged["wavelength_nm"] * 1e-9,
-        beam_diameter=merged["beam_diameter_cm"] * 1e-2,
-        measurement_time=merged["measurement_time_s"],
-    )
-    molecule = MoleculeParams(
-        dipole_a=merged["dipole_a_debye"] * DEBYE,
-        dipole_b=merged["dipole_b_debye"] * DEBYE,
-        detuning_a=mhz_to_angular(merged["detuning_a_mhz"]),
-        detuning_b=mhz_to_angular(merged["detuning_b_mhz"]),
-        decay_gamma=mhz_to_angular(merged["gamma_mhz"]),
-        rate_a=mhz_to_angular(merged["rate_a_mhz"]),
-        rate_b=mhz_to_angular(merged["rate_b_mhz"]),
-    )
-    sample = SampleParams(density_rho_m=merged["density_per_m3"],
-                          thickness=merged["thickness_m"])
+    laser, molecule, sample = (group(**kwargs)
+                               for group, kwargs in fields.items())
     return ModelParams(laser, molecule, sample, derive(laser, molecule))

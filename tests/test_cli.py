@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import spectrosens
 from spectrosens import cli, errors
-from spectrosens.params import default_config, mhz_to_angular
+from spectrosens.params import MHZ, default_config
 
 
 def run(argv, capsys):
@@ -112,6 +112,24 @@ def test_sweep_determinism(capsys):
     code3, out3, _ = run(args[:-2] + ["--workers", "1"], capsys)
     assert code3 == 0
     assert out3 == out1
+
+
+def test_point_takes_integer_density_beyond_uint64(capsys):
+    """A density given as an integer of 2**64 or more writes the bytes of
+    its float form."""
+    outputs = [run(["point", "--set", f"density_per_m3={density}"], capsys)
+               for density in (10**20, "1e20")]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+def test_sweep_takes_integer_density_beyond_uint64(capsys):
+    """A sweep whose base density is an integer of 2**64 or more writes the
+    bytes of the float's sweep."""
+    outputs = [run(["sweep", "--axis1", "rate,log,1e-5,1e-1,3",
+                    "--set", f"density_per_m3={density}"], capsys)
+               for density in (10**20, "1e20")]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert len(outputs[0][1].splitlines()) == 4
 
 
 def test_sweep_partial_failure(capsys):
@@ -270,7 +288,7 @@ def test_sweep_keeps_untyped_failure_in_row(monkeypatch, capsys):
     point, and the other rows equal run_point."""
     eigvals, stacks = np.linalg.eigvals, []
     # the 10 MHz point's optical coherences carry -+i * detuning
-    marker = -mhz_to_angular(10.0)
+    marker = -10.0 * MHZ
 
     def failing(matrix):
         stacks.append(len(matrix))

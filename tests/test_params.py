@@ -1,12 +1,19 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import config_rules
+from spectrosens import cli, params
 from spectrosens.errors import InvalidParam, ParseError
 from spectrosens.params import (MHZ, angular_to_mhz, default_config,
-                                from_config, mhz_to_angular, stack)
+                                from_config, stack)
+from spectrosens.pipeline import evaluate_point
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_unit_scale():
@@ -16,7 +23,7 @@ def test_unit_scale():
 @given(st.floats(min_value=1e-12, max_value=1e6,
                  allow_nan=False, allow_infinity=False))
 def test_unit_round_trip(value):
-    assert angular_to_mhz(mhz_to_angular(value)) == pytest.approx(
+    assert angular_to_mhz(value * MHZ) == pytest.approx(
         value, rel=1e-12)
 
 
@@ -120,8 +127,9 @@ def test_non_finite_rejected(key, value):
     assert str(excinfo.value) == f"invalid parameter: {key}"
 
 
-@pytest.mark.parametrize("density", [math.nan, math.inf, -math.inf, 0.0,
-                                     -1.0, True, "1e20"])
+@pytest.mark.parametrize("density", [
+    math.nan, math.inf, -math.inf, 0.0, -1.0,
+    pytest.param(10**400, id="10**400"), True, "1e20"])
 def test_with_density_rejects_what_from_config_rejects(default_params,
                                                        density):
     with pytest.raises((InvalidParam, ParseError)) as expected:
@@ -130,6 +138,75 @@ def test_with_density_rejects_what_from_config_rejects(default_params,
         default_params.with_density(density)
     assert type(excinfo.value) is type(expected.value)
     assert str(excinfo.value) == str(expected.value)
+
+
+# zeros, signs, the smallest subnormal, values whose MHz form overflows in
+# rad/s (3e301, 1.7e308), non-finite floats and integers beyond the float
+# range
+CHARACTERISATION_VALUES = (0, -0.0, -1, 5e-324, 1, 3e301, -3e301, 1.7e308,
+                           math.inf, -math.inf, math.nan, 10**400, -10**400)
+
+
+def _error(function, *args):
+    """The type name and message of what ``function(*args)`` raises, or
+    None."""
+    try:
+        function(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _bits(group):
+    return [None if value is None else float(value).hex()
+            for value in vars(group).values()]
+
+
+@pytest.mark.parametrize("key", list(default_config()))
+def test_checks_equal_name_based_rules(key):
+    """For every value of a key, ``_check_value`` and ``from_config`` raise
+    the error type and message of the rules that read the key's spelling
+    (``config_rules``), and a configuration that passes has those rules'
+    field values, bit for bit."""
+    for value in CHARACTERISATION_VALUES:
+        assert (_error(params._check_value, key, value)
+                == _error(config_rules.check_value, key, value))
+        config = dict(default_config(), **{key: value})
+        expected = _error(config_rules.groups, config)
+        if expected is None:
+            reference = config_rules.groups(config)
+            expected = _error(params.derive, *reference[:2])
+        assert _error(from_config, {key: value}) == expected
+        if expected is None:
+            p = from_config({key: value})
+            for group, ref in zip((p.laser, p.molecule, p.sample),
+                                  reference):
+                assert _bits(group) == _bits(ref)
+
+
+def test_with_density_takes_integer_beyond_uint64(default_params):
+    """A density given as an integer of 2**64 or more is its float: the
+    point equals the float's and evaluates to its record."""
+    p, ref = (default_params.with_density(d) for d in (10**20, 1e20))
+    assert p == ref and type(p.sample.density_rho_m) is float
+    assert (cli._record(evaluate_point(p, route="adiabatic"))
+            == cli._record(evaluate_point(ref, route="adiabatic")))
+
+
+def test_readme_lists_configuration_keys():
+    """The README's table of configuration keys lists ``default_config``'s
+    keys in order, with their defaults."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| Key | Default | Unit and model field "
+                        "| Allowed values |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default = (cell.strip().strip("`")
+                        for cell in line.split("|")[1:3])
+        rows.append((key, json.loads(default)))
+    assert rows == list(default_config().items())
 
 
 def test_stack():
